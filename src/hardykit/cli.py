@@ -152,6 +152,10 @@ def _cmd_sweep(args) -> int:
             q = q_vector(state, scenario)
             rows.append((float(v), q, generalized_expression(q), ch_expression(state, scenario)))
     else:
+        if not 0.0 < args.lo <= args.hi < pi / 4:
+            raise ValueError(
+                f"schmidt sweep needs 0 < lo <= hi < pi/4, got lo = {args.lo}, hi = {args.hi}"
+            )
         for theta in np.linspace(args.lo, args.hi, args.steps):
             schmidt = SchmidtState(float(theta))
             scenario = hardy_observables(schmidt)
@@ -244,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except (HardykitError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (HardykitError, ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

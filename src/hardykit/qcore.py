@@ -87,6 +87,8 @@ class QuantumState:
         object.__setattr__(self, "dims", (d1, d2))
         n = d1 * d2
         data = np.asarray(self.data, dtype=complex)
+        if not np.isfinite(data).all():
+            raise ValueError("state data has non-finite entries")
         if self.kind == "pure":
             if data.shape != (n,):
                 raise ValueError(f"pure state needs {n} amplitudes, got shape {data.shape}")
@@ -142,15 +144,20 @@ class Observable:
         if d < 1:
             raise ValueError("dimension must be positive")
         cleaned = []
-        for label, projector in self.outcomes:
+        for raw_label, projector in self.outcomes:
+            label = float(raw_label)
+            if not np.isfinite(label):
+                raise ValueError(f"outcome label {label} must be finite")
             proj = np.asarray(projector, dtype=complex)
             if proj.shape != (d, d):
                 raise ValueError(f"projector for label {label} must be {d}x{d}")
+            if not np.isfinite(proj).all():
+                raise ValueError(f"projector for label {label} has non-finite entries")
             if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_ATOL:
                 raise ValueError(f"projector for label {label} is not Hermitian")
             if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_ATOL:
                 raise ValueError(f"projector for label {label} is not idempotent")
-            cleaned.append((float(label), _readonly(proj)))
+            cleaned.append((label, _readonly(proj)))
         if not cleaned:
             raise ValueError("observable needs at least one outcome")
         labels = [label for label, _ in cleaned]

@@ -6,6 +6,9 @@ The three vanishing joint probabilities become three orthogonality residuals;
 Newton iteration solves them for any value of the one remaining free angle,
 and a bounded line search picks the family member with the largest fourth
 probability.
+
+The setting optimizer searches qubit-pair angles on the Clauser-Horne form of
+the witness, which depends on the state only through its correlation matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ from .errors import (
     NoSolution,
     NotEntangled,
 )
-from .qcore import BlochDirection, Observable, QuantumState, spin_observable, werner_state
+from .qcore import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    BlochDirection,
+    Observable,
+    QuantumState,
+    spin_observable,
+    werner_state,
+)
 from .witness import Scenario, generalized_expression, q_vector
 
 OBJECTIVES = ("maximize_upper", "minimize_lower")
@@ -34,6 +46,7 @@ _FAMILY_MARGIN = 1e-3         # keep the free angle away from the degenerate end
 _FAMILY_GRID = 41
 _BISECTION_WIDTH = 1e-6
 _NEWTON_STARTS = ((0.9, 0.5, 0.5), (2.2, -0.6, 1.2), (-1.1, 1.4, -0.8), (0.4, 2.4, 2.0))
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 @dataclass(frozen=True)
@@ -235,6 +248,47 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     return scenario
 
 
+def _scenario_from(params: np.ndarray) -> Scenario:
+    """Validated scenario of the search parameters (4 planar or 8 Bloch angles)."""
+    if len(params) == 4:
+        observables = [_spin_from_angles(t, 0.0) for t in params]
+    else:
+        observables = [_spin_from_angles(params[2 * k], params[2 * k + 1]) for k in range(4)]
+    return Scenario(x1=observables[0], y1=observables[1], x2=observables[2], y2=observables[3])
+
+
+def _correlation_matrix(state: QuantumState) -> list[list[float]]:
+    """Rows of T[a][b] = Tr[rho (sigma_a x sigma_b)] for a two-qubit state."""
+    rho = state.density_matrix().reshape(2, 2, 2, 2)
+    return np.einsum("ijkl,aki,blj->ab", rho, _PAULIS, _PAULIS).real.tolist()
+
+
+def _ch_cost(params: np.ndarray, correlations: list[list[float]], sign: float) -> float:
+    """sign * (q1 + q2 + q3 - q4) at the settings ``params`` describe.
+
+    For spin observables the expression is the Clauser-Horne form
+    1/2 + (x1.T(x2 - y2) - y1.T(x2 + y2))/4 in the unit vectors of the four
+    +1 projectors: the single-side Bloch terms cancel, so only the
+    correlation matrix T of the state enters. Plain floats, because this runs
+    hundreds of times per restart on 3-vectors, where numpy's per-call
+    overhead would dominate.
+    """
+    angles = params.tolist()
+    if len(angles) == 4:
+        vectors = [(sin(t), 0.0, cos(t)) for t in angles]
+    else:
+        vectors = [
+            (sin(t) * cos(p), sin(t) * sin(p), cos(t))
+            for t, p in zip(angles[0::2], angles[1::2])
+        ]
+    x1, y1, x2, y2 = vectors
+    value = 0.0
+    for row, a, b in zip(correlations, x1, y1):
+        for t, c, d in zip(row, x2, y2):
+            value += t * (a * (c - d) - b * (c + d))
+    return sign * (0.5 + 0.25 * value)
+
+
 def optimize_violation(
     state: QuantumState,
     objective: str,
@@ -244,9 +298,13 @@ def optimize_violation(
     """Derivative-free search over observable angles for extreme expression values.
 
     Runs Nelder-Mead from ``config.restarts`` seeded random starts. With
-    ``planar=True`` the four observables live in a common plane (one polar
-    angle each); otherwise all eight Bloch angles are free. Deterministic for
-    a fixed seed; restarts are merged by (value, restart index).
+    ``planar=True`` the four observables live in the xz plane (one polar
+    angle each); otherwise all eight Bloch angles are free. Each step
+    evaluates the Clauser-Horne form of q1 + q2 + q3 - q4 from the state's
+    correlation matrix, computed once per call; only the winning angles are
+    turned into validated observables, and the returned value is their
+    q-vector's expression. Deterministic for a fixed seed; restarts are
+    merged by (value, restart index).
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -255,20 +313,7 @@ def optimize_violation(
     config = config or SearchConfig()
     n_params = 4 if planar else 8
     sign = -1.0 if objective == "maximize_upper" else 1.0
-
-    def scenario_from(params: np.ndarray) -> Scenario:
-        if planar:
-            observables = [_spin_from_angles(t, 0.0) for t in params]
-        else:
-            observables = [
-                _spin_from_angles(params[2 * k], params[2 * k + 1]) for k in range(4)
-            ]
-        return Scenario(
-            x1=observables[0], y1=observables[1], x2=observables[2], y2=observables[3]
-        )
-
-    def cost(params: np.ndarray) -> float:
-        return sign * generalized_expression(q_vector(state, scenario_from(params)))
+    correlations = _correlation_matrix(state)
 
     values: list[float] = []
     best_params: list[np.ndarray] = []
@@ -277,8 +322,9 @@ def optimize_violation(
         start = rng.uniform(0.0, 2.0 * pi, size=n_params)
         simplex = np.vstack([start, start + 0.1 * np.eye(n_params)])
         result = minimize(
-            cost,
+            _ch_cost,
             start,
+            args=(correlations, sign),
             method="Nelder-Mead",
             options={
                 "initial_simplex": simplex,
@@ -295,7 +341,7 @@ def optimize_violation(
         winner = max(range(config.restarts), key=lambda k: (values[k], -k))
     else:
         winner = min(range(config.restarts), key=lambda k: (values[k], k))
-    scenario = scenario_from(best_params[winner])
+    scenario = _scenario_from(best_params[winner])
     value = generalized_expression(q_vector(state, scenario))
     return SearchResult(
         objective=objective,

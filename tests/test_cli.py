@@ -125,6 +125,16 @@ class TestLhvCheck:
         assert code == 3
         assert "InvalidQVector" in err
 
+    def test_solver_runtime_error_is_domain_error(self, capsys, monkeypatch):
+        def fail(*_args):
+            raise RuntimeError("simplex failed to terminate")
+
+        monkeypatch.setattr("hardykit.lhv._phase_one_simplex", fail)
+        code, out, err = run_cli(capsys, "lhv-check", "--q", "0.25,0.25,0.25,0.25")
+        assert code == 3
+        assert out == ""
+        assert err == "RuntimeError: simplex failed to terminate\n"
+
 
 class TestVertices:
     def test_dichotomic_table(self, capsys):
@@ -226,6 +236,16 @@ class TestSweep:
             cells = row.split(",")
             assert float(cells[1]) < 1e-9  # q1 vanishes along the construction
             assert float(cells[8]) < 0.0  # lower bound violated
+
+    @pytest.mark.parametrize("lo, hi", [("0", "0.5"), ("0.2", "0.8"), ("0.6", "0.3")])
+    def test_schmidt_range_checked_before_any_row(self, capsys, lo, hi):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "schmidt", "--lo", lo, "--hi", hi, "--steps", "4"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestParsing:

@@ -244,6 +244,18 @@ class TestStateValidation:
         state = QuantumState.density(matrix, (2, 2))
         assert state.kind == "density"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_pure_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.pure([bad, 0.0, 0.0, 0.0], (2, 2))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_density_entry_rejected(self, bad):
+        matrix = np.eye(4, dtype=complex) / 4.0
+        matrix[1, 2] = matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            QuantumState.density(matrix, (2, 2))
+
     def test_minimum_subsystem_dimension(self):
         with pytest.raises(ValueError):
             QuantumState.pure([1.0, 0.0], (1, 2))
@@ -275,6 +287,21 @@ class TestObservableValidation:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             Observable(2, ((1.0, np.diag([1.0, 0.0])), (1.0, np.diag([0.0, 1.0]))))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_projector(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Observable(2, ((1.0, np.full((2, 2), bad)), (-1.0, np.full((2, 2), bad))))
+        # A non-finite entry in any one projector is enough.
+        minus = np.diag([0.0, 1.0]).astype(complex)
+        minus[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Observable(2, ((1.0, np.diag([1.0, 0.0])), (-1.0, minus)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_label(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Observable(2, ((1.0, np.diag([1.0, 0.0])), (bad, np.diag([0.0, 1.0]))))
 
     def test_zero_projector_is_allowed(self):
         obs = Observable(

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from math import pi, sqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_state
 from hardykit import (
     DimensionMismatch,
     MaximallyEntangled,
@@ -25,6 +29,8 @@ from hardykit import (
     werner_state,
     werner_sweep,
 )
+from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
+from hardykit.search import _ch_cost, _correlation_matrix, _scenario_from
 
 # Frozen from the closed-form grid oracle over (theta, free angle): the family
 # member with maximal q4 at theta = pi/8, and the global maximum over theta.
@@ -37,6 +43,21 @@ UPPER_TARGET = 0.5 * (1.0 + sqrt(2.0))
 
 def reference_scenario():
     return planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4, plane="xy")
+
+
+def exact_qubit_bound(state: QuantumState, planar: bool) -> float:
+    """sqrt(t1^2 + t2^2) from the top singular values of the correlation matrix.
+
+    T is built here from Kronecker products, independently of the search
+    module; planar searches (xz plane) see only T's xz block.
+    """
+    rho = state.density_matrix()
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    T = np.array([[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis])
+    if planar:
+        T = T[np.ix_((0, 2), (0, 2))]
+    t1, t2 = np.linalg.svd(T, compute_uv=False)[:2]
+    return sqrt(t1 * t1 + t2 * t2)
 
 
 class TestSchmidtState:
@@ -142,6 +163,46 @@ class TestOptimizeViolation:
             optimize_violation(qutrit_state, "maximize_upper")
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
+
+
+class TestCorrelationObjective:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        planar=st.booleans(),
+        sign=st.sampled_from((-1.0, 1.0)),
+        data=st.data(),
+    )
+    def test_matches_q_vector_expression(self, seed, planar, sign, data):
+        state = random_state(np.random.default_rng(seed), 2, 2)
+        params = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=-10.0, max_value=10.0),
+                    min_size=4 if planar else 8,
+                    max_size=4 if planar else 8,
+                )
+            )
+        )
+        expected = sign * generalized_expression(q_vector(state, _scenario_from(params)))
+        assert abs(_ch_cost(params, _correlation_matrix(state), sign) - expected) < 1e-12
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        planar=st.booleans(),
+        objective=st.sampled_from(("maximize_upper", "minimize_lower")),
+    )
+    def test_never_passes_exact_qubit_bound(self, seed, planar, objective):
+        state = random_state(np.random.default_rng(seed), 2, 2)
+        result = optimize_violation(
+            state, objective, SearchConfig(restarts=2, seed=seed % 1000), planar=planar
+        )
+        radius = exact_qubit_bound(state, planar)
+        if objective == "maximize_upper":
+            assert result.value <= 0.5 * (1.0 + radius) + 1e-9
+        else:
+            assert result.value >= 0.5 * (1.0 - radius) - 1e-9
 
 
 class TestMaxHardyProbability:
