@@ -30,8 +30,8 @@ class MaximallyEntangled(HardykitError):
 
 
 class NoSolution(HardykitError):
-    """Raised when the constraint solver cannot reach the requested residual."""
+    """Raised when a constructed setting fails its verification on the state's q-vector."""
 
 
 class NoCrossing(HardykitError):
-    """Raised when a bisection target is never reached on the given interval."""
+    """Raised when the expression does not cross its bound on the given interval."""

@@ -2,10 +2,9 @@
 
 The zero-probability construction works in the Schmidt basis, where every
 needed observable is a real planar qubit projector parametrized by one angle.
-The three vanishing joint probabilities become three orthogonality residuals;
-Newton iteration solves them for any value of the one remaining free angle,
-and a bounded line search picks the family member with the largest fourth
-probability.
+Each of the three vanishing joint probabilities fixes one angle in closed form,
+and the remaining free angle is set where the fourth probability peaks, so the
+largest q4 is (alpha beta (alpha - beta) / (1 - alpha beta))^2 exactly.
 
 The setting optimizer searches qubit-pair angles on the Clauser-Horne form of
 the witness, which depends on the state only through its correlation matrix.
@@ -14,10 +13,10 @@ the witness, which depends on the state only through its correlation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import asin, atan, atan2, cos, isfinite, pi, sin, sqrt
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatch,
@@ -40,12 +39,9 @@ from .witness import Scenario, generalized_expression, q_vector
 
 OBJECTIVES = ("maximize_upper", "minimize_lower")
 
-_NUMERIC_ZERO = 1e-12
-_RESIDUAL_TARGET = 1e-13      # amplitude residual; probabilities land at its square
-_FAMILY_MARGIN = 1e-3         # keep the free angle away from the degenerate endpoints
-_FAMILY_GRID = 41
-_BISECTION_WIDTH = 1e-6
-_NEWTON_STARTS = ((0.9, 0.5, 0.5), (2.2, -0.6, 1.2), (-1.1, 1.4, -0.8), (0.4, 2.4, 2.0))
+# Schmidt angle of the largest constructed q4, (5 sqrt 5 - 11)/2: there
+# s = sin(2 theta)/2 solves s^2 - 3s + 1 = 0.
+_THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
@@ -106,14 +102,6 @@ class SearchResult:
         }
 
 
-def _planar_qubit_observable(ket_angle: float) -> Observable:
-    """Dichotomic observable whose +1 eigenvector is (cos a, sin a)."""
-    direction = BlochDirection.from_vector(
-        (sin(2.0 * ket_angle), 0.0, cos(2.0 * ket_angle))
-    )
-    return spin_observable(direction)
-
-
 def _spin_from_angles(theta: float, phi: float) -> Observable:
     direction = BlochDirection.from_vector(
         (sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta))
@@ -121,130 +109,54 @@ def _spin_from_angles(theta: float, phi: float) -> Observable:
     return spin_observable(direction)
 
 
-def _solve_remaining_angles(
-    alpha: float, beta: float, x1: float, start: tuple[float, float, float]
-) -> tuple[float, float, float] | None:
-    """Newton iteration for the three orthogonality residuals at fixed x1.
+def _hardy_angles(alpha: float, beta: float) -> tuple[float, float, float, float]:
+    """Planar ket angles (x1, x2, y1, y2) forcing q1 = q2 = q3 = 0 with maximal q4.
 
-    Unknowns are the planar angles (x2, y1, y2) of the remaining +1
-    eigenvectors; the Jacobian is triangular in that ordering, so each step is
-    a forward substitution. Returns None if the residuals fail to reach the
-    target.
+    The zero constraints fix one angle each: tan x2 = -(alpha/beta) cot x1,
+    tan y1 = (alpha/beta) tan x2 and tan y2 = (alpha/beta) tan x1. Along this
+    family, with u = tan^2 x1 and r = alpha/beta, q4 is proportional to
+    u / ((u + r^4)(1 + r^2 u)), which peaks at u = r.
     """
-    c1, s1 = cos(x1), sin(x1)
-    x2, y1, y2 = start
-    for _ in range(80):
-        c2, s2 = cos(x2), sin(x2)
-        cy1, sy1 = cos(y1), sin(y1)
-        cy2, sy2 = cos(y2), sin(y2)
-        r1 = alpha * c1 * c2 + beta * s1 * s2
-        r2 = -alpha * cy1 * s2 + beta * sy1 * c2
-        r3 = -alpha * s1 * cy2 + beta * c1 * sy2
-        if max(abs(r1), abs(r2), abs(r3)) < _RESIDUAL_TARGET:
-            return (x2, y1, y2)
-        j11 = -alpha * c1 * s2 + beta * s1 * c2
-        j21 = -alpha * cy1 * c2 - beta * sy1 * s2
-        j22 = alpha * sy1 * s2 + beta * cy1 * c2
-        j33 = alpha * s1 * sy2 + beta * c1 * cy2
-        if min(abs(j11), abs(j22), abs(j33)) < 1e-14:
-            x2 += 0.7  # deterministic nudge off a singular point
-            y1 += 0.3
-            y2 += 0.3
-            continue
-        dx2 = r1 / j11
-        x2 -= dx2
-        y1 -= (r2 - j21 * dx2) / j22
-        y2 -= r3 / j33
-    return None
-
-
-def _family_member(
-    alpha: float,
-    beta: float,
-    x1: float,
-    warm: tuple[float, float, float] | None,
-) -> tuple[float, tuple[float, float, float]] | None:
-    """Solve the zero constraints at x1 and report (q4, solved angles)."""
-    starts = list(_NEWTON_STARTS) if warm is None else [warm, *_NEWTON_STARTS]
-    for start in starts:
-        solved = _solve_remaining_angles(alpha, beta, x1, start)
-        if solved is not None:
-            _, y1, y2 = solved
-            amplitude = alpha * cos(y1) * cos(y2) + beta * sin(y1) * sin(y2)
-            return (amplitude * amplitude, solved)
-    return None
-
-
-def _best_construction(alpha: float, beta: float) -> tuple[float, float, float, float] | None:
-    """Angles (x1, x2, y1, y2) of the family member with maximal q4."""
-    lo, hi = _FAMILY_MARGIN, pi / 2 - _FAMILY_MARGIN
-    warm: tuple[float, float, float] | None = None
-    best_q4, best_x1 = -1.0, None
-    for x1 in np.linspace(lo, hi, _FAMILY_GRID):
-        member = _family_member(alpha, beta, x1, warm)
-        if member is None:
-            continue
-        q4, warm = member
-        if q4 > best_q4:
-            best_q4, best_x1 = q4, x1
-    if best_x1 is None:
-        return None
-
-    cache: dict[str, tuple[float, float, float] | None] = {"warm": warm}
-
-    def negative_q4(x1: float) -> float:
-        member = _family_member(alpha, beta, x1, cache["warm"])
-        if member is None:
-            return 0.0
-        q4, cache["warm"] = member
-        return -q4
-
-    step = (hi - lo) / (_FAMILY_GRID - 1)
-    refined = minimize_scalar(
-        negative_q4,
-        bounds=(max(lo, best_x1 - step), min(hi, best_x1 + step)),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    x1_star = float(refined.x) if -refined.fun >= best_q4 else float(best_x1)
-    member = _family_member(alpha, beta, x1_star, cache["warm"])
-    if member is None:
-        return None
-    _, (x2, y1, y2) = member
-    return (x1_star, x2, y1, y2)
+    x1 = atan(sqrt(alpha / beta))
+    x2 = atan2(-alpha * cos(x1), beta * sin(x1))
+    y1 = atan2(alpha * sin(x2), beta * cos(x2))
+    y2 = atan2(alpha * sin(x1), beta * cos(x1))
+    return (x1, x2, y1, y2)
 
 
 def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     """Observables forcing q1 = q2 = q3 = 0 with the largest attainable q4.
 
-    Works for entangled, non-maximally-entangled Schmidt states. Among the
-    one-parameter family of settings that satisfies the three zero
-    constraints, the member with maximal q4 is returned, so downstream sweeps
-    see the strongest violation the state supports.
+    Among the one-parameter family of settings that satisfies the three zero
+    constraints, the member with maximal q4 = (alpha beta (alpha - beta) /
+    (1 - alpha beta))^2 is returned, so downstream sweeps see the strongest
+    violation the state supports. If that q4 is not above ``tol``, the state
+    is too close to a product state (``NotEntangled``) or to the maximally
+    entangled one (``MaximallyEntangled``). The built settings are verified on
+    the state's q-vector, and ``NoSolution`` is raised unless
+    max(q1, q2, q3) < tol < q4.
     """
-    theta = schmidt.angle
-    if theta <= _NUMERIC_ZERO:
-        raise NotEntangled("product state: the zero-probability argument needs entanglement")
-    if pi / 4 - theta <= tol:
-        raise MaximallyEntangled(
-            "maximally entangled state: the zero constraints force q4 = 0"
-        )
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     alpha, beta = schmidt.amplitudes
-    angles = _best_construction(alpha, beta)
-    if angles is None:
-        raise NoSolution("zero-constraint solver did not reach the residual target")
-    x1, x2, y1, y2 = angles
+    q4_best = (alpha * beta * (alpha - beta) / (1.0 - alpha * beta)) ** 2
+    if q4_best <= tol:
+        detail = f"the zero constraints allow q4 <= {q4_best:.3g}, not above tol {tol}"
+        if schmidt.angle < _THETA_STAR:
+            raise NotEntangled(f"too little entanglement: {detail}")
+        raise MaximallyEntangled(f"too close to maximal entanglement: {detail}")
+    x1, x2, y1, y2 = _hardy_angles(alpha, beta)
     scenario = Scenario(
-        x1=_planar_qubit_observable(x1),
-        y1=_planar_qubit_observable(y1),
-        x2=_planar_qubit_observable(x2),
-        y2=_planar_qubit_observable(y2),
+        x1=_spin_from_angles(2.0 * x1, 0.0),
+        y1=_spin_from_angles(2.0 * y1, 0.0),
+        x2=_spin_from_angles(2.0 * x2, 0.0),
+        y2=_spin_from_angles(2.0 * y2, 0.0),
     )
     q = q_vector(schmidt.state(), scenario)
-    if max(q.q1, q.q2, q.q3) >= tol:
-        raise NoSolution(f"constructed zeros {q.q1, q.q2, q.q3} exceed tol {tol}")
-    if q.q4 <= tol:
-        raise NoSolution(f"constructed q4 = {q.q4} is not above tol {tol}")
+    if not max(q.q1, q.q2, q.q3) < tol < q.q4:
+        raise NoSolution(
+            f"constructed q = {q.q1, q.q2, q.q3, q.q4} misses max(q1, q2, q3) < {tol} < q4"
+        )
     return scenario
 
 
@@ -353,44 +265,24 @@ def optimize_violation(
     )
 
 
-def _constructed_q4(theta: float, tol: float = 1e-9) -> float:
-    schmidt = SchmidtState(theta)
-    scenario = hardy_observables(schmidt, tol)
-    return q_vector(schmidt.state(), scenario).q4
-
-
-def max_hardy_probability(resolution: int) -> tuple[float, float]:
+def max_hardy_probability() -> tuple[float, float]:
     """Largest q4 the zero-probability construction reaches over Schmidt states.
 
-    Sweeps the Schmidt angle over (0, pi/4) at the given grid resolution,
-    running the full construction at every point, then polishes the best grid
-    point with a bounded line search. Returns (best angle, best q4).
+    With s = sin(2 theta)/2 the construction gives q4 = s^2 (1 - 2s)/(1 - s)^2,
+    which peaks where s^2 - 3s + 1 = 0: at theta* = asin(3 - sqrt 5)/2, with
+    q4 = (5 sqrt 5 - 11)/2 (Hardy, PRL 71, 1665 (1993); Goldstein, PRL 72,
+    1951 (1994)). Returns theta* and the q4 the construction gives there.
     """
-    if resolution < 100:
-        raise ValueError(f"resolution must be at least 100, got {resolution}")
-    thetas = np.linspace(0.0, pi / 4, resolution + 2)[1:-1]
-    q4s = np.array([_constructed_q4(theta) for theta in thetas])
-    best = int(np.argmax(q4s))
-    step = thetas[1] - thetas[0]
-    lo = max(float(thetas[best]) - step, float(thetas[0]))
-    hi = min(float(thetas[best]) + step, float(thetas[-1]))
-    refined = minimize_scalar(
-        lambda theta: -_constructed_q4(theta),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    if -refined.fun >= q4s[best]:
-        return (float(refined.x), float(-refined.fun))
-    return (float(thetas[best]), float(q4s[best]))
+    schmidt = SchmidtState(_THETA_STAR)
+    return (_THETA_STAR, q_vector(schmidt.state(), hardy_observables(schmidt)).q4)
 
 
 def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> float:
-    """Visibility at which the expression crosses the upper bound, by bisection.
+    """Visibility at which the expression crosses the upper bound.
 
-    The state family is v |singlet><singlet| + (1 - v) I/4; the expression is
-    affine in v, so the crossing is unique once bracketed. The bisection stops
-    when the bracket is narrower than 1e-6.
+    The state family is v |singlet><singlet| + (1 - v) I/4. The expression is
+    affine in v, so its values at v_lo and v_hi give the crossing exactly by
+    linear interpolation.
     """
     if not 0.0 <= v_lo < v_hi <= 1.0:
         raise ValueError(f"need 0 <= v_lo < v_hi <= 1, got [{v_lo}, {v_hi}]")
@@ -399,18 +291,13 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
 
-    def excess(v: float) -> float:
-        return generalized_expression(q_vector(werner_state(v), scenario)) - 1.0
-
-    lo, hi = float(v_lo), float(v_hi)
-    if excess(hi) < 0.0:
+    excess_lo, excess_hi = (
+        generalized_expression(q_vector(werner_state(v), scenario)) - 1.0 for v in (v_lo, v_hi)
+    )
+    if excess_hi < 0.0:
         raise NoCrossing(f"expression never exceeds the upper bound on [{v_lo}, {v_hi}]")
-    if excess(lo) > 0.0:
+    if excess_lo > 0.0:
         raise NoCrossing(f"expression already exceeds the upper bound at v = {v_lo}")
-    while hi - lo > _BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    if excess_lo == excess_hi:
+        return float(v_hi)  # on the bound at both ends, so everywhere
+    return float(v_lo - excess_lo * (v_hi - v_lo) / (excess_hi - excess_lo))

@@ -132,11 +132,12 @@ def _grid_oracle_max_q4() -> float:
 
 
 def test_criterion_3_maximal_hardy_probability():
-    check = _Criterion(3, "max_hardy_probability(1000) = 0.09017 within 1e-4", 300.0)
+    check = _Criterion(3, "max_hardy_probability() = (5 sqrt 5 - 11)/2 = 0.09017", 300.0)
     oracle = _grid_oracle_max_q4()
-    theta_star, q4_star = max_hardy_probability(1000)
+    theta_star, q4_star = max_hardy_probability()
     passed = (
-        abs(q4_star - 0.09017) <= 1e-4
+        abs(q4_star - 0.5 * (5.0 * sqrt(5.0) - 11.0)) < 1e-12
+        and abs(q4_star - 0.09017) <= 1e-4
         and abs(q4_star - oracle) <= 1e-4
         and abs(oracle - Q4_GLOBAL_MAX) < 1e-6
         and 0.0 < theta_star < pi / 4

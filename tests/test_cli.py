@@ -178,6 +178,18 @@ class TestHardy:
         assert code == 3
         assert "MaximallyEntangled" in err
 
+    def test_near_maximal_entanglement_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "hardy", "--theta", "0.785398")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("MaximallyEntangled: ")
+
+    def test_nan_tol_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "hardy", "--theta", "0.3", "--tol", "nan")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ValueError: ")
+
 
 class TestOptimize:
     def test_separable_state(self, capsys, tmp_path):
@@ -236,6 +248,14 @@ class TestSweep:
             cells = row.split(",")
             assert float(cells[1]) < 1e-9  # q1 vanishes along the construction
             assert float(cells[8]) < 0.0  # lower bound violated
+
+    def test_schmidt_near_maximal_entanglement_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "schmidt", "--lo", "0.5", "--hi", "0.78539", "--steps", "3"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("MaximallyEntangled: ")
 
     @pytest.mark.parametrize("lo, hi", [("0", "0.5"), ("0.2", "0.8"), ("0.6", "0.3")])
     def test_schmidt_range_checked_before_any_row(self, capsys, lo, hi):

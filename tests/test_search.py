@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import pi, sqrt
+from math import asin, cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -41,8 +41,21 @@ THETA_AT_GLOBAL_MAX = 0.434692343731
 UPPER_TARGET = 0.5 * (1.0 + sqrt(2.0))
 
 
-def reference_scenario():
-    return planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4, plane="xy")
+def exact_q4(theta: float) -> float:
+    """(alpha beta (alpha - beta) / (1 - alpha beta))^2, the largest constructed q4."""
+    alpha, beta = cos(theta), sin(theta)
+    return (alpha * beta * (alpha - beta) / (1.0 - alpha * beta)) ** 2
+
+
+def reference_scenario(phi: float = 0.0):
+    angles = (0.0, pi / 2, 3 * pi / 4, pi / 4)
+    return planar_scenario(*(a + phi for a in angles), plane="xy")
+
+
+def test_frozen_values_match_closed_forms():
+    assert abs(Q4_AT_PI_OVER_8 - exact_q4(pi / 8)) < 1e-12
+    assert abs(Q4_GLOBAL_MAX - 0.5 * (5.0 * sqrt(5.0) - 11.0)) < 1e-12
+    assert abs(THETA_AT_GLOBAL_MAX - 0.5 * asin(3.0 - sqrt(5.0))) < 1e-12
 
 
 def exact_qubit_bound(state: QuantumState, planar: bool) -> float:
@@ -84,7 +97,7 @@ class TestHardyObservables:
         assert q.q2 < 1e-9
         assert q.q3 < 1e-9
         assert q.q4 > 0.01
-        assert q.q4 == pytest.approx(Q4_AT_PI_OVER_8, abs=1e-9)
+        assert q.q4 == pytest.approx(Q4_AT_PI_OVER_8, abs=1e-12)
 
     def test_construction_across_angles(self):
         for theta in (0.1, 0.2, pi / 8, 0.55, 0.7):
@@ -93,6 +106,14 @@ class TestHardyObservables:
             assert max(q.q1, q.q2, q.q3) < 1e-9
             assert q.q4 > 1e-6
 
+    @settings(max_examples=200)
+    @given(theta=st.floats(min_value=1e-3, max_value=pi / 4 - 1e-3))
+    def test_construction_is_exact(self, theta):
+        schmidt = SchmidtState(theta)
+        q = q_vector(schmidt.state(), hardy_observables(schmidt))
+        assert max(q.q1, q.q2, q.q3) < 1e-15
+        assert abs(q.q4 - exact_q4(theta)) < 1e-12
+
     def test_product_state_rejected(self):
         with pytest.raises(NotEntangled):
             hardy_observables(SchmidtState(0.0))
@@ -100,6 +121,20 @@ class TestHardyObservables:
     def test_maximally_entangled_rejected(self):
         with pytest.raises(MaximallyEntangled):
             hardy_observables(SchmidtState(pi / 4))
+
+    def test_near_product_state_rejected(self):
+        # q4 can reach only ~1e-10 here, below the default tol.
+        with pytest.raises(NotEntangled):
+            hardy_observables(SchmidtState(1e-5))
+
+    def test_near_maximal_entanglement_rejected(self):
+        with pytest.raises(MaximallyEntangled):
+            hardy_observables(SchmidtState(pi / 4 - 1e-5))
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_tol_validated(self, tol):
+        with pytest.raises(ValueError):
+            hardy_observables(SchmidtState(0.3), tol)
 
     def test_constructed_point_is_lhv_infeasible(self):
         # Closing the loop between modules: the construction's q-vector must
@@ -207,13 +242,9 @@ class TestCorrelationObjective:
 
 class TestMaxHardyProbability:
     def test_matches_frozen_oracle_value(self):
-        theta, q4 = max_hardy_probability(120)
-        assert q4 == pytest.approx(Q4_GLOBAL_MAX, abs=1e-6)
-        assert theta == pytest.approx(THETA_AT_GLOBAL_MAX, abs=1e-3)
-
-    def test_resolution_validated(self):
-        with pytest.raises(ValueError):
-            max_hardy_probability(99)
+        theta, q4 = max_hardy_probability()
+        assert q4 == pytest.approx(Q4_GLOBAL_MAX, abs=1e-12)
+        assert theta == pytest.approx(THETA_AT_GLOBAL_MAX, abs=1e-12)
 
     def test_small_angle_construction_vanishes(self):
         schmidt = SchmidtState(0.01)
@@ -231,7 +262,14 @@ class TestMaxHardyProbability:
 class TestWernerSweep:
     def test_threshold_at_inverse_sqrt_two(self):
         threshold = werner_sweep(reference_scenario(), 0.0, 1.0)
-        assert threshold == pytest.approx(1.0 / sqrt(2.0), abs=1e-6)
+        assert threshold == pytest.approx(1.0 / sqrt(2.0), abs=1e-12)
+
+    @settings(max_examples=50)
+    @given(phi=st.floats(min_value=0.0, max_value=2.0 * pi))
+    def test_threshold_invariant_under_in_plane_rotation(self, phi):
+        # The singlet is rotation invariant, so rotating every setting keeps the crossing.
+        threshold = werner_sweep(reference_scenario(phi), 0.0, 1.0)
+        assert abs(threshold - 1.0 / sqrt(2.0)) < 1e-12
 
     def test_no_crossing_below_half_visibility(self):
         with pytest.raises(NoCrossing):
