@@ -177,8 +177,6 @@ class TestHardy:
         code, _, err = run_cli(capsys, "hardy", "--theta", str(pi / 4))
         assert code == 3
         assert "MaximallyEntangled" in err
-
-    def test_near_maximal_entanglement_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "hardy", "--theta", "0.785398")
         assert code == 3
         assert out == ""
@@ -251,7 +249,8 @@ class TestSweep:
 
     def test_schmidt_near_maximal_entanglement_is_domain_error(self, capsys):
         code, out, err = run_cli(
-            capsys, "sweep", "--family", "schmidt", "--lo", "0.5", "--hi", "0.78539", "--steps", "3"
+            capsys,
+            "sweep", "--family", "schmidt", "--lo", "0.5", "--hi", "0.78539", "--steps", "3",
         )
         assert code == 3
         assert out == ""

@@ -117,17 +117,13 @@ class TestHardyObservables:
     def test_product_state_rejected(self):
         with pytest.raises(NotEntangled):
             hardy_observables(SchmidtState(0.0))
-
-    def test_maximally_entangled_rejected(self):
-        with pytest.raises(MaximallyEntangled):
-            hardy_observables(SchmidtState(pi / 4))
-
-    def test_near_product_state_rejected(self):
         # q4 can reach only ~1e-10 here, below the default tol.
         with pytest.raises(NotEntangled):
             hardy_observables(SchmidtState(1e-5))
 
-    def test_near_maximal_entanglement_rejected(self):
+    def test_maximally_entangled_rejected(self):
+        with pytest.raises(MaximallyEntangled):
+            hardy_observables(SchmidtState(pi / 4))
         with pytest.raises(MaximallyEntangled):
             hardy_observables(SchmidtState(pi / 4 - 1e-5))
 
