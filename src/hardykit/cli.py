@@ -218,11 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(handler=_cmd_hardy)
 
-    cmd = commands.add_parser("optimize", help="search observable angles for extreme values")
+    cmd = commands.add_parser("optimize", help="spin settings of the extreme expression value")
     cmd.add_argument("--state", required=True, help="state JSON file ('-' for stdin)")
     cmd.add_argument("--objective", required=True, choices=("upper", "lower"))
-    cmd.add_argument("--restarts", type=_positive_int, default=20)
-    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument(
+        "--restarts", type=_positive_int, default=20, help="no effect: the optimum is exact"
+    )
+    cmd.add_argument("--seed", type=int, default=0, help="no effect: the optimum is exact")
     cmd.add_argument("--json", action="store_true")
     cmd.set_defaults(handler=_cmd_optimize)
 
@@ -255,3 +257,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -6,8 +6,12 @@ Each of the three vanishing joint probabilities fixes one angle in closed form,
 and the remaining free angle is set where the fourth probability peaks, so the
 largest q4 is (alpha beta (alpha - beta) / (1 - alpha beta))^2 exactly.
 
-The setting optimizer searches qubit-pair angles on the Clauser-Horne form of
-the witness, which depends on the state only through its correlation matrix.
+The setting optimizer needs no search: for spin settings on a qubit pair the
+witness equals the Clauser-Horne form 1/2 + CHSH/4, which depends on the state
+only through its correlation matrix T, and its extreme values
+(1 +- sqrt(t1^2 + t2^2))/2 are reached at settings built from the top two
+singular pairs of T (Horodecki, Horodecki and Horodecki, Phys. Lett. A 200,
+340 (1995)).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from math import asin, atan, atan2, cos, isfinite, pi, sin, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatch,
@@ -30,12 +33,11 @@ from .qcore import (
     PAULI_Y,
     PAULI_Z,
     BlochDirection,
-    Observable,
     QuantumState,
     spin_observable,
     werner_state,
 )
-from .witness import Scenario, generalized_expression, q_vector
+from .witness import Scenario, generalized_expression, planar_scenario, q_vector
 
 OBJECTIVES = ("maximize_upper", "minimize_lower")
 
@@ -66,31 +68,28 @@ class SchmidtState:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Restart count, iteration budget, objective tolerance, and seed."""
+    """Restart count and seed, kept for callers that pass them.
+
+    Both are validated, but the optimum is computed in closed form, so
+    neither changes the result.
+    """
 
     restarts: int = 20
-    max_iterations: int = 600
-    tolerance: float = 1e-12
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best scenario found, its expression value, and the per-restart trace."""
+    """Optimal scenario, its expression value, and the angles that describe it."""
 
     objective: str
     value: float
     angles: tuple[float, ...]
     scenario: Scenario
-    trace: tuple[float, ...]
     planar: bool
 
     def to_dict(self) -> dict:
@@ -98,15 +97,7 @@ class SearchResult:
             "objective": self.objective,
             "value": self.value,
             "angles": list(self.angles),
-            "trace": list(self.trace),
         }
-
-
-def _spin_from_angles(theta: float, phi: float) -> Observable:
-    direction = BlochDirection.from_vector(
-        (sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta))
-    )
-    return spin_observable(direction)
 
 
 def _hardy_angles(alpha: float, beta: float) -> tuple[float, float, float, float]:
@@ -146,12 +137,7 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
             raise NotEntangled(f"too little entanglement: {detail}")
         raise MaximallyEntangled(f"too close to maximal entanglement: {detail}")
     x1, x2, y1, y2 = _hardy_angles(alpha, beta)
-    scenario = Scenario(
-        x1=_spin_from_angles(2.0 * x1, 0.0),
-        y1=_spin_from_angles(2.0 * y1, 0.0),
-        x2=_spin_from_angles(2.0 * x2, 0.0),
-        y2=_spin_from_angles(2.0 * y2, 0.0),
-    )
+    scenario = planar_scenario(2.0 * x1, 2.0 * y1, 2.0 * x2, 2.0 * y2, plane="xz")
     q = q_vector(schmidt.state(), scenario)
     if not max(q.q1, q.q2, q.q3) < tol < q.q4:
         raise NoSolution(
@@ -160,45 +146,10 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     return scenario
 
 
-def _scenario_from(params: np.ndarray) -> Scenario:
-    """Validated scenario of the search parameters (4 planar or 8 Bloch angles)."""
-    if len(params) == 4:
-        observables = [_spin_from_angles(t, 0.0) for t in params]
-    else:
-        observables = [_spin_from_angles(params[2 * k], params[2 * k + 1]) for k in range(4)]
-    return Scenario(x1=observables[0], y1=observables[1], x2=observables[2], y2=observables[3])
-
-
-def _correlation_matrix(state: QuantumState) -> list[list[float]]:
-    """Rows of T[a][b] = Tr[rho (sigma_a x sigma_b)] for a two-qubit state."""
+def _correlation_matrix(state: QuantumState) -> np.ndarray:
+    """T[a][b] = Tr[rho (sigma_a x sigma_b)] for a two-qubit state."""
     rho = state.density_matrix().reshape(2, 2, 2, 2)
-    return np.einsum("ijkl,aki,blj->ab", rho, _PAULIS, _PAULIS).real.tolist()
-
-
-def _ch_cost(params: np.ndarray, correlations: list[list[float]], sign: float) -> float:
-    """sign * (q1 + q2 + q3 - q4) at the settings ``params`` describe.
-
-    For spin observables the expression is the Clauser-Horne form
-    1/2 + (x1.T(x2 - y2) - y1.T(x2 + y2))/4 in the unit vectors of the four
-    +1 projectors: the single-side Bloch terms cancel, so only the
-    correlation matrix T of the state enters. Plain floats, because this runs
-    hundreds of times per restart on 3-vectors, where numpy's per-call
-    overhead would dominate.
-    """
-    angles = params.tolist()
-    if len(angles) == 4:
-        vectors = [(sin(t), 0.0, cos(t)) for t in angles]
-    else:
-        vectors = [
-            (sin(t) * cos(p), sin(t) * sin(p), cos(t))
-            for t, p in zip(angles[0::2], angles[1::2])
-        ]
-    x1, y1, x2, y2 = vectors
-    value = 0.0
-    for row, a, b in zip(correlations, x1, y1):
-        for t, c, d in zip(row, x2, y2):
-            value += t * (a * (c - d) - b * (c + d))
-    return sign * (0.5 + 0.25 * value)
+    return np.einsum("ijkl,aki,blj->ab", rho, _PAULIS, _PAULIS).real
 
 
 def optimize_violation(
@@ -207,60 +158,48 @@ def optimize_violation(
     config: SearchConfig | None = None,
     planar: bool = True,
 ) -> SearchResult:
-    """Derivative-free search over observable angles for extreme expression values.
+    """Spin settings at which q1 + q2 + q3 - q4 takes its extreme value.
 
-    Runs Nelder-Mead from ``config.restarts`` seeded random starts. With
-    ``planar=True`` the four observables live in the xz plane (one polar
-    angle each); otherwise all eight Bloch angles are free. Each step
-    evaluates the Clauser-Horne form of q1 + q2 + q3 - q4 from the state's
-    correlation matrix, computed once per call; only the winning angles are
-    turned into validated observables, and the returned value is their
-    q-vector's expression. Deterministic for a fixed seed; restarts are
-    merged by (value, restart index).
+    For spin observables with +1 directions x1, y1, x2, y2 the expression is
+    1/2 + (x1.T(x2 - y2) - y1.T(x2 + y2))/4. With T = U diag(t) V^T, sign
+    s = +1 to maximize and -1 to minimize, and tan(phi) = t2/t1, the settings
+    x1 = s u1, y1 = -s u2, x2 = cos(phi) v1 + sin(phi) v2 and
+    y2 = -cos(phi) v1 + sin(phi) v2 reach (1 + s sqrt(t1^2 + t2^2))/2, the
+    extreme value over all settings. With ``planar=True`` the directions lie in
+    the xz plane, T is restricted to its xz block, and ``angles`` holds each
+    direction's angle from the z axis, (sin a, 0, cos a); otherwise ``angles``
+    holds a (theta, phi) Bloch pair per direction. Order: x1, y1, x2, y2. The
+    returned value is the built scenario's q-vector expression. ``config`` is
+    accepted for compatibility and does not change the result.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if state.dims != (2, 2):
         raise DimensionMismatch(f"optimizer handles qubit pairs only, got dims {state.dims}")
-    config = config or SearchConfig()
-    n_params = 4 if planar else 8
-    sign = -1.0 if objective == "maximize_upper" else 1.0
     correlations = _correlation_matrix(state)
-
-    values: list[float] = []
-    best_params: list[np.ndarray] = []
-    for index in range(config.restarts):
-        rng = np.random.default_rng((config.seed, index))
-        start = rng.uniform(0.0, 2.0 * pi, size=n_params)
-        simplex = np.vstack([start, start + 0.1 * np.eye(n_params)])
-        result = minimize(
-            _ch_cost,
-            start,
-            args=(correlations, sign),
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "maxiter": config.max_iterations,
-                "maxfev": 4 * config.max_iterations,
-                "xatol": 1e-10,
-                "fatol": config.tolerance,
-            },
-        )
-        values.append(sign * float(result.fun))
-        best_params.append(np.asarray(result.x, dtype=float))
-
-    if objective == "maximize_upper":
-        winner = max(range(config.restarts), key=lambda k: (values[k], -k))
+    if planar:
+        correlations = correlations[np.ix_((0, 2), (0, 2))]
+    u, t, vt = np.linalg.svd(correlations)
+    sign = 1.0 if objective == "maximize_upper" else -1.0
+    phi = atan2(t[1], t[0])
+    directions = (
+        sign * u[:, 0],
+        -sign * u[:, 1],
+        cos(phi) * vt[0] + sin(phi) * vt[1],
+        -cos(phi) * vt[0] + sin(phi) * vt[1],
+    )
+    if planar:
+        angles = tuple(atan2(x, z) for x, z in directions)
+        scenario = planar_scenario(*angles, plane="xz")
     else:
-        winner = min(range(config.restarts), key=lambda k: (values[k], k))
-    scenario = _scenario_from(best_params[winner])
-    value = generalized_expression(q_vector(state, scenario))
+        bloch = [BlochDirection.from_vector(d) for d in directions]
+        angles = tuple(a for b in bloch for a in (b.theta, b.phi))
+        scenario = Scenario(*(spin_observable(b) for b in bloch))
     return SearchResult(
         objective=objective,
-        value=value,
-        angles=tuple(float(t) for t in best_params[winner]),
+        value=generalized_expression(q_vector(state, scenario)),
+        angles=angles,
         scenario=scenario,
-        trace=tuple(values),
         planar=planar,
     )
 

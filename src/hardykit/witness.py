@@ -10,6 +10,7 @@ with it identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -197,8 +198,8 @@ def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> st
     Precedence: the all-zeros pattern with q4 > 0, then the relaxed pattern
     with 0 < q1 < q4, then the plain bound labels, then no violation.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     extra_zero = (q.q5 < tol and q.q6 < tol) if q.trichotomic else True
     if q.q2 < tol and q.q3 < tol and extra_zero:
         if q.q1 < tol and q.q4 > tol:

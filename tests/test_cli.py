@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from math import pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardykit
 from hardykit import (
     q_vector,
     scenario_from_dict,
@@ -24,6 +29,16 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's hardykit."""
+    src = str(Path(hardykit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -201,8 +216,8 @@ class TestOptimize:
         )
         assert code == 0
         result = json.loads(out)
-        assert -1e-9 <= result["value"] <= 1.0 + 1e-9
-        assert len(result["trace"]) == 3
+        assert sorted(result) == ["angles", "objective", "value"]
+        assert result["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_byte_identical_for_fixed_seed(self, capsys, singlet_file):
         argv = (
@@ -276,3 +291,30 @@ class TestParsing:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+class TestFreshProcess:
+    def test_module_entry_point_matches_main(self, capsys):
+        expected = run_cli(capsys, "demo", "singlet")
+        done = run_python("-m", "hardykit.cli", "demo", "singlet")
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        assert run_python("-m", "hardykit.cli", "frobnicate").returncode == 2
+
+    def test_import_loads_no_scipy(self):
+        done = run_python(
+            "-c",
+            "import hardykit, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])",
+        )
+        assert done.returncode == 0
+        assert done.stdout == "[]\n"
+
+    def test_optimize_json_has_no_trace(self, singlet_file):
+        done = run_python(
+            "-m", "hardykit.cli", "optimize", "--state", singlet_file, "--objective", "upper",
+            "--json",
+        )
+        assert done.returncode == 0
+        result = json.loads(done.stdout)
+        assert "trace" not in result
+        assert result["value"] == pytest.approx(0.5 * (1 + sqrt(2)), abs=1e-12)

@@ -208,9 +208,13 @@ class TestClassify:
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.0, 0.0)
         assert classify(q, generalized_expression(q), 1e-9) == "HardyViolation"
 
-    def test_tolerance_must_be_positive(self):
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive(self, tol):
+        q = QVector(0.0, 0.0, 0.0, 0.3)
         with pytest.raises(ValueError):
-            classify(QVector(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
+            classify(q, generalized_expression(q), tol)
+        with pytest.raises(ValueError):
+            witness_report(singlet(), reference_scenario(), tol)
 
     @given(q4=st.floats(min_value=1e-6, max_value=1.0))
     def test_hardy_condition_violates_lower_bound(self, q4):
