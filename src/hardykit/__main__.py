@@ -1,0 +1,6 @@
+"""``python -m hardykit`` runs the command-line front end."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

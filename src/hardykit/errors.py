@@ -14,7 +14,7 @@ class UnknownLabel(HardykitError):
 
 
 class MalformedMeasure(HardykitError):
-    """Raised when finite-measure weights are negative or not normalized."""
+    """Raised when finite-measure weights are negative, non-finite or not normalized."""
 
 
 class InvalidQVector(HardykitError):

@@ -2,9 +2,9 @@
 
 A local deterministic model assigns one definite outcome per local observable;
 mixing such assignments with nonnegative weights spans exactly the probability
-vectors a local theory can produce. Membership is decided by a dense phase-1
-simplex over the enumerated assignments, so a feasible verdict always comes
-with an explicit mixing witness.
+vectors a local theory can produce. Membership is decided by the polytope's
+closed-form facets: an infeasible verdict reports the largest facet violation,
+and a feasible one comes with an explicit mixing witness built by formula.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .witness import QVECTOR_ATOL, QVector
 
 FEASIBILITY_TOL = 1e-9
 _WEIGHT_SUM_ATOL = 1e-12
-_PIVOT_TOL = 1e-12
 _COMPARE_SLACK = 1e-12  # absorbs summation-order roundoff in measure comparisons
 
 _X_OUTCOMES_DICHOTOMIC = (-1, 1)
@@ -46,6 +45,8 @@ class FiniteMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
             raise MalformedMeasure("weights must be a nonempty 1-d array")
+        if not np.all(np.isfinite(weights)):
+            raise MalformedMeasure("weights must be finite")
         if np.any(weights < 0.0):
             raise MalformedMeasure("weights must be nonnegative")
         total = float(weights.sum())
@@ -199,7 +200,8 @@ class FeasibilityResult:
     """Outcome of the local-polytope membership test.
 
     ``witness`` holds mixing weights over the canonical strategy list when
-    feasible; ``residual`` is the terminal phase-1 objective either way.
+    feasible; ``residual`` is the largest facet violation either way (0.0
+    inside the polytope, at most ``FEASIBILITY_TOL`` when feasible).
     """
 
     feasible: bool
@@ -231,76 +233,67 @@ def _coerce_components(q: "QVector | Sequence[float]") -> tuple[float, ...]:
 def lhv_feasible(q: "QVector | Sequence[float]") -> FeasibilityResult:
     """Decide whether some mixture of deterministic strategies reproduces ``q``.
 
-    Solves the phase-1 feasibility program: nonnegative weights over the
-    canonical strategies, summing to one, matching every component of ``q``.
+    With ``Q2 = q2 + q5`` and ``Q3 = q3 + q6`` (``q5 = q6 = 0`` for four
+    components), the local polytope is ``0 <= q_i <= 1`` and four facets:
+    ``0 <= q1 + Q2 + Q3 - q4 <= 1``, ``q1 + Q2 <= 1`` and ``q1 + Q3 <= 1``.
+    ``q`` is feasible when none is violated by more than ``FEASIBILITY_TOL``.
     """
     components = _coerce_components(q)
-    trichotomic = len(components) == 6
-    vertex_columns = strategy_matrix(trichotomic)
-    rows = np.vstack([vertex_columns, np.ones((1, vertex_columns.shape[1]))])
-    target = np.append(np.asarray(components, dtype=float), 1.0)
-    weights, objective = _phase_one_simplex(rows, target)
-    residual = objective if objective > 0.0 else 0.0
+    padded = components + (0.0, 0.0)[: 6 - len(components)]
+    q1, q2, q3, q4, q5, q6 = padded
+    total = q1 + q2 + q3 + q5 + q6
+    residual = max(0.0, q4 - total, total - q4 - 1.0, q1 + q2 + q5 - 1.0, q1 + q3 + q6 - 1.0)
     if residual > FEASIBILITY_TOL:
         return FeasibilityResult(False, None, residual)
-    weights = np.where(weights < 0.0, 0.0, weights)  # clip pivot roundoff
-    return FeasibilityResult(True, weights, residual)
+    size = 3 if len(components) == 6 else 2  # outcomes per x observable
+    return FeasibilityResult(True, _mixing_witness(size, *padded), residual)
 
 
-def _phase_one_simplex(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize the sum of artificials for A x = b, x >= 0 (Bland's rule).
+def _mixing_witness(
+    size: int, q1: float, q2: float, q3: float, q4: float, q5: float, q6: float
+) -> np.ndarray:
+    """Weights over the canonical strategies that mix to the given q.
 
-    Returns (x, objective). The objective is zero exactly when the system is
-    feasible; Bland's entering/leaving rule guarantees termination on these
-    tiny dense tableaus.
+    ``both`` sits on (x1 != +1, x2 != +1, both y fire); ``rest = q4 - both`` is
+    split greedily over (+1, +1), (+1, != +1) and (!= +1, +1) with both y
+    firing; the leftover q1, Q2 and Q3 sit on strategies that fire only that
+    event, and the slack on one that fires none. Every weight is nonnegative
+    exactly when the four facet inequalities hold, so this construction also
+    proves the facet list complete. Each "!= +1" outcome is split between -1
+    and 0 as q3 : q6 for x1 and q2 : q5 for x2.
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    m, n = A.shape
-    negative = b < 0.0
-    A[negative] *= -1.0
-    b[negative] *= -1.0
+    big2, big3 = q2 + q5, q3 + q6
+    both = max(0.0, q1 + big2 + big3 - 1.0)
+    rest = q4 - both
+    on1 = min(q1, rest)
+    on2 = min(big2 - both, rest - on1)
+    on3 = rest - on1 - on2
+    minus, plus = np.eye(size)[0], np.eye(size)[-1]
+    x1_other, x2_other = _other_than_plus(size, q3, q6), _other_than_plus(size, q2, q5)
+    weights = np.zeros((size, size, 2, 2))  # (x1, x2, y1, y2), canonical order
+    for mass, x1, x2, y1, y2 in (
+        (both, x1_other, x2_other, 1, 1),
+        (on1, plus, plus, 1, 1),
+        (on2, plus, x2_other, 1, 1),
+        (on3, x1_other, plus, 1, 1),
+        (q1 - on1, plus, plus, 0, 0),
+        (big2 - both - on2, plus, x2_other, 1, 0),
+        (big3 - both - on3, x1_other, plus, 0, 1),
+        (1.0 - q1 - big2 - big3 + both, minus, plus, 0, 0),
+    ):
+        weights[:, :, y1, y2] += mass * np.outer(x1, x2)
+    # Clip roundoff and the overshoot of a q outside the polytope by at most
+    # FEASIBILITY_TOL, then restore the unit sum.
+    weights = np.maximum(weights.ravel(), 0.0)
+    return weights / weights.sum()
 
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = A
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b
-    # Phase-1 cost row, already reduced against the artificial basis.
-    tableau[m, :n] = -A.sum(axis=0)
-    tableau[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
 
-    for _ in range(10_000):
-        entering = -1
-        for j in range(n + m):
-            if tableau[m, j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(m):
-            coefficient = tableau[i, entering]
-            if coefficient <= _PIVOT_TOL:
-                continue
-            ratio = tableau[i, -1] / coefficient
-            if ratio < best_ratio - _PIVOT_TOL:
-                best_ratio, leaving = ratio, i
-            elif abs(ratio - best_ratio) <= _PIVOT_TOL and basis[i] < basis[leaving]:
-                leaving = i
-        if leaving < 0:
-            raise RuntimeError("phase-1 objective cannot be unbounded")
-        pivot_row = tableau[leaving] / tableau[leaving, entering]
-        tableau[leaving] = pivot_row
-        for i in range(m + 1):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * pivot_row
-        basis[leaving] = entering
+def _other_than_plus(size: int, minus_mass: float, zero_mass: float) -> np.ndarray:
+    """Outcome distribution over -1 and 0, in the ratio ``minus_mass : zero_mass``."""
+    dist = np.zeros(size)
+    if zero_mass > 0.0:
+        dist[:2] = minus_mass, zero_mass
+        dist /= minus_mass + zero_mass
     else:
-        raise RuntimeError("simplex failed to terminate")
-
-    solution = np.zeros(n + m)
-    for i, variable in enumerate(basis):
-        solution[variable] = tableau[i, -1]
-    return solution[:n], float(-tableau[m, -1])
+        dist[0] = 1.0
+    return dist

@@ -196,10 +196,14 @@ def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> st
     """Name the violation pattern of a probability vector.
 
     Precedence: the all-zeros pattern with q4 > 0, then the relaxed pattern
-    with 0 < q1 < q4, then the plain bound labels, then no violation.
+    with 0 < q1 < q4, then the plain bound labels, then no violation. A
+    non-finite ``gen_value`` or a ``tol`` that is not finite and positive
+    raises ``ValueError``.
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isfinite(gen_value):
+        raise ValueError(f"gen_value must be finite, got {gen_value}")
     extra_zero = (q.q5 < tol and q.q6 < tol) if q.trichotomic else True
     if q.q2 < tol and q.q3 < tol and extra_zero:
         if q.q1 < tol and q.q4 > tol:

@@ -142,13 +142,13 @@ class TestLhvCheck:
 
     def test_solver_runtime_error_is_domain_error(self, capsys, monkeypatch):
         def fail(*_args):
-            raise RuntimeError("simplex failed to terminate")
+            raise RuntimeError("feasibility check failed")
 
-        monkeypatch.setattr("hardykit.lhv._phase_one_simplex", fail)
+        monkeypatch.setattr("hardykit.cli.lhv_feasible", fail)
         code, out, err = run_cli(capsys, "lhv-check", "--q", "0.25,0.25,0.25,0.25")
         assert code == 3
         assert out == ""
-        assert err == "RuntimeError: simplex failed to terminate\n"
+        assert err == "RuntimeError: feasibility check failed\n"
 
 
 class TestVertices:
@@ -299,6 +299,12 @@ class TestFreshProcess:
         done = run_python("-m", "hardykit.cli", "demo", "singlet")
         assert (done.returncode, done.stdout, done.stderr) == expected
         assert run_python("-m", "hardykit.cli", "frobnicate").returncode == 2
+
+    def test_package_entry_point_matches_main(self, capsys):
+        expected = run_cli(capsys, "lhv-check", "--q", "0,0,0,0.05")
+        done = run_python("-m", "hardykit", "lhv-check", "--q", "0,0,0,0.05")
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        assert run_python("-m", "hardykit", "frobnicate").returncode == 2
 
     def test_import_loads_no_scipy(self):
         done = run_python(

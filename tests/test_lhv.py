@@ -1,4 +1,4 @@
-"""Local-model layer: measures, strategy enumeration, LP feasibility."""
+"""Local-model layer: measures, strategy enumeration, facet feasibility."""
 
 from __future__ import annotations
 
@@ -23,6 +23,22 @@ from hardykit import (
     vertex_table,
     vertex_table_csv,
 )
+from hardykit.lhv import FEASIBILITY_TOL
+
+# The local polytope's facets besides 0 <= q_i <= 1, as a . q <= b over
+# (q1, ..., q6); the dichotomic polytope keeps the first four coefficients.
+FACETS = (
+    ((-1, -1, -1, 1, -1, -1), 0),
+    ((1, 1, 1, -1, 1, 1), 1),
+    ((1, 1, 0, 0, 1, 0), 1),
+    ((1, 0, 1, 0, 0, 1), 1),
+)
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a set of small integer points."""
+    points = np.asarray(points)
+    return int(np.linalg.matrix_rank(points[1:] - points[0]))
 
 
 def measure(weights, a, b, c, d) -> FiniteMeasure:
@@ -120,6 +136,8 @@ class TestSetExpression:
             measure([0.5, 0.4], [1, 0], [0, 1], [0, 0], [0, 0])
         with pytest.raises(MalformedMeasure):
             measure([1.0], [1, 0], [1], [1], [1])
+        with pytest.raises(MalformedMeasure):
+            measure([float("nan"), 1.0], [1, 0], [0, 1], [0, 0], [0, 0])
 
 
 class TestEnumeration:
@@ -176,6 +194,47 @@ class TestVertexValues:
         assert lines[0] == "x1,x2,y1,y2,value"
         assert len(lines) == 38  # header + 36 rows + trailing newline
         assert "\r" not in csv
+
+
+class TestFacets:
+    @pytest.mark.parametrize("trichotomic", [False, True])
+    def test_every_vertex_satisfies_each_facet_and_each_is_tight(self, trichotomic):
+        # Exhaustive: in integer arithmetic every vertex, and so every mixture,
+        # satisfies each inequality, and each is tight on dim affinely
+        # independent vertices, so it is a facet.
+        vertices = [s.q_components(trichotomic) for s in enumerate_strategies(trichotomic)]
+        dim = len(vertices[0])
+        assert affine_rank(vertices) == dim
+        for coefficients, bound in FACETS:
+            values = [sum(a * v for a, v in zip(coefficients, vertex)) for vertex in vertices]
+            assert max(values) <= bound
+            tight = [vertex for vertex, value in zip(vertices, values) if value == bound]
+            assert affine_rank(tight) == dim - 1
+
+    @settings(max_examples=500)
+    @given(
+        q=st.one_of(
+            st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+            st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        ),
+        snap=st.booleans(),
+    )
+    def test_verdict_is_certified(self, q, snap):
+        if snap:
+            q = [round(4.0 * v) / 4.0 for v in q]
+        result = lhv_feasible(q)
+        violation = max(0.0, *(float(np.dot(a[: len(q)], q)) - b for a, b in FACETS))
+        assert result.residual == pytest.approx(violation, abs=1e-15)
+        if not result.feasible:
+            assert result.residual > FEASIBILITY_TOL
+            return
+        assert result.residual <= FEASIBILITY_TOL
+        assert np.all(result.witness >= 0.0)
+        assert abs(result.witness.sum() - 1.0) <= 1e-12
+        # A q at most FEASIBILITY_TOL outside still counts as feasible; clipping
+        # its witness to nonnegative weights moves it by a few residuals.
+        reproduced = strategy_matrix(len(q) == 6) @ result.witness
+        assert np.max(np.abs(reproduced - q)) <= 1e-12 + 8.0 * result.residual
 
 
 class TestFeasibility:

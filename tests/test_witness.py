@@ -208,13 +208,26 @@ class TestClassify:
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.0, 0.0)
         assert classify(q, generalized_expression(q), 1e-9) == "HardyViolation"
 
-    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
-    def test_tolerance_must_be_positive(self, tol):
-        q = QVector(0.0, 0.0, 0.0, 0.3)
-        with pytest.raises(ValueError):
-            classify(q, generalized_expression(q), tol)
-        with pytest.raises(ValueError):
-            witness_report(singlet(), reference_scenario(), tol)
+    @pytest.mark.parametrize(
+        ("tol", "gen_value"),
+        [
+            pytest.param(0.0, None, id="0.0"),
+            pytest.param(float("nan"), None, id="nan"),
+            pytest.param(float("inf"), None, id="inf"),
+            pytest.param(1e-9, float("nan"), id="gen_value=nan"),
+            pytest.param(1e-9, float("inf"), id="gen_value=inf"),
+            pytest.param(1e-9, float("-inf"), id="gen_value=-inf"),
+        ],
+    )
+    def test_tolerance_must_be_positive(self, tol, gen_value):
+        # Neither the Hardy pattern nor the plain no-violation point may mask a bad argument.
+        for q in (QVector(0.0, 0.0, 0.0, 0.3), QVector(0.4, 0.4, 0.4, 0.05)):
+            value = generalized_expression(q) if gen_value is None else gen_value
+            with pytest.raises(ValueError):
+                classify(q, value, tol)
+        if gen_value is None:
+            with pytest.raises(ValueError):
+                witness_report(singlet(), reference_scenario(), tol)
 
     @given(q4=st.floats(min_value=1e-6, max_value=1.0))
     def test_hardy_condition_violates_lower_bound(self, q4):
