@@ -17,8 +17,11 @@ class MalformedMeasure(HardykitError):
     """Raised when finite-measure weights are negative, non-finite or not normalized."""
 
 
-class InvalidQVector(HardykitError):
-    """Raised when a probability vector component lies outside [0, 1]."""
+class InvalidQVector(HardykitError, ValueError):
+    """Raised when a probability vector component lies outside [0, 1].
+
+    Also a ``ValueError``, so callers that catch bad values keep working.
+    """
 
 
 class NotEntangled(HardykitError):

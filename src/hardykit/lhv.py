@@ -268,9 +268,11 @@ def _mixing_witness(
     on1 = min(q1, rest)
     on2 = min(big2 - both, rest - on1)
     on3 = rest - on1 - on2
-    minus, plus = np.eye(size)[0], np.eye(size)[-1]
-    x1_other, x2_other = _other_than_plus(size, q3, q6), _other_than_plus(size, q2, q5)
-    weights = np.zeros((size, size, 2, 2))  # (x1, x2, y1, y2), canonical order
+    # Outcome distributions of one x observable, {outcome index: probability},
+    # indices in canonical order (-1 first, +1 last).
+    minus, plus = {0: 1.0}, {size - 1: 1.0}
+    x1_other, x2_other = _other_than_plus(q3, q6), _other_than_plus(q2, q5)
+    weights = [0.0] * (size * size * 4)  # (x1, x2, y1, y2), canonical order
     for mass, x1, x2, y1, y2 in (
         (both, x1_other, x2_other, 1, 1),
         (on1, plus, plus, 1, 1),
@@ -281,19 +283,18 @@ def _mixing_witness(
         (big3 - both - on3, x1_other, plus, 0, 1),
         (1.0 - q1 - big2 - big3 + both, minus, plus, 0, 0),
     ):
-        weights[:, :, y1, y2] += mass * np.outer(x1, x2)
+        for i, p1 in x1.items():
+            for j, p2 in x2.items():
+                weights[4 * (size * i + j) + 2 * y1 + y2] += mass * (p1 * p2)
     # Clip roundoff and the overshoot of a q outside the polytope by at most
     # FEASIBILITY_TOL, then restore the unit sum.
-    weights = np.maximum(weights.ravel(), 0.0)
-    return weights / weights.sum()
+    clipped = np.maximum(weights, 0.0)
+    return clipped / clipped.sum()
 
 
-def _other_than_plus(size: int, minus_mass: float, zero_mass: float) -> np.ndarray:
-    """Outcome distribution over -1 and 0, in the ratio ``minus_mass : zero_mass``."""
-    dist = np.zeros(size)
+def _other_than_plus(minus_mass: float, zero_mass: float) -> dict[int, float]:
+    """Distribution over outcomes -1 (index 0) and 0 (index 1), as ``minus_mass : zero_mass``."""
     if zero_mass > 0.0:
-        dist[:2] = minus_mass, zero_mass
-        dist /= minus_mass + zero_mass
-    else:
-        dist[0] = 1.0
-    return dist
+        total = minus_mass + zero_mass
+        return {0: minus_mass / total, 1: zero_mass / total}
+    return {0: 1.0}

@@ -4,6 +4,13 @@ Everything is dense complex double precision: subsystem dimensions stay in the
 single digits, so validation by direct matrix arithmetic is cheap and leaves
 ample headroom for the tolerances used here. All types are immutable values
 and all operations are pure functions.
+
+Every probability comes from one kernel: with rho reshaped to
+``rho4[i, j, k, l] = <ij|rho|kl>``, Tr[rho (P1 x P2)] is
+``einsum("ijkl,ki,lj->", rho4, P1, P2)``, so no d1*d2 operator is formed.
+Public constructors validate their input in full; values the package builds
+itself and knows to be valid (spin projectors of a unit vector, the Werner
+mixture) skip that check through ``_trusted``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,18 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _trusted(cls, **fields):
+    """Instance of a frozen dataclass built without running its validation.
+
+    Only for values that are valid by construction; every field must be
+    given in the form ``__post_init__`` would have stored.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -190,11 +209,16 @@ class Observable:
 
 def spin_observable(direction: BlochDirection) -> Observable:
     """Dichotomic spin observable along ``direction`` with outcomes +1 and -1."""
-    nx, ny, nz = direction.unit_vector()
+    return _spin_from_vector(direction.unit_vector())
+
+
+def _spin_from_vector(unit: Sequence[float]) -> Observable:
+    """Spin observable along a unit 3-vector; (1 +- n.sigma)/2 are projectors by construction."""
+    nx, ny, nz = unit
     pauli_component = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
     plus = 0.5 * (np.eye(2) + pauli_component)
     minus = 0.5 * (np.eye(2) - pauli_component)
-    return Observable(2, ((1.0, plus), (-1.0, minus)))
+    return _trusted(Observable, dim=2, outcomes=((1.0, _readonly(plus)), (-1.0, _readonly(minus))))
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:
@@ -209,11 +233,6 @@ def bloch_vector(projector: np.ndarray) -> np.ndarray:
     )
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators (first factor acts on subsystem 1)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def _clamp_probability(p: float) -> float:
     if -PROB_CLAMP_ATOL <= p < 0.0:
         return 0.0
@@ -222,9 +241,24 @@ def _clamp_probability(p: float) -> float:
     return p
 
 
-def _trace_probability(state: QuantumState, operator: np.ndarray) -> float:
-    rho = state.density_matrix()
-    return _clamp_probability(float(np.einsum("ij,ji->", rho, operator).real))
+def _density_tensor(state: QuantumState) -> np.ndarray:
+    """rho as a (d1, d2, d1, d2) array, rho4[i, j, k, l] = <ij|rho|kl>."""
+    d1, d2 = state.dims
+    if state.kind == "pure":
+        psi = state.data.reshape(d1, d2)
+        return psi[:, :, None, None] * psi.conj()
+    return state.data.reshape(d1, d2, d1, d2)
+
+
+def _born(rho4: np.ndarray, proj1: np.ndarray, proj2: np.ndarray) -> float:
+    """Tr[rho (P1 x P2)], the one probability kernel."""
+    return _clamp_probability(float(np.einsum("ijkl,ki,lj->", rho4, proj1, proj2).real))
+
+
+def _marginal(rho4: np.ndarray, side: int, proj: np.ndarray) -> float:
+    """Tr[rho_side P], with the other subsystem traced out of rho4."""
+    spec = "ijkj,ki->" if side == 1 else "ijil,lj->"
+    return _clamp_probability(float(np.einsum(spec, rho4, proj).real))
 
 
 def joint_probability(
@@ -239,8 +273,7 @@ def joint_probability(
         raise DimensionMismatch(
             f"observables act on {(obs1.dim, obs2.dim)}, state has dims {state.dims}"
         )
-    op = tensor(obs1.projector(label1), obs2.projector(label2))
-    return _trace_probability(state, op)
+    return _born(_density_tensor(state), obs1.projector(label1), obs2.projector(label2))
 
 
 def marginal_probability(
@@ -253,12 +286,7 @@ def marginal_probability(
         raise DimensionMismatch(
             f"observable dimension {obs.dim} does not match side {side} of dims {state.dims}"
         )
-    proj = obs.projector(label)
-    if side == 1:
-        op = tensor(proj, np.eye(state.dims[1]))
-    else:
-        op = tensor(np.eye(state.dims[0]), proj)
-    return _trace_probability(state, op)
+    return _marginal(_density_tensor(state), side, obs.projector(label))
 
 
 def singlet() -> QuantumState:
@@ -280,7 +308,9 @@ def werner_state(visibility: float) -> QuantumState:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
     pure = singlet().density_matrix()
-    return QuantumState.density(v * pure + (1.0 - v) * np.eye(4) / 4.0, (2, 2))
+    mixed = v * pure + (1.0 - v) * np.eye(4) / 4.0
+    # A convex mix of two states is a state.
+    return _trusted(QuantumState, dims=(2, 2), kind="density", data=_readonly(mixed))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +322,14 @@ def _pairs_from_complex(values: np.ndarray) -> list[list[float]]:
 
 
 def _complex_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(float(p[0]), float(p[1])) for p in pairs], dtype=complex)
+    values = []
+    for pair in pairs:
+        try:
+            re, im = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"complex entries must be [re, im] pairs, got {pair!r}") from None
+        values.append(complex(float(re), float(im)))
+    return np.array(values, dtype=complex)
 
 
 def state_to_dict(state: QuantumState) -> dict:
@@ -304,7 +341,11 @@ def state_to_dict(state: QuantumState) -> dict:
 
 
 def state_from_dict(payload: dict) -> QuantumState:
-    dims = (int(payload["dims"][0]), int(payload["dims"][1]))
+    try:
+        d1, d2 = payload["dims"]
+    except (TypeError, ValueError):
+        raise ValueError(f"dims must be a pair of integers, got {payload['dims']!r}") from None
+    dims = (int(d1), int(d2))
     kind = payload["kind"]
     flat = _complex_from_pairs(payload["data"])
     if kind == "density":

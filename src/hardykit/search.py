@@ -34,6 +34,7 @@ from .qcore import (
     PAULI_Z,
     BlochDirection,
     QuantumState,
+    _density_tensor,
     spin_observable,
     werner_state,
 )
@@ -44,6 +45,8 @@ OBJECTIVES = ("maximize_upper", "minimize_lower")
 # Schmidt angle of the largest constructed q4, (5 sqrt 5 - 11)/2: there
 # s = sin(2 theta)/2 solves s^2 - 3s + 1 = 0.
 _THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
+# That largest q4; no Schmidt angle's construction clears a tol at or above it.
+_Q4_MAX = (5.0 * sqrt(5.0) - 11.0) / 2.0
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
@@ -125,10 +128,17 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     is too close to a product state (``NotEntangled``) or to the maximally
     entangled one (``MaximallyEntangled``). The built settings are verified on
     the state's q-vector, and ``NoSolution`` is raised unless
-    max(q1, q2, q3) < tol < q4.
+    max(q1, q2, q3) < tol < q4. A ``tol`` that is not positive, or not below
+    the largest q4 over all Schmidt states, (5 sqrt 5 - 11)/2, raises
+    ``ValueError``.
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    if tol >= _Q4_MAX:
+        raise ValueError(
+            f"tol must lie below (5 sqrt 5 - 11)/2 = {_Q4_MAX:.9g}, the largest q4 "
+            f"the construction reaches for any Schmidt state, got {tol}"
+        )
     alpha, beta = schmidt.amplitudes
     q4_best = (alpha * beta * (alpha - beta) / (1.0 - alpha * beta)) ** 2
     if q4_best <= tol:
@@ -148,8 +158,7 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
 
 def _correlation_matrix(state: QuantumState) -> np.ndarray:
     """T[a][b] = Tr[rho (sigma_a x sigma_b)] for a two-qubit state."""
-    rho = state.density_matrix().reshape(2, 2, 2, 2)
-    return np.einsum("ijkl,aki,blj->ab", rho, _PAULIS, _PAULIS).real
+    return np.einsum("ijkl,aki,blj->ab", _density_tensor(state), _PAULIS, _PAULIS).real
 
 
 def optimize_violation(

@@ -10,20 +10,19 @@ with it identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import cos, isfinite, sin
 
-import numpy as np
-
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidQVector
 from .qcore import (
-    BlochDirection,
     Observable,
     QuantumState,
-    joint_probability,
-    marginal_probability,
+    _born,
+    _density_tensor,
+    _marginal,
+    _spin_from_vector,
+    _trusted,
     observable_from_dict,
     observable_to_dict,
-    spin_observable,
 )
 
 DEFAULT_TOLERANCE = 1e-9  # numeric zero for the "vanishing probability" conditions
@@ -49,7 +48,7 @@ _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
 
 def _clamp_component(name: str, value: float) -> float:
     if not -QVECTOR_ATOL <= value <= 1.0 + QVECTOR_ATOL:
-        raise ValueError(f"{name} = {value} lies outside [0, 1] beyond tolerance")
+        raise InvalidQVector(f"{name} = {value} lies outside [0, 1] beyond tolerance")
     return min(max(value, 0.0), 1.0)
 
 
@@ -156,14 +155,18 @@ def _check_dims(state: QuantumState, scenario: Scenario) -> None:
 def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
     """Extract (q1..q4) and, for trichotomic x-observables, (q5, q6)."""
     _check_dims(state, scenario)
-    q1 = joint_probability(state, scenario.x1, 1.0, scenario.x2, 1.0)
-    q2 = joint_probability(state, scenario.y1, 1.0, scenario.x2, -1.0)
-    q3 = joint_probability(state, scenario.x1, -1.0, scenario.y2, 1.0)
-    q4 = joint_probability(state, scenario.y1, 1.0, scenario.y2, 1.0)
+    rho4 = _density_tensor(state)
+    # The +1 projector of each observable; the other outcomes are fetched by label.
+    x1, y1 = scenario.x1.projector(1.0), scenario.y1.projector(1.0)
+    x2, y2 = scenario.x2.projector(1.0), scenario.y2.projector(1.0)
+    q1 = _born(rho4, x1, x2)
+    q2 = _born(rho4, y1, scenario.x2.projector(-1.0))
+    q3 = _born(rho4, scenario.x1.projector(-1.0), y2)
+    q4 = _born(rho4, y1, y2)
     if not scenario.trichotomic:
         return QVector(q1, q2, q3, q4)
-    q5 = joint_probability(state, scenario.y1, 1.0, scenario.x2, 0.0)
-    q6 = joint_probability(state, scenario.x1, 0.0, scenario.y2, 1.0)
+    q5 = _born(rho4, y1, scenario.x2.projector(0.0))
+    q6 = _born(rho4, scenario.x1.projector(0.0), y2)
     return QVector(q1, q2, q3, q4, q5, q6)
 
 
@@ -180,15 +183,23 @@ def generalized_expression(q: QVector) -> float:
 
 
 def ch_expression(state: QuantumState, scenario: Scenario) -> float:
-    """Clauser-Horne combination of four joint and two single-side probabilities."""
+    """Clauser-Horne combination of four joint and two single-side probabilities.
+
+    Every term is a +1 outcome. The single-side terms come from partial traces
+    of the state, not from the q-vector by no-signalling, so agreement with
+    ``generalized_expression`` stays an independent check.
+    """
     _check_dims(state, scenario)
+    rho4 = _density_tensor(state)
+    x1, y1 = scenario.x1.projector(1.0), scenario.y1.projector(1.0)
+    x2, y2 = scenario.x2.projector(1.0), scenario.y2.projector(1.0)
     return (
-        joint_probability(state, scenario.x1, 1.0, scenario.x2, 1.0)
-        - joint_probability(state, scenario.y1, 1.0, scenario.x2, 1.0)
-        - joint_probability(state, scenario.x1, 1.0, scenario.y2, 1.0)
-        - joint_probability(state, scenario.y1, 1.0, scenario.y2, 1.0)
-        + marginal_probability(state, 1, scenario.y1, 1.0)
-        + marginal_probability(state, 2, scenario.y2, 1.0)
+        _born(rho4, x1, x2)
+        - _born(rho4, y1, x2)
+        - _born(rho4, x1, y2)
+        - _born(rho4, y1, y2)
+        + _marginal(rho4, 1, y1)
+        + _marginal(rho4, 2, y2)
     )
 
 
@@ -257,19 +268,15 @@ def planar_scenario(
     Angles are measured within the plane: from the positive x axis for
     ``plane="xy"``, from the positive z axis for ``plane="xz"``.
     """
-
-    def direction(angle: float) -> BlochDirection:
-        if plane == "xy":
-            vec = (np.cos(angle), np.sin(angle), 0.0)
-        elif plane == "xz":
-            vec = (np.sin(angle), 0.0, np.cos(angle))
-        else:
-            raise ValueError(f"plane must be 'xy' or 'xz', got {plane!r}")
-        return BlochDirection.from_vector(vec)
-
-    return Scenario(
-        x1=spin_observable(direction(x1_angle)),
-        y1=spin_observable(direction(y1_angle)),
-        x2=spin_observable(direction(x2_angle)),
-        y2=spin_observable(direction(y2_angle)),
-    )
+    if plane not in ("xy", "xz"):
+        raise ValueError(f"plane must be 'xy' or 'xz', got {plane!r}")
+    angles = (x1_angle, y1_angle, x2_angle, y2_angle)
+    if not all(isfinite(a) for a in angles):
+        raise ValueError(f"angles must be finite, got {angles}")
+    if plane == "xy":
+        units = [(cos(a), sin(a), 0.0) for a in angles]
+    else:
+        units = [(sin(a), 0.0, cos(a)) for a in angles]
+    x1, y1, x2, y2 = (_spin_from_vector(unit) for unit in units)
+    # Four qubit spin observables always form a valid dichotomic scenario.
+    return _trusted(Scenario, x1=x1, y1=y1, x2=x2, y2=y2)

@@ -17,6 +17,14 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two operators (first factor acts on subsystem 1).
+
+    The oracle for the package's Born-rule kernel, which never forms it.
+    """
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
 def random_pure_state(rng: np.random.Generator, d1: int, d2: int) -> QuantumState:
     amps = rng.normal(size=d1 * d2) + 1j * rng.normal(size=d1 * d2)
     amps /= np.linalg.norm(amps)

@@ -203,8 +203,45 @@ class TestHardy:
         assert out == ""
         assert err.startswith("ValueError: ")
 
+    def test_unreachable_tol_is_bad_value(self, capsys):
+        code, out, err = run_cli(capsys, "hardy", "--theta", "0.3", "--tol", "1e300")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ValueError: ")
+        assert "5 sqrt 5 - 11" in err
+
+    def test_planar_directions_have_exact_zero_y(self, capsys):
+        code, out, _ = run_cli(capsys, "hardy", "--theta", "0.2")
+        assert code == 0
+        directions = [line for line in out.splitlines() if " direction = " in line]
+        assert len(directions) == 4
+        for line in directions:
+            assert line.split(" = ")[1].split(", ")[1] == "0"
+
 
 class TestOptimize:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(
+                {"dims": [2, 2], "kind": "pure", "data": [[1], [0, 0], [0, 0], [0, 0]]}, id="pair"
+            ),
+            pytest.param(
+                {"dims": [2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, id="dims"
+            ),
+        ],
+    )
+    def test_malformed_state_json_is_domain_error(self, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_python(
+            "-m", "hardykit", "optimize", "--state", str(path), "--objective", "upper"
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("ValueError: ")
+
     def test_separable_state(self, capsys, tmp_path):
         path = tmp_path / "product.json"
         payload = {"dims": [2, 2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}

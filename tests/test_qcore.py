@@ -1,4 +1,5 @@
-"""Born-rule layer: spin observables, tensor products, probabilities, JSON codecs."""
+"""Born-rule layer: spin observables, the einsum kernel against its kron oracle,
+probabilities, JSON codecs."""
 
 from __future__ import annotations
 
@@ -6,25 +7,37 @@ from math import cos, pi
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_observable, random_state
+from conftest import (
+    random_density_state,
+    random_observable,
+    random_pure_state,
+    random_scenario,
+    random_state,
+    tensor,
+)
 from hardykit import (
     BlochDirection,
     DimensionMismatch,
     Observable,
     QuantumState,
+    Scenario,
     UnknownLabel,
     bloch_vector,
+    ch_expression,
     joint_probability,
     marginal_probability,
     maximally_mixed,
     observable_from_dict,
     observable_to_dict,
+    planar_scenario,
+    q_vector,
     singlet,
     spin_observable,
     state_from_dict,
     state_to_dict,
-    tensor,
     werner_state,
 )
 
@@ -96,6 +109,100 @@ class TestTensor:
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         scale = 2.5 - 0.5j
         assert np.allclose(tensor(scale * a, b), scale * tensor(a, b), atol=1e-12)
+
+
+def _oracle(rho: np.ndarray, proj1: np.ndarray, proj2: np.ndarray) -> float:
+    return float(np.trace(rho @ tensor(proj1, proj2)).real)
+
+
+class TestKernelAgainstKronOracle:
+    """The einsum kernel against Tr[rho (P1 x P2)] with the operator formed by kron."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d1=st.sampled_from((2, 3)),
+        d2=st.sampled_from((2, 3)),
+        pure=st.booleans(),
+        trichotomic=st.booleans(),
+    )
+    def test_probabilities_match_oracle(self, seed, d1, d2, pure, trichotomic):
+        rng = np.random.default_rng(seed)
+        state = (random_pure_state if pure else random_density_state)(rng, d1, d2)
+        scenario = random_scenario(rng, d1, d2, trichotomic)
+        rho = state.density_matrix()
+        x1, y1, x2, y2 = scenario.x1, scenario.y1, scenario.x2, scenario.y2
+
+        for obs1 in (x1, y1):
+            for obs2 in (x2, y2):
+                for a in obs1.labels:
+                    for b in obs2.labels:
+                        expected = _oracle(rho, obs1.projector(a), obs2.projector(b))
+                        got = joint_probability(state, obs1, a, obs2, b)
+                        assert abs(got - expected) < 1e-12
+        for side, obs in ((1, x1), (1, y1), (2, x2), (2, y2)):
+            for label in obs.labels:
+                proj = obs.projector(label)
+                other = np.eye(state.dims[2 - side])
+                pair = (proj, other) if side == 1 else (other, proj)
+                expected = _oracle(rho, *pair)
+                assert abs(marginal_probability(state, side, obs, label) - expected) < 1e-12
+
+        events = [(x1, 1.0, x2, 1.0), (y1, 1.0, x2, -1.0), (x1, -1.0, y2, 1.0), (y1, 1.0, y2, 1.0)]
+        if trichotomic:
+            events += [(y1, 1.0, x2, 0.0), (x1, 0.0, y2, 1.0)]
+        expected_q = [_oracle(rho, o1.projector(a), o2.projector(b)) for o1, a, o2, b in events]
+        assert np.max(np.abs(np.array(q_vector(state, scenario).components()) - expected_q)) < 1e-12
+
+        plus = {name: getattr(scenario, name).projector(1.0) for name in ("x1", "y1", "x2", "y2")}
+        expected_ch = (
+            _oracle(rho, plus["x1"], plus["x2"])
+            - _oracle(rho, plus["y1"], plus["x2"])
+            - _oracle(rho, plus["x1"], plus["y2"])
+            - _oracle(rho, plus["y1"], plus["y2"])
+            + _oracle(rho, plus["y1"], np.eye(d2))
+            + _oracle(rho, np.eye(d1), plus["y2"])
+        )
+        assert abs(ch_expression(state, scenario) - expected_ch) < 1e-12
+
+
+class TestBuiltValuesPassFullValidation:
+    """Values built without re-validation must pass the public constructors' checks."""
+
+    def test_spin_observables(self, rng):
+        for _ in range(30):
+            obs = spin_observable(BlochDirection(rng.uniform(0, pi), rng.uniform(0, 2 * pi)))
+            rebuilt = Observable(obs.dim, obs.outcomes)
+            assert rebuilt.labels == (1.0, -1.0)
+
+    @pytest.mark.parametrize("plane", ["xy", "xz"])
+    def test_planar_scenarios(self, rng, plane):
+        for _ in range(10):
+            scenario = planar_scenario(*rng.uniform(-2 * pi, 2 * pi, size=4), plane=plane)
+            observables = [
+                Observable(obs.dim, obs.outcomes)
+                for obs in (scenario.x1, scenario.y1, scenario.x2, scenario.y2)
+            ]
+            assert not Scenario(*observables).trichotomic
+
+    def test_werner_states(self):
+        for v in np.linspace(0.0, 1.0, 11):
+            state = werner_state(float(v))
+            rebuilt = QuantumState.density(state.data, state.dims)
+            assert np.array_equal(rebuilt.data, state.data)
+
+
+class TestPlanarDirections:
+    def test_xz_projectors_are_exactly_real(self, rng):
+        for _ in range(20):
+            scenario = planar_scenario(*rng.uniform(-2 * pi, 2 * pi, size=4), plane="xz")
+            for obs in (scenario.x1, scenario.y1, scenario.x2, scenario.y2):
+                for _, proj in obs.outcomes:
+                    assert np.all(proj.imag == 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            planar_scenario(0.0, bad, 0.0, 0.0, plane="xz")
 
 
 class TestJointProbability:
@@ -330,6 +437,20 @@ class TestJsonCodecs:
         assert recovered.labels == obs.labels
         for label in obs.labels:
             assert np.array_equal(recovered.projector(label), obs.projector(label))
+
+    @pytest.mark.parametrize("entry", [[1.0], [1.0, 0.0, 0.0], 1.0])
+    def test_malformed_complex_pair_rejected(self, entry):
+        payload = state_to_dict(singlet())
+        payload["data"][0] = entry
+        with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+            state_from_dict(payload)
+
+    @pytest.mark.parametrize("dims", [[2], [], [2, 2, 2], 4])
+    def test_malformed_dims_rejected(self, dims):
+        payload = state_to_dict(singlet())
+        payload["dims"] = dims
+        with pytest.raises(ValueError, match="dims must be a pair"):
+            state_from_dict(payload)
 
     def test_bloch_shorthand(self):
         obs = observable_from_dict({"bloch": {"theta": pi / 2, "phi": 0.0}})

@@ -130,10 +130,20 @@ class TestHardyObservables:
         with pytest.raises(MaximallyEntangled):
             hardy_observables(SchmidtState(pi / 4 - 1e-5))
 
-    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    # From (5 sqrt 5 - 11)/2 up, no Schmidt angle can clear tol.
+    @pytest.mark.parametrize(
+        "tol", [float("nan"), 0.0, -1.0, float("inf"), (5 * sqrt(5) - 11) / 2, 0.5, 1e300]
+    )
     def test_tol_validated(self, tol):
         with pytest.raises(ValueError):
             hardy_observables(SchmidtState(0.3), tol)
+
+    def test_tol_bound_is_named(self):
+        theta_star, _ = max_hardy_probability()
+        with pytest.raises(ValueError, match=r"5 sqrt 5 - 11"):
+            hardy_observables(SchmidtState(theta_star), 0.0902)
+        # Just below the bound the best angle still succeeds.
+        assert hardy_observables(SchmidtState(theta_star), 0.0901) is not None
 
     def test_constructed_point_is_lhv_infeasible(self):
         # Closing the loop between modules: the construction's q-vector must

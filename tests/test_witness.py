@@ -13,6 +13,7 @@ from conftest import random_observable, random_scenario, random_state
 from hardykit import (
     BlochDirection,
     DimensionMismatch,
+    InvalidQVector,
     Observable,
     QVector,
     QuantumState,
@@ -20,6 +21,7 @@ from hardykit import (
     ch_expression,
     classify,
     generalized_expression,
+    lhv_feasible,
     maximally_mixed,
     planar_scenario,
     q_vector,
@@ -47,6 +49,21 @@ class TestQVectorType:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             QVector(0.1, 0.2, 0.3, 1.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda q: QVector(*q), id="QVector"),
+            pytest.param(lhv_feasible, id="lhv_feasible"),
+        ],
+    )
+    @pytest.mark.parametrize("q", [(1.5, 0.0, 0.0, 0.0), (0.1, 0.1, 0.1, 0.1, -0.2, 0.0)])
+    def test_out_of_range_raises_one_error_type(self, build, q):
+        # One type from both entry points, and still a ValueError for callers
+        # that catch bad values.
+        with pytest.raises(InvalidQVector) as info:
+            build(q)
+        assert isinstance(info.value, ValueError)
 
     def test_q5_q6_must_come_together(self):
         with pytest.raises(ValueError):
