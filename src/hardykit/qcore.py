@@ -5,12 +5,15 @@ single digits, so validation by direct matrix arithmetic is cheap and leaves
 ample headroom for the tolerances used here. All types are immutable values
 and all operations are pure functions.
 
-Every probability comes from one kernel: with rho reshaped to
-``rho4[i, j, k, l] = <ij|rho|kl>``, Tr[rho (P1 x P2)] is
-``einsum("ijkl,ki,lj->", rho4, P1, P2)``, so no d1*d2 operator is formed.
-Public constructors validate their input in full; values the package builds
-itself and knows to be valid (spin projectors of a unit vector, the Werner
-mixture) skip that check through ``_trusted``.
+Every joint probability comes from one kernel: with rho reshaped to
+``rho4[i, j, k, l] = <ij|rho|kl>`` and the projectors of each side stacked,
+``einsum("ijkl,aki,blj->ab", rho4, side1, side2)`` is the table of
+Tr[rho (P1_a x P2_b)] over all pairs, one contraction per call with no d1*d2
+operator formed; a single probability is its 1x1 case, and a marginal is a
+partial trace of the same array. Public constructors validate their input in
+full; values the package builds itself and knows to be valid (spin projectors
+of a unit vector, written entry by entry, the Werner mixture of the singlet
+built once) skip that check through ``_trusted``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.array(array, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _dimension(value) -> int:
+    """A dimension as an int; a value that is not integral raises ``ValueError``."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"dimensions must be integers, got {value!r}")
+    return int(number)
 
 
 def _trusted(cls, **fields):
@@ -100,7 +111,7 @@ class QuantumState:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        d1, d2 = (int(d) for d in self.dims)
+        d1, d2 = (_dimension(d) for d in self.dims)
         if d1 < 2 or d2 < 2:
             raise ValueError("subsystem dimensions must be at least 2")
         object.__setattr__(self, "dims", (d1, d2))
@@ -159,7 +170,7 @@ class Observable:
     outcomes: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        d = int(self.dim)
+        d = _dimension(self.dim)
         if d < 1:
             raise ValueError("dimension must be positive")
         cleaned = []
@@ -213,12 +224,26 @@ def spin_observable(direction: BlochDirection) -> Observable:
 
 
 def _spin_from_vector(unit: Sequence[float]) -> Observable:
-    """Spin observable along a unit 3-vector; (1 +- n.sigma)/2 are projectors by construction."""
+    """Spin observable along a unit 3-vector; (1 +- n.sigma)/2 are projectors by construction.
+
+    Both projectors are written entry by entry,
+    1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]], into one
+    read-only (2, 2, 2) array. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into 0.0,
+    so zero entries (such as the imaginary parts of an xz-plane setting)
+    print without a sign.
+    """
     nx, ny, nz = unit
-    pauli_component = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-    plus = 0.5 * (np.eye(2) + pauli_component)
-    minus = 0.5 * (np.eye(2) - pauli_component)
-    return _trusted(Observable, dim=2, outcomes=((1.0, _readonly(plus)), (-1.0, _readonly(minus))))
+    up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
+    x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
+    mx, my = 0.0 - x, 0.0 - y
+    pair = np.array(
+        [
+            [[up, complex(x, my)], [complex(x, y), down]],
+            [[down, complex(mx, y)], [complex(mx, my), up]],
+        ]
+    )
+    pair.setflags(write=False)
+    return _trusted(Observable, dim=2, outcomes=((1.0, pair[0]), (-1.0, pair[1])))
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:
@@ -250,9 +275,12 @@ def _density_tensor(state: QuantumState) -> np.ndarray:
     return state.data.reshape(d1, d2, d1, d2)
 
 
-def _born(rho4: np.ndarray, proj1: np.ndarray, proj2: np.ndarray) -> float:
-    """Tr[rho (P1 x P2)], the one probability kernel."""
-    return _clamp_probability(float(np.einsum("ijkl,ki,lj->", rho4, proj1, proj2).real))
+def _joint_table(rho4: np.ndarray, side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
+    """T[a, b] = Re Tr[rho (side1[a] x side2[b])] for stacks of operators on each side.
+
+    The one joint kernel. Probabilities are clamped where they are read, not here.
+    """
+    return np.einsum("ijkl,aki,blj->ab", rho4, side1, side2).real
 
 
 def _marginal(rho4: np.ndarray, side: int, proj: np.ndarray) -> float:
@@ -273,7 +301,10 @@ def joint_probability(
         raise DimensionMismatch(
             f"observables act on {(obs1.dim, obs2.dim)}, state has dims {state.dims}"
         )
-    return _born(_density_tensor(state), obs1.projector(label1), obs2.projector(label2))
+    table = _joint_table(
+        _density_tensor(state), obs1.projector(label1)[None], obs2.projector(label2)[None]
+    )
+    return _clamp_probability(float(table[0, 0]))
 
 
 def marginal_probability(
@@ -297,6 +328,12 @@ def singlet() -> QuantumState:
     return QuantumState.pure(amps, (2, 2))
 
 
+# The singlet's density matrix, built and validated once; werner_state mixes it.
+_SINGLET_DENSITY = singlet().density_matrix()
+_SINGLET_DENSITY.setflags(write=False)
+_WHITE_NOISE = np.eye(4) / 4.0
+
+
 def maximally_mixed(d1: int, d2: int) -> QuantumState:
     n = d1 * d2
     return QuantumState.density(np.eye(n) / n, (d1, d2))
@@ -307,10 +344,10 @@ def werner_state(visibility: float) -> QuantumState:
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    pure = singlet().density_matrix()
-    mixed = v * pure + (1.0 - v) * np.eye(4) / 4.0
+    mixed = v * _SINGLET_DENSITY + (1.0 - v) * _WHITE_NOISE
+    mixed.setflags(write=False)
     # A convex mix of two states is a state.
-    return _trusted(QuantumState, dims=(2, 2), kind="density", data=_readonly(mixed))
+    return _trusted(QuantumState, dims=(2, 2), kind="density", data=mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +380,9 @@ def state_to_dict(state: QuantumState) -> dict:
 def state_from_dict(payload: dict) -> QuantumState:
     try:
         d1, d2 = payload["dims"]
+        dims = (_dimension(d1), _dimension(d2))
     except (TypeError, ValueError):
         raise ValueError(f"dims must be a pair of integers, got {payload['dims']!r}") from None
-    dims = (int(d1), int(d2))
     kind = payload["kind"]
     flat = _complex_from_pairs(payload["data"])
     if kind == "density":
@@ -368,7 +405,7 @@ def observable_from_dict(payload: dict) -> Observable:
     if "bloch" in payload:
         angles = payload["bloch"]
         return spin_observable(BlochDirection(float(angles["theta"]), float(angles["phi"])))
-    d = int(payload["dim"])
+    d = _dimension(payload["dim"])
     outcomes = tuple(
         (float(entry["label"]), _complex_from_pairs(entry["projector"]).reshape(d, d))
         for entry in payload["outcomes"]

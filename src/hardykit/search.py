@@ -35,6 +35,8 @@ from .qcore import (
     BlochDirection,
     QuantumState,
     _density_tensor,
+    _joint_table,
+    _trusted,
     spin_observable,
     werner_state,
 )
@@ -66,7 +68,10 @@ class SchmidtState:
 
     def state(self) -> QuantumState:
         big, small = self.amplitudes
-        return QuantumState.pure([big, 0.0, 0.0, small], (2, 2))
+        amplitudes = np.array([big, 0.0, 0.0, small], dtype=complex)
+        amplitudes.setflags(write=False)
+        # The angle is validated and (cos, sin) has unit norm.
+        return _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
 
 def _correlation_matrix(state: QuantumState) -> np.ndarray:
     """T[a][b] = Tr[rho (sigma_a x sigma_b)] for a two-qubit state."""
-    return np.einsum("ijkl,aki,blj->ab", _density_tensor(state), _PAULIS, _PAULIS).real
+    return _joint_table(_density_tensor(state), _PAULIS, _PAULIS)
 
 
 def optimize_violation(

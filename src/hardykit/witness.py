@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, isfinite, sin
 
+import numpy as np
+
 from .errors import DimensionMismatch, InvalidQVector
 from .qcore import (
     Observable,
     QuantumState,
-    _born,
+    _clamp_probability,
     _density_tensor,
+    _joint_table,
     _marginal,
     _spin_from_vector,
     _trusted,
@@ -152,22 +155,58 @@ def _check_dims(state: QuantumState, scenario: Scenario) -> None:
         )
 
 
-def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
-    """Extract (q1..q4) and, for trichotomic x-observables, (q5, q6)."""
+def _side(x: Observable, y: Observable, trichotomic: bool) -> np.ndarray:
+    """Stacked projectors of one side: x = +1, y = +1, x = -1 and, if trichotomic, x = 0."""
+    projectors = [x.projector(1.0), y.projector(1.0), x.projector(-1.0)]
+    if trichotomic:
+        projectors.append(x.projector(0.0))
+    return np.array(projectors)
+
+
+def _joint_probabilities(
+    state: QuantumState, scenario: Scenario
+) -> tuple[np.ndarray, list[list[float]]]:
+    """rho4 and every joint probability the witness reads, from one contraction.
+
+    ``table[a][b]`` pairs outcome ``a`` of side 1 with outcome ``b`` of side 2,
+    both in ``_side`` order, and is not yet clamped.
+    """
     _check_dims(state, scenario)
     rho4 = _density_tensor(state)
-    # The +1 projector of each observable; the other outcomes are fetched by label.
-    x1, y1 = scenario.x1.projector(1.0), scenario.y1.projector(1.0)
-    x2, y2 = scenario.x2.projector(1.0), scenario.y2.projector(1.0)
-    q1 = _born(rho4, x1, x2)
-    q2 = _born(rho4, y1, scenario.x2.projector(-1.0))
-    q3 = _born(rho4, scenario.x1.projector(-1.0), y2)
-    q4 = _born(rho4, y1, y2)
-    if not scenario.trichotomic:
+    trichotomic = scenario.trichotomic
+    table = _joint_table(
+        rho4,
+        _side(scenario.x1, scenario.y1, trichotomic),
+        _side(scenario.x2, scenario.y2, trichotomic),
+    )
+    return rho4, table.tolist()
+
+
+def _q_from_table(table: list[list[float]]) -> QVector:
+    """q1..q4, and q5, q6 when the table has the x = 0 outcomes, clamped as read."""
+    p = _clamp_probability
+    q1, q2, q3, q4 = p(table[0][0]), p(table[1][2]), p(table[2][1]), p(table[1][1])
+    if len(table) == 3:
         return QVector(q1, q2, q3, q4)
-    q5 = _born(rho4, y1, scenario.x2.projector(0.0))
-    q6 = _born(rho4, scenario.x1.projector(0.0), y2)
-    return QVector(q1, q2, q3, q4, q5, q6)
+    return QVector(q1, q2, q3, q4, p(table[1][3]), p(table[3][1]))
+
+
+def _ch_from_table(rho4: np.ndarray, table: list[list[float]], scenario: Scenario) -> float:
+    p = _clamp_probability
+    return (
+        p(table[0][0])
+        - p(table[1][0])
+        - p(table[0][1])
+        - p(table[1][1])
+        + _marginal(rho4, 1, scenario.y1.projector(1.0))
+        + _marginal(rho4, 2, scenario.y2.projector(1.0))
+    )
+
+
+def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
+    """Extract (q1..q4) and, for trichotomic x-observables, (q5, q6)."""
+    _, table = _joint_probabilities(state, scenario)
+    return _q_from_table(table)
 
 
 def generalized_expression(q: QVector) -> float:
@@ -189,25 +228,17 @@ def ch_expression(state: QuantumState, scenario: Scenario) -> float:
     of the state, not from the q-vector by no-signalling, so agreement with
     ``generalized_expression`` stays an independent check.
     """
-    _check_dims(state, scenario)
-    rho4 = _density_tensor(state)
-    x1, y1 = scenario.x1.projector(1.0), scenario.y1.projector(1.0)
-    x2, y2 = scenario.x2.projector(1.0), scenario.y2.projector(1.0)
-    return (
-        _born(rho4, x1, x2)
-        - _born(rho4, y1, x2)
-        - _born(rho4, x1, y2)
-        - _born(rho4, y1, y2)
-        + _marginal(rho4, 1, y1)
-        + _marginal(rho4, 2, y2)
-    )
+    rho4, table = _joint_probabilities(state, scenario)
+    return _ch_from_table(rho4, table, scenario)
 
 
 def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> str:
     """Name the violation pattern of a probability vector.
 
     Precedence: the all-zeros pattern with q4 > 0, then the relaxed pattern
-    with 0 < q1 < q4, then the plain bound labels, then no violation. A
+    with 0 < q1 < q4, then the plain bound labels, then no violation. Both
+    patterns refine the lower-bound violation and need ``gen_value < -tol``
+    too, so a pattern label always names a q outside the local polytope. A
     non-finite ``gen_value`` or a ``tol`` that is not finite and positive
     raises ``ValueError``.
     """
@@ -215,13 +246,13 @@ def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> st
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not isfinite(gen_value):
         raise ValueError(f"gen_value must be finite, got {gen_value}")
-    extra_zero = (q.q5 < tol and q.q6 < tol) if q.trichotomic else True
-    if q.q2 < tol and q.q3 < tol and extra_zero:
-        if q.q1 < tol and q.q4 > tol:
-            return HARDY_VIOLATION
-        if tol < q.q1 < q.q4 - tol:
-            return KUNKRI_VIOLATION
     if gen_value < -tol:
+        extra_zero = (q.q5 < tol and q.q6 < tol) if q.trichotomic else True
+        if q.q2 < tol and q.q3 < tol and extra_zero:
+            if q.q1 < tol and q.q4 > tol:
+                return HARDY_VIOLATION
+            if tol < q.q1 < q.q4 - tol:
+                return KUNKRI_VIOLATION
         return LOWER_BOUND_VIOLATION
     if gen_value > 1.0 + tol:
         return UPPER_BOUND_VIOLATION
@@ -231,11 +262,15 @@ def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> st
 def witness_report(
     state: QuantumState, scenario: Scenario, tol: float = DEFAULT_TOLERANCE
 ) -> WitnessReport:
-    """Evaluate everything the witness has to say about a state and scenario."""
-    q = q_vector(state, scenario)
+    """Evaluate everything the witness has to say about a state and scenario.
+
+    q and the four joint terms of CH are read from one table of joint
+    probabilities, as ``q_vector`` and ``ch_expression`` read them.
+    """
+    rho4, table = _joint_probabilities(state, scenario)
+    q = _q_from_table(table)
     gen = generalized_expression(q)
-    ch = ch_expression(state, scenario)
-    return WitnessReport(q, gen, ch, classify(q, gen, tol))
+    return WitnessReport(q, gen, _ch_from_table(rho4, table, scenario), classify(q, gen, tol))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -24,6 +24,7 @@ from hardykit import (
     Observable,
     QuantumState,
     Scenario,
+    SchmidtState,
     UnknownLabel,
     bloch_vector,
     ch_expression,
@@ -40,6 +41,7 @@ from hardykit import (
     state_to_dict,
     werner_state,
 )
+from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
 
 
 def planar_xy(angle: float) -> Observable:
@@ -189,6 +191,26 @@ class TestBuiltValuesPassFullValidation:
             state = werner_state(float(v))
             rebuilt = QuantumState.density(state.data, state.dims)
             assert np.array_equal(rebuilt.data, state.data)
+
+    def test_schmidt_states(self):
+        for angle in np.linspace(0.0, pi / 4, 13):
+            state = SchmidtState(float(angle)).state()
+            rebuilt = QuantumState.pure(state.data, state.dims)
+            assert np.array_equal(rebuilt.data, state.data)
+            assert not state.data.flags.writeable
+
+    def test_spin_projectors_match_pauli_sums(self, rng):
+        axes = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+        randoms = [v / np.linalg.norm(v) for v in rng.normal(size=(30, 3))]
+        for unit in axes + randoms:
+            direction = BlochDirection.from_vector(unit)
+            obs = spin_observable(direction)
+            nx, ny, nz = direction.unit_vector()
+            pauli = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
+            assert np.max(np.abs(obs.projector(1.0) - 0.5 * (np.eye(2) + pauli))) <= 1e-15
+            assert np.max(np.abs(obs.projector(-1.0) - 0.5 * (np.eye(2) - pauli))) <= 1e-15
+            assert not obs.projector(1.0).flags.writeable
+            assert not obs.projector(-1.0).flags.writeable
 
 
 class TestPlanarDirections:
@@ -367,6 +389,14 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             QuantumState.pure([1.0, 0.0], (1, 2))
 
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.5), (float("nan"), 2), (float("inf"), 2)])
+    def test_non_integral_dimension_rejected(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            QuantumState.pure([0.0, 1.0, 0.0, 0.0], dims)
+
+    def test_integral_float_dimension_accepted(self):
+        assert QuantumState.pure([0.0, 1.0, 0.0, 0.0], (2.0, 2.0)).dims == (2, 2)
+
     def test_werner_state_is_valid(self):
         for v in (0.0, 0.3, 1.0):
             state = werner_state(v)
@@ -410,6 +440,11 @@ class TestObservableValidation:
         with pytest.raises(ValueError, match="finite"):
             Observable(2, ((1.0, np.diag([1.0, 0.0])), (bad, np.diag([0.0, 1.0]))))
 
+    @pytest.mark.parametrize("dim", [2.9, 1.5, float("nan")])
+    def test_non_integral_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match="integers"):
+            Observable(dim, ((1.0, np.diag([1.0, 0.0])), (-1.0, np.diag([0.0, 1.0]))))
+
     def test_zero_projector_is_allowed(self):
         obs = Observable(
             2,
@@ -445,12 +480,19 @@ class TestJsonCodecs:
         with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
             state_from_dict(payload)
 
-    @pytest.mark.parametrize("dims", [[2], [], [2, 2, 2], 4])
+    @pytest.mark.parametrize("dims", [[2], [], [2, 2, 2], 4, [2.7, 2], [2, 2.9]])
     def test_malformed_dims_rejected(self, dims):
         payload = state_to_dict(singlet())
         payload["dims"] = dims
         with pytest.raises(ValueError, match="dims must be a pair"):
             state_from_dict(payload)
+
+    def test_non_integral_observable_dim_rejected(self):
+        # Truncated to 2, this payload would decode as a valid qubit observable.
+        payload = observable_to_dict(spin_observable(BlochDirection(0.0, 0.0)))
+        payload["dim"] = 2.9
+        with pytest.raises(ValueError, match="integers"):
+            observable_from_dict(payload)
 
     def test_bloch_shorthand(self):
         obs = observable_from_dict({"bloch": {"theta": pi / 2, "phi": 0.0}})

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_observable, random_scenario, random_state
+from conftest import (
+    random_density_state,
+    random_observable,
+    random_pure_state,
+    random_scenario,
+    random_state,
+)
 from hardykit import (
     BlochDirection,
     DimensionMismatch,
@@ -219,6 +225,19 @@ class TestClassify:
         q = QVector(0.0, 0.1, 0.0, 0.3)
         assert classify(q, generalized_expression(q), 1e-9) == "LowerBoundViolation"
 
+    @pytest.mark.parametrize(
+        "components",
+        [(9e-10, 9e-10, 9e-10, 2e-9), (3e-10, 0.0, 0.0, 1.2e-9)],
+    )
+    def test_pattern_within_tolerance_of_local_is_no_violation(self, components):
+        # All zeros hold and q4 > tol, but the expression lies within tol of
+        # the local range, where lhv_feasible finds a local model.
+        q = QVector(*components)
+        gen = generalized_expression(q)
+        assert gen >= -1e-9
+        assert classify(q, gen, 1e-9) == "NoViolation"
+        assert lhv_feasible(q).feasible
+
     def test_trichotomic_zeros_must_vanish_for_hardy(self):
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.02, 0.0)
         assert classify(q, generalized_expression(q), 1e-9) != "HardyViolation"
@@ -295,6 +314,34 @@ class TestClassify:
 
 
 class TestWitnessReport:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from((2, 3)),
+        pure=st.booleans(),
+        trichotomic=st.booleans(),
+    )
+    def test_verdict_agrees_with_local_polytope(self, seed, dim, pure, trichotomic):
+        # The paper's thesis as a check: a violation is reported exactly when
+        # no local model reproduces q.
+        rng = np.random.default_rng(seed)
+        state = (random_pure_state if pure else random_density_state)(rng, dim, dim)
+        scenario = random_scenario(rng, dim, dim, trichotomic)
+        report = witness_report(state, scenario)
+        violated = report.classification != "NoViolation"
+        assert violated == (not lhv_feasible(report.qvec).feasible)
+
+    def test_matches_standalone_functions(self, rng):
+        cases = [(singlet(), reference_scenario())]
+        for dim in (2, 3):
+            for trichotomic in (False, True):
+                for _ in range(5):
+                    state = random_state(rng, dim, dim)
+                    cases.append((state, random_scenario(rng, dim, dim, trichotomic)))
+        for state, scenario in cases:
+            report = witness_report(state, scenario)
+            assert report.qvec == q_vector(state, scenario)
+            assert report.ch_value == ch_expression(state, scenario)
+
     def test_reference_report(self):
         report = witness_report(singlet(), reference_scenario())
         assert report.classification == "UpperBoundViolation"
