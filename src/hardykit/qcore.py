@@ -14,11 +14,22 @@ partial trace of the same array. Public constructors validate their input in
 full; values the package builds itself and knows to be valid (spin projectors
 of a unit vector, written entry by entry, the Werner mixture of the singlet
 built once) skip that check through ``_trusted``.
+
+An ``Observable`` is validated in one batched pass: its k projectors are
+stacked into one (k, d, d) array, finiteness and Hermiticity are checked over
+the whole stack, and one Gram product gram[a, b] = P_a P_b gives idempotence
+(its diagonal less the stack) and orthogonality (its off-diagonal blocks);
+completeness is the sum of the stack. Tolerances, messages and the fault
+reported first are those of an outcome-by-outcome check, and each outcome's
+projector is a read-only view into the one stack. The JSON decoders raise
+``ValueError`` naming the field for a value of the wrong type or range and
+``KeyError`` for a missing key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,12 +46,6 @@ PROB_CLAMP_ATOL = 1e-10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 def _dimension(value) -> int:
@@ -116,7 +121,7 @@ class QuantumState:
             raise ValueError("subsystem dimensions must be at least 2")
         object.__setattr__(self, "dims", (d1, d2))
         n = d1 * d2
-        data = np.asarray(self.data, dtype=complex)
+        data = np.array(self.data, dtype=complex)
         if not np.isfinite(data).all():
             raise ValueError("state data has non-finite entries")
         if self.kind == "pure":
@@ -128,18 +133,20 @@ class QuantumState:
         elif self.kind == "density":
             if data.shape != (n, n):
                 raise ValueError(f"density matrix must be {n}x{n}, got shape {data.shape}")
-            if np.max(np.abs(data - data.conj().T)) > STATE_ATOL:
+            adjoint = data.conj().T
+            if np.max(np.abs(data - adjoint)) > STATE_ATOL:
                 raise ValueError("density matrix is not Hermitian within tolerance")
             trace = complex(np.trace(data))
             if abs(trace - 1.0) > STATE_ATOL:
                 raise ValueError(f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
-            hermitian_part = 0.5 * (data + data.conj().T)
+            hermitian_part = 0.5 * (data + adjoint)
             smallest = float(np.linalg.eigvalsh(hermitian_part)[0])
             if smallest < EIGENVALUE_FLOOR:
                 raise ValueError(f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
         else:
             raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
-        object.__setattr__(self, "data", _readonly(data))
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def pure(cls, amplitudes: Iterable[complex], dims: tuple[int, int]) -> "QuantumState":
@@ -170,41 +177,79 @@ class Observable:
     outcomes: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self) -> None:
+        """Validate every projector in one batched pass over their stack.
+
+        The checks, tolerances and messages are those of an outcome-by-outcome
+        pass, and so is the fault reported first. Per outcome, in order: label
+        finite, shape, entries finite, Hermitian, idempotent; then at least one
+        outcome, distinct labels, pairwise orthogonality and completeness. A
+        fault met while reading outcome j (its label or shape) is held back
+        until outcomes 0..j-1 have passed their array checks.
+        """
         d = _dimension(self.dim)
         if d < 1:
             raise ValueError("dimension must be positive")
-        cleaned = []
-        for raw_label, projector in self.outcomes:
-            label = float(raw_label)
-            if not np.isfinite(label):
-                raise ValueError(f"outcome label {label} must be finite")
-            proj = np.asarray(projector, dtype=complex)
-            if proj.shape != (d, d):
-                raise ValueError(f"projector for label {label} must be {d}x{d}")
-            if not np.isfinite(proj).all():
-                raise ValueError(f"projector for label {label} has non-finite entries")
-            if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_ATOL:
-                raise ValueError(f"projector for label {label} is not Hermitian")
-            if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_ATOL:
-                raise ValueError(f"projector for label {label} is not idempotent")
-            cleaned.append((label, _readonly(proj)))
-        if not cleaned:
+        labels, projectors, held = [], [], None
+        for entry in self.outcomes:
+            try:
+                raw_label, projector = entry
+                label = float(raw_label)
+                if not isfinite(label):
+                    raise ValueError(f"outcome label {label} must be finite")
+                proj = np.asarray(projector, dtype=complex)
+                if proj.shape != (d, d):
+                    raise ValueError(f"projector for label {label} must be {d}x{d}")
+            except (TypeError, ValueError, OverflowError) as exc:
+                held = exc
+                break
+            labels.append(label)
+            projectors.append(proj)
+        stack = np.array(projectors, dtype=complex).reshape(-1, d, d)
+        if not np.isfinite(stack).all():
+            first = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
+            held = ValueError(f"projector for label {labels[first]} has non-finite entries")
+            stack = stack[:first]
+        k = len(stack)
+        # One Gram product, gram[a, b] = P_a P_b. Less P_a on its diagonal,
+        # every block of a projective measurement vanishes.
+        gram = stack[:, None] @ stack[None]
+        gram.reshape(k * k, d, d)[:: k + 1] -= stack
+        defect = np.abs(gram)
+        asymmetry = np.abs(stack - stack.conj().transpose(0, 2, 1))
+        # On a valid observable each test is one comparison of a maximum. NaN
+        # from an overflowing product also fails it; the per-outcome checks
+        # below then let NaN pass, as an outcome-by-outcome comparison does.
+        clean = (
+            asymmetry.max(initial=0.0) <= PROJECTOR_ATOL
+            and defect.max(initial=0.0) <= PROJECTOR_ATOL
+        )
+        if not clean:
+            not_hermitian = np.max(asymmetry, axis=(1, 2)) > PROJECTOR_ATOL
+            diagonal = defect.reshape(k * k, d, d)[:: k + 1]
+            not_idempotent = np.max(diagonal, axis=(1, 2)) > PROJECTOR_ATOL
+            faulty = np.flatnonzero(not_hermitian | not_idempotent)
+            if faulty.size:
+                a = faulty[0]
+                fault = "Hermitian" if not_hermitian[a] else "idempotent"
+                raise ValueError(f"projector for label {labels[a]} is not {fault}")
+        if held is not None:
+            raise held
+        if not labels:
             raise ValueError("observable needs at least one outcome")
-        labels = [label for label, _ in cleaned]
         if len(set(labels)) != len(labels):
             raise ValueError(f"outcome labels must be distinct, got {labels}")
-        for i in range(len(cleaned)):
-            for j in range(i + 1, len(cleaned)):
-                cross = cleaned[i][1] @ cleaned[j][1]
-                if np.max(np.abs(cross)) > PROJECTOR_ATOL:
-                    raise ValueError(
-                        f"projectors for labels {labels[i]} and {labels[j]} are not orthogonal"
-                    )
-        total = sum(proj for _, proj in cleaned)
-        if np.max(np.abs(total - np.eye(d))) > PROJECTOR_ATOL:
+        if not clean:
+            overlapping = np.argwhere(np.triu(np.max(defect, axis=(2, 3)) > PROJECTOR_ATOL, 1))
+            if overlapping.size:
+                i, j = overlapping[0]
+                raise ValueError(
+                    f"projectors for labels {labels[i]} and {labels[j]} are not orthogonal"
+                )
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > PROJECTOR_ATOL:
             raise ValueError("projectors do not sum to the identity")
+        stack.setflags(write=False)
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "outcomes", tuple(cleaned))
+        object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
 
     @property
     def labels(self) -> tuple[float, ...]:
@@ -358,14 +403,26 @@ def _pairs_from_complex(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _complex_from_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
+def _number(value, field: str) -> float:
+    """A JSON number as a float; null, a list or a non-numeric string raises ``ValueError``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+
+
+def _complex_from_pairs(pairs: Sequence[Sequence[float]], field: str) -> np.ndarray:
+    if not isinstance(pairs, list):
+        raise ValueError(f"{field} must be a list of [re, im] pairs, got {pairs!r}")
     values = []
     for pair in pairs:
         try:
             re, im = pair
+            values.append(complex(float(re), float(im)))
         except (TypeError, ValueError):
-            raise ValueError(f"complex entries must be [re, im] pairs, got {pair!r}") from None
-        values.append(complex(float(re), float(im)))
+            raise ValueError(
+                f"{field} entries must be [re, im] pairs of numbers, got {pair!r}"
+            ) from None
     return np.array(values, dtype=complex)
 
 
@@ -384,7 +441,9 @@ def state_from_dict(payload: dict) -> QuantumState:
     except (TypeError, ValueError):
         raise ValueError(f"dims must be a pair of integers, got {payload['dims']!r}") from None
     kind = payload["kind"]
-    flat = _complex_from_pairs(payload["data"])
+    if kind not in ("pure", "density"):
+        raise ValueError(f"kind must be 'pure' or 'density', got {kind!r}")
+    flat = _complex_from_pairs(payload["data"], "data")
     if kind == "density":
         n = dims[0] * dims[1]
         return QuantumState.density(flat.reshape(n, n), dims)
@@ -404,10 +463,24 @@ def observable_to_dict(obs: Observable) -> dict:
 def observable_from_dict(payload: dict) -> Observable:
     if "bloch" in payload:
         angles = payload["bloch"]
-        return spin_observable(BlochDirection(float(angles["theta"]), float(angles["phi"])))
-    d = _dimension(payload["dim"])
+        if not isinstance(angles, dict):
+            raise ValueError(f"bloch must be an object with theta and phi, got {angles!r}")
+        theta = _number(angles["theta"], "bloch theta")
+        return spin_observable(BlochDirection(theta, _number(angles["phi"], "bloch phi")))
+    try:
+        d = _dimension(payload["dim"])
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"dim {payload['dim']!r} is not valid: dimensions must be integers"
+        ) from None
+    entries = payload["outcomes"]
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError(f"outcomes must be a list of objects, got {entries!r}")
     outcomes = tuple(
-        (float(entry["label"]), _complex_from_pairs(entry["projector"]).reshape(d, d))
-        for entry in payload["outcomes"]
+        (
+            _number(entry["label"], "label"),
+            _complex_from_pairs(entry["projector"], "projector").reshape(d, d),
+        )
+        for entry in entries
     )
     return Observable(d, outcomes)

@@ -183,12 +183,23 @@ def _joint_probabilities(
 
 
 def _q_from_table(table: list[list[float]]) -> QVector:
-    """q1..q4, and q5, q6 when the table has the x = 0 outcomes, clamped as read."""
-    p = _clamp_probability
-    q1, q2, q3, q4 = p(table[0][0]), p(table[1][2]), p(table[2][1]), p(table[1][1])
-    if len(table) == 3:
-        return QVector(q1, q2, q3, q4)
-    return QVector(q1, q2, q3, q4, p(table[1][3]), p(table[3][1]))
+    """q1..q4, and q5, q6 when the table has the x = 0 outcomes.
+
+    Each entry is range-checked and clamped once, as ``QVector`` would, so the
+    vector is built without its validation running again.
+    """
+    c = _clamp_component
+    q = {
+        "q1": c("q1", table[0][0]),
+        "q2": c("q2", table[1][2]),
+        "q3": c("q3", table[2][1]),
+        "q4": c("q4", table[1][1]),
+        "q5": None,
+        "q6": None,
+    }
+    if len(table) == 4:
+        q.update(q5=c("q5", table[1][3]), q6=c("q6", table[3][1]))
+    return _trusted(QVector, **q)
 
 
 def _ch_from_table(rho4: np.ndarray, table: list[list[float]], scenario: Scenario) -> float:

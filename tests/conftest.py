@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from hardykit import Observable, QuantumState, Scenario
+from hardykit.qcore import PROJECTOR_ATOL
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -23,6 +24,52 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The oracle for the package's Born-rule kernel, which never forms it.
     """
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndarray], ...]]:
+    """Outcome-by-outcome validation of a projective measurement, as ``Observable`` once did it.
+
+    The oracle for ``Observable``'s batched check: the same checks, tolerances
+    and messages, in the same order. Returns the dimension and the cleaned
+    outcomes, or raises the first fault found.
+    """
+    number = float(dim)
+    if not number.is_integer():
+        raise ValueError(f"dimensions must be integers, got {dim!r}")
+    d = int(number)
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    cleaned = []
+    for raw_label, projector in outcomes:
+        label = float(raw_label)
+        if not np.isfinite(label):
+            raise ValueError(f"outcome label {label} must be finite")
+        proj = np.asarray(projector, dtype=complex)
+        if proj.shape != (d, d):
+            raise ValueError(f"projector for label {label} must be {d}x{d}")
+        if not np.isfinite(proj).all():
+            raise ValueError(f"projector for label {label} has non-finite entries")
+        if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_ATOL:
+            raise ValueError(f"projector for label {label} is not Hermitian")
+        if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_ATOL:
+            raise ValueError(f"projector for label {label} is not idempotent")
+        cleaned.append((label, np.array(proj, dtype=complex)))
+    if not cleaned:
+        raise ValueError("observable needs at least one outcome")
+    labels = [label for label, _ in cleaned]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"outcome labels must be distinct, got {labels}")
+    for i in range(len(cleaned)):
+        for j in range(i + 1, len(cleaned)):
+            cross = cleaned[i][1] @ cleaned[j][1]
+            if np.max(np.abs(cross)) > PROJECTOR_ATOL:
+                raise ValueError(
+                    f"projectors for labels {labels[i]} and {labels[j]} are not orthogonal"
+                )
+    total = sum(proj for _, proj in cleaned)
+    if np.max(np.abs(total - np.eye(d))) > PROJECTOR_ATOL:
+        raise ValueError("projectors do not sum to the identity")
+    return d, tuple(cleaned)
 
 
 def random_pure_state(rng: np.random.Generator, d1: int, d2: int) -> QuantumState:

@@ -102,6 +102,16 @@ class TestEval:
         payload = json.loads(out)
         assert payload["class"] == "NoViolation"
 
+    def test_unknown_state_kind_is_domain_error(self, capsys, tmp_path, scenario_file):
+        path = tmp_path / "garbage.json"
+        payload = {"dims": [2, 2], "kind": "garbage", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--state", str(path), "--scenario", scenario_file)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert "'pure' or 'density'" in err
+
     def test_missing_file_is_domain_error(self, capsys, scenario_file):
         code, out, err = run_cli(
             capsys, "eval", "--state", "/does/not/exist.json", "--scenario", scenario_file

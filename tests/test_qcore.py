@@ -3,11 +3,12 @@ probabilities, JSON codecs."""
 
 from __future__ import annotations
 
+import re
 from math import cos, pi
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,6 +17,7 @@ from conftest import (
     random_pure_state,
     random_scenario,
     random_state,
+    reference_observable,
     tensor,
 )
 from hardykit import (
@@ -29,6 +31,8 @@ from hardykit import (
     bloch_vector,
     ch_expression,
     joint_probability,
+    scenario_from_dict,
+    scenario_to_dict,
     marginal_probability,
     maximally_mixed,
     observable_from_dict,
@@ -453,6 +457,219 @@ class TestObservableValidation:
         assert obs.labels == (1.0, 0.0, -1.0)
 
 
+_FAULTS = (
+    "nan",
+    "inf",
+    "non_finite_label",
+    "not_hermitian",
+    "not_idempotent",
+    "not_orthogonal",
+    "incomplete",
+    "duplicate_label",
+    "wrong_shape",
+)
+
+
+def _outcomes_with_faults(rng, d: int, k: int, faults) -> tuple:
+    """A random valid measurement's (label, projector) pairs, then each fault injected once."""
+    spectrum = rng.choice([-1.0, 0.0, 1.0, 2.5, -3.0], size=k, replace=False)
+    valid = random_observable(rng, d, tuple(float(v) for v in spectrum))
+    outcomes = [[label, np.array(proj)] for label, proj in valid.outcomes]
+    for fault in faults:
+        a = int(rng.integers(k))
+        b = (a + 1 + int(rng.integers(max(k - 1, 1)))) % k
+        i, j = (int(v) for v in rng.integers(d, size=2))
+        if fault == "nan":
+            outcomes[a][1][i, j] = float("nan")
+        elif fault == "inf":
+            outcomes[a][1][i, j] = complex(0.0, float("inf"))
+        elif fault == "non_finite_label":
+            outcomes[a][0] = float("nan")
+        elif fault == "not_hermitian":
+            outcomes[a][1][0, 1] += 1e-3
+        elif fault == "not_idempotent":
+            outcomes[a][1] = outcomes[a][1] + 0.01 * np.eye(len(outcomes[a][1]))
+        elif fault == "not_orthogonal":
+            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            outcomes[a][1] = np.outer(u, u.conj())
+        elif fault == "incomplete":
+            outcomes[a][1] = np.zeros((d, d), dtype=complex)
+        elif fault == "duplicate_label":
+            outcomes[a][0] = outcomes[b][0]
+        else:
+            outcomes[a][1] = np.eye(d + 1, dtype=complex)
+    return tuple((label, proj) for label, proj in outcomes)
+
+
+class TestObservableMatchesOracle:
+    """The batched check accepts and rejects exactly as the outcome-by-outcome oracle."""
+
+    @settings(max_examples=400)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from((2, 3)),
+        k=st.integers(1, 3),
+        faults=st.lists(st.sampled_from(_FAULTS), max_size=2),
+    )
+    def test_same_verdict_and_message(self, seed, d, k, faults):
+        rng = np.random.default_rng(seed)
+        outcomes = _outcomes_with_faults(rng, d, k, faults)
+        try:
+            expected = reference_observable(d, outcomes)
+        except Exception as exc:  # noqa: BLE001 - any fault the oracle meets first
+            with pytest.raises(type(exc)) as info:
+                Observable(d, outcomes)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+            return
+        obs = Observable(d, outcomes)
+        assert obs.dim == expected[0]
+        assert obs.labels == tuple(label for label, _ in expected[1])
+        for (_, got), (_, want) in zip(obs.outcomes, expected[1]):
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "outcomes, message",
+        [
+            pytest.param(
+                ((1.0, np.array([[1.0, 1e-3], [0.0, 0.0]])), (float("nan"), np.eye(2))),
+                "label 1.0 is not Hermitian",
+                id="earlier-array-fault-before-later-label",
+            ),
+            pytest.param(
+                ((1.0, 0.5 * np.eye(2)), (-1.0, np.full((2, 2), np.nan))),
+                "label 1.0 is not idempotent",
+                id="earlier-array-fault-before-later-nan",
+            ),
+            pytest.param(
+                ((1.0, np.full((2, 2), np.inf)), (-1.0, np.eye(3))),
+                "label 1.0 has non-finite",
+                id="earlier-nan-before-later-shape",
+            ),
+        ],
+    )
+    def test_first_fault_in_outcome_order_is_reported(self, outcomes, message):
+        with pytest.raises(ValueError, match=message):
+            Observable(2, outcomes)
+
+    def test_projectors_are_read_only_copies(self):
+        plus, minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        obs = Observable(2, ((1.0, plus), (-1.0, minus)))
+        plus[0, 0] = 5.0
+        assert obs.projector(1.0)[0, 0] == 1.0
+        for _, proj in obs.outcomes:
+            assert not proj.flags.writeable
+
+
+def _state_payload(**changes) -> dict:
+    payload = state_to_dict(singlet())
+    payload.update(changes)
+    return payload
+
+
+def _observable_payload(outcome: dict | None = None, **changes) -> dict:
+    """The z-spin observable in wire form, with edits to the object or its first outcome."""
+    payload = observable_to_dict(spin_observable(BlochDirection(0.0, 0.0)))
+    payload["outcomes"][0].update(outcome or {})
+    payload.update(changes)
+    return payload
+
+
+def _without(payload: dict, key: str) -> dict:
+    return {name: value for name, value in payload.items() if name != key}
+
+
+_SINGLET_DATA = state_to_dict(singlet())["data"]
+_REFERENCE_SCENARIO = scenario_to_dict(planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4))
+
+# (entry point, malformed input, exception type, what the message names).
+# A missing key is a KeyError; every value of the wrong kind, type or range
+# is a ValueError.
+_MALFORMED_JSON = [
+    # Any kind but "density" used to decode as a pure state.
+    pytest.param(state_from_dict, _state_payload(kind="garbage"), ValueError,
+                 "'pure' or 'density'", id="state-kind-unknown"),
+    pytest.param(state_from_dict, _state_payload(kind=None), ValueError, "kind",
+                 id="state-kind-null"),
+    pytest.param(state_from_dict, _state_payload(data=[[None, 0.0]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-null-number"),
+    pytest.param(state_from_dict, _state_payload(data=[[[1.0], 0.0]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-list-for-number"),
+    pytest.param(state_from_dict, _state_payload(data=[["one", 0.0]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-string-for-number"),
+    pytest.param(state_from_dict, _state_payload(data=[[1.0]] + _SINGLET_DATA[1:]),
+                 ValueError, r"\[re, im\] pairs", id="state-data-short-pair"),
+    pytest.param(state_from_dict, _state_payload(data=None), ValueError, "data",
+                 id="state-data-null"),
+    pytest.param(state_from_dict, _state_payload(data=[[float("nan"), 0.0]] + _SINGLET_DATA[1:]),
+                 ValueError, "non-finite", id="state-data-nan"),
+    pytest.param(state_from_dict, _state_payload(data=_SINGLET_DATA[:3]), ValueError,
+                 "amplitudes", id="state-data-count"),
+    pytest.param(state_from_dict, _state_payload(data=[[1.0, 0.0]] * 4), ValueError, "norm",
+                 id="state-unnormalised"),
+    pytest.param(state_from_dict, _state_payload(dims=None), ValueError, "dims",
+                 id="state-dims-null"),
+    pytest.param(state_from_dict, _state_payload(dims=["two", 2]), ValueError, "dims",
+                 id="state-dims-string"),
+    pytest.param(state_from_dict, _without(_state_payload(), "kind"), KeyError, "kind",
+                 id="state-kind-missing"),
+    pytest.param(state_from_dict, _without(_state_payload(), "data"), KeyError, "data",
+                 id="state-data-missing"),
+    pytest.param(observable_from_dict, _observable_payload({"label": None}), ValueError,
+                 "label", id="observable-label-null"),
+    pytest.param(observable_from_dict, _observable_payload({"label": [1.0]}), ValueError,
+                 "label", id="observable-label-list"),
+    pytest.param(observable_from_dict, _observable_payload({"label": "plus"}), ValueError,
+                 "label", id="observable-label-string"),
+    pytest.param(observable_from_dict, _observable_payload(dim=None), ValueError, "dim",
+                 id="observable-dim-null"),
+    pytest.param(observable_from_dict, _observable_payload(dim="two"), ValueError, "dim",
+                 id="observable-dim-string"),
+    pytest.param(observable_from_dict, _observable_payload(dim=2.9), ValueError, "integers",
+                 id="observable-dim-fraction"),
+    pytest.param(observable_from_dict, _observable_payload(outcomes=None), ValueError,
+                 "outcomes", id="observable-outcomes-null"),
+    pytest.param(observable_from_dict, _observable_payload(outcomes=[1.0, -1.0]), ValueError,
+                 "outcomes", id="observable-outcomes-not-objects"),
+    pytest.param(observable_from_dict, _observable_payload({"projector": None}), ValueError,
+                 "projector", id="observable-projector-null"),
+    pytest.param(observable_from_dict,
+                 _observable_payload({"projector": [[None, 0.0]] * 4}), ValueError,
+                 "projector", id="observable-projector-null-number"),
+    pytest.param(observable_from_dict,
+                 _observable_payload({"projector": [[1.0, 0.0]] * 3}), ValueError,
+                 "reshape", id="observable-projector-count"),
+    pytest.param(observable_from_dict,
+                 _observable_payload({"projector": [[0.5, 0.0], [0, 0], [0, 0], [0.5, 0.0]]}),
+                 ValueError,
+                 "idempotent", id="observable-projector-not-idempotent"),
+    pytest.param(observable_from_dict, _without(_observable_payload(), "outcomes"), KeyError,
+                 "outcomes", id="observable-outcomes-missing"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": None, "phi": 0.0}}, ValueError,
+                 "bloch theta", id="bloch-theta-null"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": 0.0, "phi": [0.0]}}, ValueError,
+                 "bloch phi", id="bloch-phi-list"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": "up", "phi": 0.0}}, ValueError,
+                 "bloch theta", id="bloch-theta-string"),
+    pytest.param(observable_from_dict, {"bloch": None}, ValueError, "bloch",
+                 id="bloch-null"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": 4.0, "phi": 0.0}}, ValueError,
+                 "theta", id="bloch-theta-out-of-range"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": 0.0}}, KeyError, "phi",
+                 id="bloch-phi-missing"),
+    pytest.param(scenario_from_dict, _without(_REFERENCE_SCENARIO, "y2"), KeyError, "y2",
+                 id="scenario-y2-missing"),
+    pytest.param(scenario_from_dict,
+                 {**_REFERENCE_SCENARIO, "x1": _observable_payload({"label": None})},
+                 ValueError, "label", id="scenario-label-null"),
+    pytest.param(scenario_from_dict,
+                 {**_REFERENCE_SCENARIO, "x1": _observable_payload({"label": 0.0})},
+                 ValueError, "x1 labels", id="scenario-x-labels"),
+]
+
+
 class TestJsonCodecs:
     def test_pure_state_round_trip(self, rng):
         state = random_state(rng, 2, 3)
@@ -486,6 +703,13 @@ class TestJsonCodecs:
         payload["dims"] = dims
         with pytest.raises(ValueError, match="dims must be a pair"):
             state_from_dict(payload)
+
+    @pytest.mark.parametrize("decode, payload, error, named", _MALFORMED_JSON)
+    def test_malformed_input_raises_one_error_type(self, decode, payload, error, named):
+        with pytest.raises(Exception) as info:
+            decode(payload)
+        assert type(info.value) is error
+        assert re.search(named, str(info.value))
 
     def test_non_integral_observable_dim_rejected(self):
         # Truncated to 2, this payload would decode as a valid qubit observable.

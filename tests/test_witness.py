@@ -37,6 +37,7 @@ from hardykit import (
     spin_observable,
     witness_report,
 )
+from hardykit.witness import _q_from_table
 
 REFERENCE_ANGLES = (0.0, pi / 2, 3 * pi / 4, pi / 4)  # (x1, y1, x2, y2)
 UPPER_TARGET = 0.5 * (1.0 + sqrt(2.0))
@@ -70,6 +71,31 @@ class TestQVectorType:
         with pytest.raises(InvalidQVector) as info:
             build(q)
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0.2, 0.0, 0.0], [0.0, 0.3, 0.1], [0.0, 0.4, 0.0]],
+            [[-5e-11, 0.0, 0.0], [0.0, 1.0 + 5e-11, 0.1], [0.0, 0.4, 0.0]],
+            [[0.2, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, -4e-11], [0.0, 0.4, 0.0, 0.0],
+             [0.0, 0.25, 0.0, 0.0]],
+        ],
+    )
+    def test_table_reading_matches_public_constructor(self, table):
+        # q_vector and witness_report check each entry once and skip QVector's
+        # own validation; the result must be what the public constructor gives.
+        entries = [table[0][0], table[1][2], table[2][1], table[1][1]]
+        if len(table) == 4:
+            entries += [table[1][3], table[3][1]]
+        assert _q_from_table(table) == QVector(*entries)
+
+    @pytest.mark.parametrize("row, column", [(0, 0), (1, 2), (2, 1), (1, 1), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("bad", [-2e-10, 1.0 + 2e-10, float("nan")])
+    def test_table_entry_out_of_range_is_rejected(self, row, column, bad):
+        table = [[0.1] * 4 for _ in range(4)]
+        table[row][column] = bad
+        with pytest.raises(InvalidQVector, match="outside"):
+            _q_from_table(table)
 
     def test_q5_q6_must_come_together(self):
         with pytest.raises(ValueError):
