@@ -7,13 +7,16 @@ and all operations are pure functions.
 
 Every joint probability comes from one kernel: with rho reshaped to
 ``rho4[i, j, k, l] = <ij|rho|kl>`` and the projectors of each side stacked,
-``einsum("ijkl,aki,blj->ab", rho4, side1, side2)`` is the table of
+``einsum("...ijkl,aki,blj->...ab", rho4, side1, side2)`` is the table of
 Tr[rho (P1_a x P2_b)] over all pairs, one contraction per call with no d1*d2
 operator formed; a single probability is its 1x1 case, and a marginal is a
-partial trace of the same array. Public constructors validate their input in
-full; values the package builds itself and knows to be valid (spin projectors
-of a unit vector, written entry by entry, the Werner mixture of the singlet
-built once) skip that check through ``_trusted``.
+partial trace of the same array. The leading batch axis takes several states
+at once (the Werner sweep reads both of its end points from one call), each
+table the same, bit for bit, as the state's own. Public constructors validate
+their input in full; values the package builds itself and knows to be valid
+(spin projectors, written entry by entry for any number of unit vectors into
+one array, the Werner mixture of the singlet built once) skip that check
+through ``_trusted``.
 
 An ``Observable`` is validated in one batched pass: its k projectors are
 stacked into one (k, d, d) array, finiteness and Hermiticity are checked over
@@ -49,22 +52,26 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _dimension(value) -> int:
-    """A dimension as an int; a value that is not integral raises ``ValueError``."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"dimensions must be integers, got {value!r}")
-    return int(number)
+    """A dimension as an int; a value that is not an integral number raises ``ValueError``."""
+    try:
+        number = float(value)
+        if number.is_integer():
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"dimensions must be integers, got {value!r}")
 
 
 def _trusted(cls, **fields):
     """Instance of a frozen dataclass built without running its validation.
 
     Only for values that are valid by construction; every field must be
-    given in the form ``__post_init__`` would have stored.
+    given in the form ``__post_init__`` would have stored. The fields go
+    straight into the instance's ``__dict__``; assigning to one afterwards
+    still raises ``FrozenInstanceError``.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -268,27 +275,37 @@ def spin_observable(direction: BlochDirection) -> Observable:
     return _spin_from_vector(direction.unit_vector())
 
 
-def _spin_from_vector(unit: Sequence[float]) -> Observable:
-    """Spin observable along a unit 3-vector; (1 +- n.sigma)/2 are projectors by construction.
+def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
+    """Spin projectors (1 +- n.sigma)/2 of n unit 3-vectors, as one read-only (2, n, 2, 2) array.
 
-    Both projectors are written entry by entry,
-    1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]], into one
-    read-only (2, 2, 2) array. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into 0.0,
-    so zero entries (such as the imaginary parts of an xz-plane setting)
+    ``[0, k]`` is the +1 projector of unit k and ``[1, k]`` its -1 projector,
+    1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]]. Every entry is
+    written into one flat list of floats (real and imaginary parts in turn)
+    that is then viewed as complex. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into
+    0.0, so zero entries (such as the imaginary parts of an xz-plane setting)
     print without a sign.
     """
-    nx, ny, nz = unit
-    up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
-    x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
-    mx, my = 0.0 - x, 0.0 - y
-    pair = np.array(
-        [
-            [[up, complex(x, my)], [complex(x, y), down]],
-            [[down, complex(mx, y)], [complex(mx, my), up]],
-        ]
-    )
-    pair.setflags(write=False)
-    return _trusted(Observable, dim=2, outcomes=((1.0, pair[0]), (-1.0, pair[1])))
+    plus, minus = [], []
+    for nx, ny, nz in units:
+        up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
+        x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
+        mx, my = 0.0 - x, 0.0 - y
+        plus += (up, 0.0, x, my, x, y, down, 0.0)
+        minus += (down, 0.0, mx, y, mx, my, up, 0.0)
+    projectors = np.array(plus + minus).view(complex).reshape(2, -1, 2, 2)
+    projectors.setflags(write=False)
+    return projectors
+
+
+def _spin_pair(plus: np.ndarray, minus: np.ndarray) -> Observable:
+    """Spin observable with the given +1 and -1 projectors, built without re-validation."""
+    return _trusted(Observable, dim=2, outcomes=((1.0, plus), (-1.0, minus)))
+
+
+def _spin_from_vector(unit: Sequence[float]) -> Observable:
+    """Spin observable along a unit 3-vector; (1 +- n.sigma)/2 are projectors by construction."""
+    projectors = _spin_projectors((unit,))
+    return _spin_pair(projectors[0, 0], projectors[1, 0])
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:
@@ -321,11 +338,12 @@ def _density_tensor(state: QuantumState) -> np.ndarray:
 
 
 def _joint_table(rho4: np.ndarray, side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
-    """T[a, b] = Re Tr[rho (side1[a] x side2[b])] for stacks of operators on each side.
+    """T[..., a, b] = Re Tr[rho (side1[a] x side2[b])] for stacks of operators on each side.
 
-    The one joint kernel. Probabilities are clamped where they are read, not here.
+    The one joint kernel. ``rho4`` may carry leading batch axes, one table per
+    state. Probabilities are clamped where they are read, not here.
     """
-    return np.einsum("ijkl,aki,blj->ab", rho4, side1, side2).real
+    return np.einsum("...ijkl,aki,blj->...ab", rho4, side1, side2).real
 
 
 def _marginal(rho4: np.ndarray, side: int, proj: np.ndarray) -> float:
@@ -373,10 +391,18 @@ def singlet() -> QuantumState:
     return QuantumState.pure(amps, (2, 2))
 
 
-# The singlet's density matrix, built and validated once; werner_state mixes it.
+# The singlet's density matrix, built and validated once; _werner_density mixes it.
 _SINGLET_DENSITY = singlet().density_matrix()
 _SINGLET_DENSITY.setflags(write=False)
 _WHITE_NOISE = np.eye(4) / 4.0
+
+
+def _werner_density(v) -> np.ndarray:
+    """v |singlet><singlet| + (1 - v) I/4, with v unchecked.
+
+    ``v`` is a visibility, or an array of them shaped (n, 1, 1) for a stack of n densities.
+    """
+    return v * _SINGLET_DENSITY + (1.0 - v) * _WHITE_NOISE
 
 
 def maximally_mixed(d1: int, d2: int) -> QuantumState:
@@ -389,7 +415,7 @@ def werner_state(visibility: float) -> QuantumState:
     v = float(visibility)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    mixed = v * _SINGLET_DENSITY + (1.0 - v) * _WHITE_NOISE
+    mixed = _werner_density(v)
     mixed.setflags(write=False)
     # A convex mix of two states is a state.
     return _trusted(QuantumState, dims=(2, 2), kind="density", data=mixed)
@@ -404,11 +430,13 @@ def _pairs_from_complex(values: np.ndarray) -> list[list[float]]:
 
 
 def _number(value, field: str) -> float:
-    """A JSON number as a float; null, a list or a non-numeric string raises ``ValueError``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be a number, got {value!r}") from None
+    """A JSON number as a float; null, a boolean, a string or a list raises ``ValueError``."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _complex_from_pairs(pairs: Sequence[Sequence[float]], field: str) -> np.ndarray:
@@ -418,8 +446,11 @@ def _complex_from_pairs(pairs: Sequence[Sequence[float]], field: str) -> np.ndar
     for pair in pairs:
         try:
             re, im = pair
-            values.append(complex(float(re), float(im)))
-        except (TypeError, ValueError):
+            # complex() itself refuses strings, null and lists, but takes booleans.
+            if type(re) is bool or type(im) is bool:
+                raise TypeError
+            values.append(complex(re, im))
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"{field} entries must be [re, im] pairs of numbers, got {pair!r}"
             ) from None
@@ -437,7 +468,7 @@ def state_to_dict(state: QuantumState) -> dict:
 def state_from_dict(payload: dict) -> QuantumState:
     try:
         d1, d2 = payload["dims"]
-        dims = (_dimension(d1), _dimension(d2))
+        dims = (_dimension(_number(d1, "dims")), _dimension(_number(d2, "dims")))
     except (TypeError, ValueError):
         raise ValueError(f"dims must be a pair of integers, got {payload['dims']!r}") from None
     kind = payload["kind"]
@@ -468,8 +499,8 @@ def observable_from_dict(payload: dict) -> Observable:
         theta = _number(angles["theta"], "bloch theta")
         return spin_observable(BlochDirection(theta, _number(angles["phi"], "bloch phi")))
     try:
-        d = _dimension(payload["dim"])
-    except (TypeError, ValueError):
+        d = _dimension(_number(payload["dim"], "dim"))
+    except ValueError:
         raise ValueError(
             f"dim {payload['dim']!r} is not valid: dimensions must be integers"
         ) from None

@@ -37,10 +37,16 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _trusted,
-    spin_observable,
-    werner_state,
+    _werner_density,
 )
-from .witness import Scenario, generalized_expression, planar_scenario, q_vector
+from .witness import (
+    Scenario,
+    _q_from_table,
+    _spin_scenario,
+    generalized_expression,
+    planar_scenario,
+    q_vector,
+)
 
 OBJECTIVES = ("maximize_upper", "minimize_lower")
 
@@ -192,7 +198,7 @@ def optimize_violation(
         raise DimensionMismatch(f"optimizer handles qubit pairs only, got dims {state.dims}")
     correlations = _correlation_matrix(state)
     if planar:
-        correlations = correlations[np.ix_((0, 2), (0, 2))]
+        correlations = correlations[::2, ::2]
     u, t, vt = np.linalg.svd(correlations)
     sign = 1.0 if objective == "maximize_upper" else -1.0
     phi = atan2(t[1], t[0])
@@ -208,7 +214,8 @@ def optimize_violation(
     else:
         bloch = [BlochDirection.from_vector(d) for d in directions]
         angles = tuple(a for b in bloch for a in (b.theta, b.phi))
-        scenario = Scenario(*(spin_observable(b) for b in bloch))
+        # The settings are rebuilt from the reported angles, so that they match them exactly.
+        scenario = _spin_scenario(*(b.unit_vector() for b in bloch))
     return SearchResult(
         objective=objective,
         value=generalized_expression(q_vector(state, scenario)),
@@ -235,7 +242,8 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
 
     The state family is v |singlet><singlet| + (1 - v) I/4. The expression is
     affine in v, so its values at v_lo and v_hi give the crossing exactly by
-    linear interpolation.
+    linear interpolation. Both ends' tables of joint probabilities come from
+    one call of the joint kernel on the two stacked densities.
     """
     if not 0.0 <= v_lo < v_hi <= 1.0:
         raise ValueError(f"need 0 <= v_lo < v_hi <= 1, got [{v_lo}, {v_hi}]")
@@ -244,8 +252,11 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
 
+    visibilities = np.array((v_lo, v_hi), dtype=float).reshape(2, 1, 1)
+    densities = _werner_density(visibilities).reshape(2, 2, 2, 2, 2)
     excess_lo, excess_hi = (
-        generalized_expression(q_vector(werner_state(v), scenario)) - 1.0 for v in (v_lo, v_hi)
+        generalized_expression(_q_from_table(table)) - 1.0
+        for table in _joint_table(densities, *scenario._sides).tolist()
     )
     if excess_hi < 0.0:
         raise NoCrossing(f"expression never exceeds the upper bound on [{v_lo}, {v_hi}]")

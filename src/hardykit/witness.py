@@ -5,12 +5,20 @@ the probability vector (q1..q4, optionally q5, q6), the combination
 q1 + q2 + q3 (+ q5 + q6) - q4 whose value must lie in [0, 1] for any local
 deterministic model, and the six-term Clauser-Horne combination, which agrees
 with it identically.
+
+A ``Scenario`` stacks each side's projectors once, when it is built: side 1
+holds x1 = +1, y1 = +1, x1 = -1 (and x1 = 0 if trichotomic), side 2 likewise.
+Every ``q_vector``, ``ch_expression`` and ``witness_report`` call reads all its
+joint probabilities from one contraction of the state with these two stored
+stacks. ``planar_scenario`` writes its eight spin projectors into one array,
+and its side stacks are views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import cos, isfinite, sin
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +30,8 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _marginal,
-    _spin_from_vector,
+    _spin_pair,
+    _spin_projectors,
     _trusted,
     observable_from_dict,
     observable_to_dict,
@@ -93,13 +102,16 @@ class Scenario:
     """Four local observables: x1, y1 on side 1 and x2, y2 on side 2.
 
     The x-observables carry spectrum {-1, +1} or {-1, 0, +1} (both sides
-    alike); the y-observables may have any spectrum containing +1.
+    alike); the y-observables may have any spectrum containing +1. Each side's
+    projectors are stacked once, in ``_side`` order, into the read-only
+    ``_sides`` that the joint kernel reads.
     """
 
     x1: Observable
     y1: Observable
     x2: Observable
     y2: Observable
+    _sides: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.x1.dim != self.y1.dim or self.x2.dim != self.y2.dim:
@@ -111,6 +123,9 @@ class Scenario:
         for name, obs in (("y1", self.y1), ("y2", self.y2)):
             if 1.0 not in obs.labels:
                 raise ValueError(f"{name} spectrum must contain +1, got {obs.labels}")
+        trichotomic = arity1 == 3
+        sides = (_side(self.x1, self.y1, trichotomic), _side(self.x2, self.y2, trichotomic))
+        object.__setattr__(self, "_sides", sides)
 
     @staticmethod
     def _x_arity(obs: Observable, name: str) -> int:
@@ -123,7 +138,7 @@ class Scenario:
 
     @property
     def trichotomic(self) -> bool:
-        return frozenset(self.x1.labels) == _TRICHOTOMIC
+        return len(self._sides[0]) == 4
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -156,11 +171,16 @@ def _check_dims(state: QuantumState, scenario: Scenario) -> None:
 
 
 def _side(x: Observable, y: Observable, trichotomic: bool) -> np.ndarray:
-    """Stacked projectors of one side: x = +1, y = +1, x = -1 and, if trichotomic, x = 0."""
+    """Read-only stacked projectors of one side.
+
+    Rows: x = +1, y = +1, x = -1 and, if trichotomic, x = 0.
+    """
     projectors = [x.projector(1.0), y.projector(1.0), x.projector(-1.0)]
     if trichotomic:
         projectors.append(x.projector(0.0))
-    return np.array(projectors)
+    stack = np.array(projectors)
+    stack.setflags(write=False)
+    return stack
 
 
 def _joint_probabilities(
@@ -173,13 +193,7 @@ def _joint_probabilities(
     """
     _check_dims(state, scenario)
     rho4 = _density_tensor(state)
-    trichotomic = scenario.trichotomic
-    table = _joint_table(
-        rho4,
-        _side(scenario.x1, scenario.y1, trichotomic),
-        _side(scenario.x2, scenario.y2, trichotomic),
-    )
-    return rho4, table.tolist()
+    return rho4, _joint_table(rho4, *scenario._sides).tolist()
 
 
 def _q_from_table(table: list[list[float]]) -> QVector:
@@ -204,13 +218,14 @@ def _q_from_table(table: list[list[float]]) -> QVector:
 
 def _ch_from_table(rho4: np.ndarray, table: list[list[float]], scenario: Scenario) -> float:
     p = _clamp_probability
+    side1, side2 = scenario._sides
     return (
         p(table[0][0])
         - p(table[1][0])
         - p(table[0][1])
         - p(table[1][1])
-        + _marginal(rho4, 1, scenario.y1.projector(1.0))
-        + _marginal(rho4, 2, scenario.y2.projector(1.0))
+        + _marginal(rho4, 1, side1[1])  # y1 = +1
+        + _marginal(rho4, 2, side2[1])  # y2 = +1
     )
 
 
@@ -323,6 +338,27 @@ def planar_scenario(
         units = [(cos(a), sin(a), 0.0) for a in angles]
     else:
         units = [(sin(a), 0.0, cos(a)) for a in angles]
-    x1, y1, x2, y2 = (_spin_from_vector(unit) for unit in units)
+    return _spin_scenario(*units)
+
+
+def _spin_scenario(
+    x1: Sequence[float], y1: Sequence[float], x2: Sequence[float], y2: Sequence[float]
+) -> Scenario:
+    """Scenario of four qubit spin observables along the given unit 3-vectors.
+
+    All eight projectors are written in one call, with the units in the order
+    x1, x2, y1, y2. Flattened to (8, 2, 2), the +1 projectors of x1, x2, y1, y2
+    come first and their -1 projectors after, so each side's stack (x = +1,
+    y = +1, x = -1) is a strided view of the same array, not a copy.
+    """
+    plus, minus = projectors = _spin_projectors((x1, x2, y1, y2))
+    flat = projectors.reshape(8, 2, 2)
     # Four qubit spin observables always form a valid dichotomic scenario.
-    return _trusted(Scenario, x1=x1, y1=y1, x2=x2, y2=y2)
+    return _trusted(
+        Scenario,
+        x1=_spin_pair(plus[0], minus[0]),
+        y1=_spin_pair(plus[2], minus[2]),
+        x2=_spin_pair(plus[1], minus[1]),
+        y2=_spin_pair(plus[3], minus[3]),
+        _sides=(flat[0:6:2], flat[1:7:2]),
+    )

@@ -112,6 +112,17 @@ class TestEval:
         assert err.startswith("ValueError: ") and err.count("\n") == 1
         assert "'pure' or 'density'" in err
 
+    def test_numeric_string_dimension_is_domain_error(self, capsys, tmp_path, scenario_file):
+        path = tmp_path / "strings.json"
+        payload = state_to_dict(singlet())
+        payload["dims"] = ["2", 2]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--state", str(path), "--scenario", scenario_file)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("ValueError: ") and err.count("\n") == 1
+        assert "dims must be a pair of integers" in err
+
     def test_missing_file_is_domain_error(self, capsys, scenario_file):
         code, out, err = run_cli(
             capsys, "eval", "--state", "/does/not/exist.json", "--scenario", scenario_file

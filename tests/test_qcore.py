@@ -4,6 +4,7 @@ probabilities, JSON codecs."""
 from __future__ import annotations
 
 import re
+from dataclasses import FrozenInstanceError
 from math import cos, pi
 
 import numpy as np
@@ -45,7 +46,8 @@ from hardykit import (
     state_to_dict,
     werner_state,
 )
-from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
+from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z, _spin_projectors, _trusted
+from hardykit.witness import QVector
 
 
 def planar_xy(angle: float) -> Observable:
@@ -215,6 +217,52 @@ class TestBuiltValuesPassFullValidation:
             assert np.max(np.abs(obs.projector(-1.0) - 0.5 * (np.eye(2) - pauli))) <= 1e-15
             assert not obs.projector(1.0).flags.writeable
             assert not obs.projector(-1.0).flags.writeable
+
+    def test_batched_writer_matches_pauli_sums(self, rng):
+        # Signed zeros in, unsigned zeros out; axes give exact zero entries.
+        axes = [(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (1.0, -0.0, 0.0), (0.0, -1.0, -0.0)]
+        units = axes + [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(30, 3))]
+        projectors = _spin_projectors(units)
+        assert projectors.shape == (2, len(units), 2, 2)
+        assert not projectors.flags.writeable
+        for k, (nx, ny, nz) in enumerate(units):
+            pauli = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
+            assert np.max(np.abs(projectors[0, k] - 0.5 * (np.eye(2) + pauli))) <= 1e-15
+            assert np.max(np.abs(projectors[1, k] - 0.5 * (np.eye(2) - pauli))) <= 1e-15
+        for part in (projectors.real, projectors.imag):
+            assert not np.signbit(part[part == 0.0]).any()
+
+    def test_single_vector_is_the_batched_case(self, rng):
+        units = [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(10, 3))]
+        projectors = _spin_projectors(units)
+        for k, unit in enumerate(units):
+            alone = _spin_projectors([unit])
+            assert alone.tobytes() == projectors[:, k : k + 1].tobytes()
+
+
+class TestTrustedInstances:
+    """``_trusted`` skips validation but must build the same frozen value."""
+
+    def test_equals_validated_instance(self):
+        fields = dict(q1=0.25, q2=0.0, q3=0.5, q4=1.0, q5=None, q6=None)
+        assert _trusted(QVector, **fields) == QVector(0.25, 0.0, 0.5, 1.0)
+        assert _trusted(BlochDirection, theta=1.0, phi=2.0) == BlochDirection(1.0, 2.0)
+        trusted = werner_state(0.3)
+        validated = QuantumState.density(trusted.data, (2, 2))
+        assert (trusted.dims, trusted.kind) == (validated.dims, validated.kind)
+        assert np.array_equal(trusted.data, validated.data)
+
+    def test_fields_stay_frozen(self):
+        values = [
+            (_trusted(QVector, q1=0.1, q2=0.2, q3=0.3, q4=0.4, q5=None, q6=None), "q1"),
+            (werner_state(0.3), "kind"),
+            (spin_observable(BlochDirection(1.0, 2.0)), "dim"),
+            (planar_scenario(0.1, 0.2, 0.3, 0.4), "x1"),
+            (planar_scenario(0.1, 0.2, 0.3, 0.4), "_sides"),
+        ]
+        for value, name in values:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
 
 
 class TestPlanarDirections:
@@ -393,7 +441,9 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             QuantumState.pure([1.0, 0.0], (1, 2))
 
-    @pytest.mark.parametrize("dims", [(2.7, 2), (2, 2.5), (float("nan"), 2), (float("inf"), 2)])
+    @pytest.mark.parametrize(
+        "dims", [(2.7, 2), (2, 2.5), (float("nan"), 2), (float("inf"), 2), (None, 2), (2, None)]
+    )
     def test_non_integral_dimension_rejected(self, dims):
         with pytest.raises(ValueError, match="integers"):
             QuantumState.pure([0.0, 1.0, 0.0, 0.0], dims)
@@ -444,7 +494,7 @@ class TestObservableValidation:
         with pytest.raises(ValueError, match="finite"):
             Observable(2, ((1.0, np.diag([1.0, 0.0])), (bad, np.diag([0.0, 1.0]))))
 
-    @pytest.mark.parametrize("dim", [2.9, 1.5, float("nan")])
+    @pytest.mark.parametrize("dim", [2.9, 1.5, float("nan"), None])
     def test_non_integral_dimension_rejected(self, dim):
         with pytest.raises(ValueError, match="integers"):
             Observable(dim, ((1.0, np.diag([1.0, 0.0])), (-1.0, np.diag([0.0, 1.0]))))
@@ -613,6 +663,21 @@ _MALFORMED_JSON = [
                  id="state-dims-null"),
     pytest.param(state_from_dict, _state_payload(dims=["two", 2]), ValueError, "dims",
                  id="state-dims-string"),
+    # Numeric strings and booleans used to be converted by float().
+    pytest.param(state_from_dict, _state_payload(dims=["2", 2]), ValueError, "dims",
+                 id="state-dims-numeric-string"),
+    pytest.param(state_from_dict, _state_payload(dims=[2, True]), ValueError, "dims",
+                 id="state-dims-boolean"),
+    pytest.param(state_from_dict, _state_payload(dims=[10**400, 2]), ValueError, "dims",
+                 id="state-dims-huge-integer"),
+    pytest.param(state_from_dict, _state_payload(data=[["0", 0.0]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-numeric-string"),
+    pytest.param(state_from_dict, _state_payload(data=[[False, 0.0]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-boolean-real"),
+    pytest.param(state_from_dict, _state_payload(data=[[0.0, False]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-boolean-imag"),
+    pytest.param(state_from_dict, _state_payload(data=[[10**400, 0]] + _SINGLET_DATA[1:]),
+                 ValueError, "data", id="state-data-huge-integer"),
     pytest.param(state_from_dict, _without(_state_payload(), "kind"), KeyError, "kind",
                  id="state-kind-missing"),
     pytest.param(state_from_dict, _without(_state_payload(), "data"), KeyError, "data",
@@ -623,6 +688,24 @@ _MALFORMED_JSON = [
                  "label", id="observable-label-list"),
     pytest.param(observable_from_dict, _observable_payload({"label": "plus"}), ValueError,
                  "label", id="observable-label-string"),
+    pytest.param(observable_from_dict, _observable_payload({"label": "1"}), ValueError,
+                 "label", id="observable-label-numeric-string"),
+    pytest.param(observable_from_dict, _observable_payload({"label": True}), ValueError,
+                 "label", id="observable-label-boolean"),
+    pytest.param(observable_from_dict, _observable_payload(dim="2"), ValueError, "dim '2'",
+                 id="observable-dim-numeric-string"),
+    pytest.param(observable_from_dict, _observable_payload(dim=True), ValueError, "dim True",
+                 id="observable-dim-boolean"),
+    pytest.param(observable_from_dict,
+                 _observable_payload({"projector": [["1", 0.0], [0, 0], [0, 0], [0, 0]]}),
+                 ValueError, "projector", id="observable-projector-numeric-string"),
+    pytest.param(observable_from_dict,
+                 _observable_payload({"projector": [[True, 0.0], [0, 0], [0, 0], [0, 0]]}),
+                 ValueError, "projector", id="observable-projector-boolean"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": "0", "phi": 0.0}}, ValueError,
+                 "bloch theta", id="bloch-theta-numeric-string"),
+    pytest.param(observable_from_dict, {"bloch": {"theta": 0.0, "phi": False}}, ValueError,
+                 "bloch phi", id="bloch-phi-boolean"),
     pytest.param(observable_from_dict, _observable_payload(dim=None), ValueError, "dim",
                  id="observable-dim-null"),
     pytest.param(observable_from_dict, _observable_payload(dim="two"), ValueError, "dim",

@@ -263,6 +263,32 @@ class TestWernerSweep:
         threshold = werner_sweep(reference_scenario(phi), 0.0, 1.0)
         assert abs(threshold - 1.0 / sqrt(2.0)) < 1e-12
 
+    def test_equals_interpolation_of_separate_evaluations(self, rng):
+        # Both ends come from one batched contraction; each must be exactly
+        # what a separate q_vector call on werner_state(v) gives.
+        reference = np.array((0.0, pi / 2, 3 * pi / 4, pi / 4))
+        crossings = 0
+        for i in range(300):
+            # Random settings rarely cross, settings near the reference ones mostly do.
+            if i % 2:
+                angles = reference + rng.uniform(0.0, 2.0 * pi) + rng.normal(scale=0.2, size=4)
+            else:
+                angles = rng.uniform(-2.0 * pi, 2.0 * pi, size=4)
+            scenario = planar_scenario(*angles, plane=("xy", "xz")[i % 4 // 2])
+            lo, hi = (0.0, 1.0) if i % 3 else sorted(rng.uniform(0.0, 1.0, size=2))
+            excess_lo, excess_hi = (
+                generalized_expression(q_vector(werner_state(v), scenario)) - 1.0
+                for v in (lo, hi)
+            )
+            if excess_hi < 0.0 or excess_lo > 0.0:
+                with pytest.raises(NoCrossing):
+                    werner_sweep(scenario, lo, hi)
+                continue
+            crossings += 1
+            expected = lo - excess_lo * (hi - lo) / (excess_hi - excess_lo)
+            assert werner_sweep(scenario, lo, hi) == expected
+        assert crossings >= 100
+
     def test_no_crossing_below_half_visibility(self):
         with pytest.raises(NoCrossing):
             werner_sweep(reference_scenario(), 0.0, 0.5)

@@ -37,7 +37,7 @@ from hardykit import (
     spin_observable,
     witness_report,
 )
-from hardykit.witness import _q_from_table
+from hardykit.witness import _q_from_table, _side
 
 REFERENCE_ANGLES = (0.0, pi / 2, 3 * pi / 4, pi / 4)  # (x1, y1, x2, y2)
 UPPER_TARGET = 0.5 * (1.0 + sqrt(2.0))
@@ -135,6 +135,46 @@ class TestScenarioType:
             assert parsed.labels == original.labels
             for label in original.labels:
                 assert np.array_equal(parsed.projector(label), original.projector(label))
+
+
+class TestStoredSides:
+    """Each scenario stacks its side projectors once; the kernel reads only those stacks."""
+
+    @staticmethod
+    def assert_sides_are_fresh_stacks(scenario: Scenario) -> None:
+        pairs = ((scenario.x1, scenario.y1), (scenario.x2, scenario.y2))
+        assert len(scenario._sides) == 2
+        for stored, (x, y) in zip(scenario._sides, pairs):
+            assert not stored.flags.writeable
+            fresh = _side(x, y, scenario.trichotomic)
+            assert stored.shape == fresh.shape
+            # Bit for bit, signed zeros included.
+            assert stored.tobytes() == fresh.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from((2, 3)),
+        trichotomic=st.booleans(),
+    )
+    def test_validated_scenarios(self, seed, dim, trichotomic):
+        scenario = random_scenario(np.random.default_rng(seed), dim, dim, trichotomic)
+        assert scenario.trichotomic == trichotomic
+        assert len(scenario._sides[0]) == len(scenario._sides[1]) == (4 if trichotomic else 3)
+        self.assert_sides_are_fresh_stacks(scenario)
+
+    @given(
+        angles=st.lists(
+            st.floats(-2.0 * pi, 2.0 * pi, allow_nan=False), min_size=4, max_size=4
+        ),
+        plane=st.sampled_from(("xy", "xz")),
+    )
+    def test_planar_scenarios(self, angles, plane):
+        scenario = planar_scenario(*angles, plane=plane)
+        assert not scenario.trichotomic
+        self.assert_sides_are_fresh_stacks(scenario)
+
+    def test_sides_stay_out_of_repr(self):
+        assert "_sides" not in repr(reference_scenario())
 
 
 class TestQVectorExtraction:
