@@ -219,7 +219,12 @@ class FeasibilityResult:
 def _coerce_components(q: "QVector | Sequence[float]") -> tuple[float, ...]:
     if isinstance(q, QVector):
         return q.components()
-    values = tuple(float(v) for v in q)
+    try:
+        values = tuple(float(v) for v in q)
+    except OverflowError:
+        raise InvalidQVector(
+            "a component is too large for a float and lies outside [0, 1]"
+        ) from None
     if len(values) not in (4, 6):
         raise InvalidQVector(f"expected 4 or 6 components, got {len(values)}")
     cleaned = []

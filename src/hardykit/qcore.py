@@ -18,15 +18,21 @@ their input in full; values the package builds itself and knows to be valid
 one array, the Werner mixture of the singlet built once) skip that check
 through ``_trusted``.
 
-An ``Observable`` is validated in one batched pass: its k projectors are
-stacked into one (k, d, d) array, finiteness and Hermiticity are checked over
-the whole stack, and one Gram product gram[a, b] = P_a P_b gives idempotence
-(its diagonal less the stack) and orthogonality (its off-diagonal blocks);
-completeness is the sum of the stack. Tolerances, messages and the fault
-reported first are those of an outcome-by-outcome check, and each outcome's
-projector is a read-only view into the one stack. The JSON decoders raise
-``ValueError`` naming the field for a value of the wrong type or range and
-``KeyError`` for a missing key.
+Projective measurements are validated by one batched validator,
+``_validate_observables``, which checks several observables at once: those of
+one dimension d are stacked into one (n, k_max, d, d) array, fewer outcomes
+padded with zero projectors; finiteness and Hermiticity are checked over the
+whole array, one Gram product P_a P_b per observable gives idempotence (its
+diagonal blocks less the stack) and orthogonality (its off-diagonal blocks),
+and completeness is the sum over outcomes. ``Observable`` is its
+one-observable case; ``witness.scenario_from_dict`` calls it once for the
+explicit observables of a scenario. Tolerances, messages and the fault
+reported first are those of checking the observables one after another,
+outcome by outcome, and each outcome's projector is a read-only view into the
+validated array. Labels and dimensions must be numbers: a string or a boolean
+raises ``ValueError``, in the constructors as in the JSON decoders. The
+decoders raise ``ValueError`` naming the field for a value of the wrong type
+or range and ``KeyError`` for a missing key.
 """
 
 from __future__ import annotations
@@ -51,13 +57,23 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _number(value, field: str) -> float:
+    """A number as a float; a boolean, a string or what ``float`` refuses raises ``ValueError``."""
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{field} must be a number, got {value!r}")
+
+
 def _dimension(value) -> int:
-    """A dimension as an int; a value that is not an integral number raises ``ValueError``."""
+    """A dimension as an int; anything but an integral number raises ``ValueError``."""
     try:
-        number = float(value)
+        number = _number(value, "dimension")
         if number.is_integer():
             return int(number)
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         pass
     raise ValueError(f"dimensions must be integers, got {value!r}")
 
@@ -184,79 +200,10 @@ class Observable:
     outcomes: tuple[tuple[float, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        """Validate every projector in one batched pass over their stack.
-
-        The checks, tolerances and messages are those of an outcome-by-outcome
-        pass, and so is the fault reported first. Per outcome, in order: label
-        finite, shape, entries finite, Hermitian, idempotent; then at least one
-        outcome, distinct labels, pairwise orthogonality and completeness. A
-        fault met while reading outcome j (its label or shape) is held back
-        until outcomes 0..j-1 have passed their array checks.
-        """
-        d = _dimension(self.dim)
-        if d < 1:
-            raise ValueError("dimension must be positive")
-        labels, projectors, held = [], [], None
-        for entry in self.outcomes:
-            try:
-                raw_label, projector = entry
-                label = float(raw_label)
-                if not isfinite(label):
-                    raise ValueError(f"outcome label {label} must be finite")
-                proj = np.asarray(projector, dtype=complex)
-                if proj.shape != (d, d):
-                    raise ValueError(f"projector for label {label} must be {d}x{d}")
-            except (TypeError, ValueError, OverflowError) as exc:
-                held = exc
-                break
-            labels.append(label)
-            projectors.append(proj)
-        stack = np.array(projectors, dtype=complex).reshape(-1, d, d)
-        if not np.isfinite(stack).all():
-            first = int(np.argmin(np.isfinite(stack).all(axis=(1, 2))))
-            held = ValueError(f"projector for label {labels[first]} has non-finite entries")
-            stack = stack[:first]
-        k = len(stack)
-        # One Gram product, gram[a, b] = P_a P_b. Less P_a on its diagonal,
-        # every block of a projective measurement vanishes.
-        gram = stack[:, None] @ stack[None]
-        gram.reshape(k * k, d, d)[:: k + 1] -= stack
-        defect = np.abs(gram)
-        asymmetry = np.abs(stack - stack.conj().transpose(0, 2, 1))
-        # On a valid observable each test is one comparison of a maximum. NaN
-        # from an overflowing product also fails it; the per-outcome checks
-        # below then let NaN pass, as an outcome-by-outcome comparison does.
-        clean = (
-            asymmetry.max(initial=0.0) <= PROJECTOR_ATOL
-            and defect.max(initial=0.0) <= PROJECTOR_ATOL
-        )
-        if not clean:
-            not_hermitian = np.max(asymmetry, axis=(1, 2)) > PROJECTOR_ATOL
-            diagonal = defect.reshape(k * k, d, d)[:: k + 1]
-            not_idempotent = np.max(diagonal, axis=(1, 2)) > PROJECTOR_ATOL
-            faulty = np.flatnonzero(not_hermitian | not_idempotent)
-            if faulty.size:
-                a = faulty[0]
-                fault = "Hermitian" if not_hermitian[a] else "idempotent"
-                raise ValueError(f"projector for label {labels[a]} is not {fault}")
-        if held is not None:
-            raise held
-        if not labels:
-            raise ValueError("observable needs at least one outcome")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"outcome labels must be distinct, got {labels}")
-        if not clean:
-            overlapping = np.argwhere(np.triu(np.max(defect, axis=(2, 3)) > PROJECTOR_ATOL, 1))
-            if overlapping.size:
-                i, j = overlapping[0]
-                raise ValueError(
-                    f"projectors for labels {labels[i]} and {labels[j]} are not orthogonal"
-                )
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > PROJECTOR_ATOL:
-            raise ValueError("projectors do not sum to the identity")
-        stack.setflags(write=False)
+        """Validate the projectors, as the one-observable case of ``_validate_observables``."""
+        ((d, labels, group, slot),) = _validate_observables(((self.dim, self.outcomes),))
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
+        object.__setattr__(self, "outcomes", tuple(zip(labels, group[slot])))
 
     @property
     def labels(self) -> tuple[float, ...]:
@@ -268,6 +215,135 @@ class Observable:
             if known == target:
                 return proj
         raise UnknownLabel(f"label {label} not in spectrum {self.labels}")
+
+
+def _finite_rows(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has only finite entries."""
+    return np.isfinite(stack).all(axis=(-2, -1))
+
+
+def _validate_observables(
+    observables: Iterable[tuple[object, Iterable]],
+) -> list[tuple[int, list[float], np.ndarray, int]]:
+    """Validate the projectors of several observables, each given as (dim, outcomes).
+
+    Observables of one dimension d are stacked into one read-only
+    (n, k_max, d, d) array, those with fewer outcomes padded with zero
+    projectors (Hermitian, idempotent, orthogonal to all and adding nothing to
+    a sum). Over each array one pass checks finiteness and Hermiticity, one
+    Gram product P_a P_b per observable gives idempotence (its diagonal blocks
+    less the stack) and orthogonality (its off-diagonal blocks), and the sum
+    over outcomes gives completeness. On valid input each test is one
+    comparison of a maximum. Returns, per observable, its dimension, its
+    labels, the array of its dimension and its index there.
+
+    The checks, tolerances and messages are those of validating the
+    observables one after another, outcome by outcome, and so is the fault
+    reported first. Per observable: the dimension; per outcome, the label (a
+    number, finite), the shape, finite entries, Hermitian, idempotent; then at
+    least one outcome, distinct labels, pairwise orthogonality and
+    completeness. A fault met while reading (a dimension, a label or a shape)
+    is held back until everything read before it has passed its checks.
+    """
+    parsed, held, held_at = [], None, -1
+    for dim, outcomes in observables:
+        try:
+            d = _dimension(dim)
+            if d < 1:
+                raise ValueError("dimension must be positive")
+        except ValueError as exc:
+            held, held_at = exc, len(parsed)
+            break
+        labels, projectors = [], []
+        parsed.append((d, labels, projectors))
+        try:
+            for raw_label, projector in outcomes:
+                label = _number(raw_label, "outcome label")
+                if not isfinite(label):
+                    raise ValueError(f"outcome label {label} must be finite")
+                proj = np.asarray(projector, dtype=complex)
+                if proj.shape != (d, d):
+                    raise ValueError(f"projector for label {label} must be {d}x{d}")
+                labels.append(label)
+                projectors.append(proj)
+        except (TypeError, ValueError, OverflowError) as exc:
+            held, held_at = exc, len(parsed) - 1
+            break
+
+    members: dict[int, list[int]] = {}
+    for i, (d, _, _) in enumerate(parsed):
+        members.setdefault(d, []).append(i)
+    slots, arrays, clean = {}, {}, held is None
+    for d, group in members.items():
+        k = max(len(parsed[i][1]) for i in group)
+        zero = np.zeros((d, d), dtype=complex)
+        rows = []
+        for slot, i in enumerate(group):
+            slots[i] = slot
+            rows += parsed[i][2] + [zero] * (k - len(parsed[i][2]))
+        n = len(group)
+        stack = np.array(rows, dtype=complex).reshape(n, k, d, d)
+        stack.setflags(write=False)
+        finite = bool(np.isfinite(stack).all())
+        # Outcomes from a non-finite one on are never read; zero them so that
+        # inf and NaN stay out of the products.
+        checked = stack if finite else np.where(_finite_rows(stack)[..., None, None], stack, 0.0)
+        asymmetry = np.abs(checked - checked.conj().swapaxes(2, 3))
+        # Every Gram block P_a P_b of an observable from one (k d) x (k d)
+        # product, at [o, a, :, b, :]. Less P_a on the diagonal blocks (through
+        # einsum's writeable view of them), all vanish for a projective measurement.
+        gram = checked.reshape(n, k * d, d) @ checked.transpose(0, 2, 1, 3).reshape(n, d, k * d)
+        gram = gram.reshape(n, k, d, k, d)
+        np.einsum("oaiaj->oaij", gram)[...] -= checked
+        defect = np.abs(gram)
+        incomplete = np.abs(checked.sum(axis=1) - np.eye(d))
+        arrays[d] = stack, asymmetry, defect, incomplete
+        # NaN from an overflowing product also fails a maximum's comparison;
+        # the per-outcome checks below then let NaN pass, as an
+        # outcome-by-outcome comparison does.
+        clean = (
+            clean
+            and finite
+            and asymmetry.max(initial=0.0) <= PROJECTOR_ATOL
+            and defect.max(initial=0.0) <= PROJECTOR_ATOL
+            and incomplete.max(initial=0.0) <= PROJECTOR_ATOL
+        )
+
+    if not clean or not all(labels and len(set(labels)) == len(labels) for _, labels, _ in parsed):
+        for i, (d, labels, _) in enumerate(parsed):
+            stack, asymmetry, defect, incomplete = (a[slots[i]] for a in arrays[d])
+            k = len(labels)
+            rows_finite = _finite_rows(stack[:k])
+            first = k if rows_finite.all() else int(np.argmin(rows_finite))
+            diagonal = np.einsum("aiaj->aij", defect)
+            not_hermitian = np.max(asymmetry[:first], axis=(1, 2)) > PROJECTOR_ATOL
+            not_idempotent = np.max(diagonal[:first], axis=(1, 2)) > PROJECTOR_ATOL
+            faulty = np.flatnonzero(not_hermitian | not_idempotent)
+            if faulty.size:
+                a = faulty[0]
+                fault = "Hermitian" if not_hermitian[a] else "idempotent"
+                raise ValueError(f"projector for label {labels[a]} is not {fault}")
+            if first < k:
+                raise ValueError(f"projector for label {labels[first]} has non-finite entries")
+            if i == held_at:
+                raise held
+            if not labels:
+                raise ValueError("observable needs at least one outcome")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"outcome labels must be distinct, got {labels}")
+            overlapping = np.argwhere(
+                np.triu(np.max(defect[:k, :, :k], axis=(1, 3)) > PROJECTOR_ATOL, 1)
+            )
+            if overlapping.size:
+                a, b = overlapping[0]
+                raise ValueError(
+                    f"projectors for labels {labels[a]} and {labels[b]} are not orthogonal"
+                )
+            if np.max(incomplete) > PROJECTOR_ATOL:
+                raise ValueError("projectors do not sum to the identity")
+        if held is not None:
+            raise held
+    return [(d, labels, arrays[d][0], slots[i]) for i, (d, labels, _) in enumerate(parsed)]
 
 
 def spin_observable(direction: BlochDirection) -> Observable:
@@ -429,16 +505,6 @@ def _pairs_from_complex(values: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _number(value, field: str) -> float:
-    """A JSON number as a float; null, a boolean, a string or a list raises ``ValueError``."""
-    if not isinstance(value, (bool, str)):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{field} must be a number, got {value!r}")
-
-
 def _complex_from_pairs(pairs: Sequence[Sequence[float]], field: str) -> np.ndarray:
     if not isinstance(pairs, list):
         raise ValueError(f"{field} must be a list of [re, im] pairs, got {pairs!r}")
@@ -468,7 +534,7 @@ def state_to_dict(state: QuantumState) -> dict:
 def state_from_dict(payload: dict) -> QuantumState:
     try:
         d1, d2 = payload["dims"]
-        dims = (_dimension(_number(d1, "dims")), _dimension(_number(d2, "dims")))
+        dims = (_dimension(d1), _dimension(d2))
     except (TypeError, ValueError):
         raise ValueError(f"dims must be a pair of integers, got {payload['dims']!r}") from None
     kind = payload["kind"]
@@ -491,7 +557,12 @@ def observable_to_dict(obs: Observable) -> dict:
     }
 
 
-def observable_from_dict(payload: dict) -> Observable:
+def _read_observable(payload: dict) -> Observable | tuple[int, tuple]:
+    """An observable's wire form, read but not validated.
+
+    The ``bloch`` shorthand gives its spin ``Observable``, built trusted; an
+    explicit measurement gives its dimension and (label, projector) pairs.
+    """
     if "bloch" in payload:
         angles = payload["bloch"]
         if not isinstance(angles, dict):
@@ -499,7 +570,7 @@ def observable_from_dict(payload: dict) -> Observable:
         theta = _number(angles["theta"], "bloch theta")
         return spin_observable(BlochDirection(theta, _number(angles["phi"], "bloch phi")))
     try:
-        d = _dimension(_number(payload["dim"], "dim"))
+        d = _dimension(payload["dim"])
     except ValueError:
         raise ValueError(
             f"dim {payload['dim']!r} is not valid: dimensions must be integers"
@@ -507,11 +578,15 @@ def observable_from_dict(payload: dict) -> Observable:
     entries = payload["outcomes"]
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError(f"outcomes must be a list of objects, got {entries!r}")
-    outcomes = tuple(
+    return d, tuple(
         (
             _number(entry["label"], "label"),
             _complex_from_pairs(entry["projector"], "projector").reshape(d, d),
         )
         for entry in entries
     )
-    return Observable(d, outcomes)
+
+
+def observable_from_dict(payload: dict) -> Observable:
+    read = _read_observable(payload)
+    return read if isinstance(read, Observable) else Observable(*read)

@@ -30,10 +30,11 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _marginal,
+    _read_observable,
     _spin_pair,
     _spin_projectors,
     _trusted,
-    observable_from_dict,
+    _validate_observables,
     observable_to_dict,
 )
 
@@ -64,6 +65,15 @@ def _clamp_component(name: str, value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _component(name: str, value) -> float:
+    """``value`` as a float, range-checked and clamped by ``_clamp_component``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InvalidQVector(f"{name} is too large for a float and lies outside [0, 1]") from None
+    return _clamp_component(name, number)
+
+
 @dataclass(frozen=True)
 class QVector:
     """Probability vector of the witness scenario, clamped to [0, 1].
@@ -82,10 +92,10 @@ class QVector:
         if (self.q5 is None) != (self.q6 is None):
             raise ValueError("q5 and q6 must be given together")
         for name in ("q1", "q2", "q3", "q4"):
-            object.__setattr__(self, name, _clamp_component(name, float(getattr(self, name))))
+            object.__setattr__(self, name, _component(name, getattr(self, name)))
         if self.q5 is not None:
-            object.__setattr__(self, "q5", _clamp_component("q5", float(self.q5)))
-            object.__setattr__(self, "q6", _clamp_component("q6", float(self.q6)))
+            object.__setattr__(self, "q5", _component("q5", self.q5))
+            object.__setattr__(self, "q6", _component("q6", self.q6))
 
     @property
     def trichotomic(self) -> bool:
@@ -309,12 +319,30 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(payload: dict) -> Scenario:
-    return Scenario(
-        x1=observable_from_dict(payload["x1"]),
-        y1=observable_from_dict(payload["y1"]),
-        x2=observable_from_dict(payload["x2"]),
-        y2=observable_from_dict(payload["y2"]),
-    )
+    """Decode a scenario, validating its explicit observables in one batched pass.
+
+    The fault reported first is the one met by decoding x1, y1, x2 and y2 in
+    turn, each validated before the next is read, and checking the scenario
+    last: a fault in reading observable j is held back until the explicit
+    observables before it have passed validation. ``bloch`` entries are built
+    trusted and skip the batch. Each outcome's projector is a read-only view
+    into the validated array, which the ``Scenario`` stacks its sides from.
+    """
+    read, held = [], None
+    for name in ("x1", "y1", "x2", "y2"):
+        try:
+            read.append(_read_observable(payload[name]))
+        except (KeyError, TypeError, ValueError) as exc:
+            held = exc
+            break
+    explicit = [i for i, entry in enumerate(read) if not isinstance(entry, Observable)]
+    validated = _validate_observables([read[i] for i in explicit])
+    for i, (d, labels, group, slot) in zip(explicit, validated):
+        read[i] = _trusted(Observable, dim=d, outcomes=tuple(zip(labels, group[slot])))
+    if held is not None:
+        raise held
+    x1, y1, x2, y2 = read
+    return Scenario(x1=x1, y1=y1, x2=x2, y2=y2)
 
 
 def planar_scenario(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hardykit import Observable, QuantumState, Scenario
-from hardykit.qcore import PROJECTOR_ATOL
+from hardykit import BlochDirection, Observable, QuantumState, Scenario, spin_observable
+from hardykit.qcore import PROJECTOR_ATOL, _complex_from_pairs, _dimension, _number
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -70,6 +70,47 @@ def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndar
     if np.max(np.abs(total - np.eye(d))) > PROJECTOR_ATOL:
         raise ValueError("projectors do not sum to the identity")
     return d, tuple(cleaned)
+
+
+def _reference_observable_from_dict(payload: dict) -> Observable:
+    if "bloch" in payload:
+        angles = payload["bloch"]
+        if not isinstance(angles, dict):
+            raise ValueError(f"bloch must be an object with theta and phi, got {angles!r}")
+        theta = _number(angles["theta"], "bloch theta")
+        return spin_observable(BlochDirection(theta, _number(angles["phi"], "bloch phi")))
+    try:
+        d = _dimension(_number(payload["dim"], "dim"))
+    except ValueError:
+        raise ValueError(
+            f"dim {payload['dim']!r} is not valid: dimensions must be integers"
+        ) from None
+    entries = payload["outcomes"]
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError(f"outcomes must be a list of objects, got {entries!r}")
+    outcomes = tuple(
+        (
+            _number(entry["label"], "label"),
+            _complex_from_pairs(entry["projector"], "projector").reshape(d, d),
+        )
+        for entry in entries
+    )
+    return Observable(d, outcomes)
+
+
+def reference_scenario_from_dict(payload: dict) -> Scenario:
+    """Observable-by-observable decoding of a scenario, as ``scenario_from_dict`` once did it.
+
+    The oracle for the batched decoder: x1, y1, x2 and y2 are each read and
+    validated by ``Observable`` before the next is read, and the ``Scenario``
+    checks run last. Returns the scenario, or raises the first fault found.
+    """
+    return Scenario(
+        x1=_reference_observable_from_dict(payload["x1"]),
+        y1=_reference_observable_from_dict(payload["y1"]),
+        x2=_reference_observable_from_dict(payload["x2"]),
+        y2=_reference_observable_from_dict(payload["y2"]),
+    )
 
 
 def random_pure_state(rng: np.random.Generator, d1: int, d2: int) -> QuantumState:

@@ -442,7 +442,12 @@ class TestStateValidation:
             QuantumState.pure([1.0, 0.0], (1, 2))
 
     @pytest.mark.parametrize(
-        "dims", [(2.7, 2), (2, 2.5), (float("nan"), 2), (float("inf"), 2), (None, 2), (2, None)]
+        "dims",
+        [
+            (2.7, 2), (2, 2.5), (float("nan"), 2), (float("inf"), 2), (None, 2), (2, None),
+            # Numeric strings and booleans were converted by float().
+            ("2", 2.0), (2, True),
+        ],
     )
     def test_non_integral_dimension_rejected(self, dims):
         with pytest.raises(ValueError, match="integers"):
@@ -494,10 +499,16 @@ class TestObservableValidation:
         with pytest.raises(ValueError, match="finite"):
             Observable(2, ((1.0, np.diag([1.0, 0.0])), (bad, np.diag([0.0, 1.0]))))
 
-    @pytest.mark.parametrize("dim", [2.9, 1.5, float("nan"), None])
+    @pytest.mark.parametrize("dim", [2.9, 1.5, float("nan"), None, "2", True])
     def test_non_integral_dimension_rejected(self, dim):
         with pytest.raises(ValueError, match="integers"):
             Observable(dim, ((1.0, np.diag([1.0, 0.0])), (-1.0, np.diag([0.0, 1.0]))))
+
+    # Numeric strings and booleans were converted by float(); a list raised TypeError.
+    @pytest.mark.parametrize("label", ["1", True, [1.0], None, 10**400])
+    def test_label_must_be_a_number(self, label):
+        with pytest.raises(ValueError, match="outcome label must be a number"):
+            Observable(2, ((label, np.diag([1.0, 0.0])), (-1.0, np.diag([0.0, 1.0]))))
 
     def test_zero_projector_is_allowed(self):
         obs = Observable(

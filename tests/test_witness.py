@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -15,6 +16,8 @@ from conftest import (
     random_pure_state,
     random_scenario,
     random_state,
+    random_y_labels,
+    reference_scenario_from_dict,
 )
 from hardykit import (
     BlochDirection,
@@ -29,6 +32,7 @@ from hardykit import (
     generalized_expression,
     lhv_feasible,
     maximally_mixed,
+    observable_to_dict,
     planar_scenario,
     q_vector,
     scenario_from_dict,
@@ -64,7 +68,15 @@ class TestQVectorType:
             pytest.param(lhv_feasible, id="lhv_feasible"),
         ],
     )
-    @pytest.mark.parametrize("q", [(1.5, 0.0, 0.0, 0.0), (0.1, 0.1, 0.1, 0.1, -0.2, 0.0)])
+    @pytest.mark.parametrize(
+        "q",
+        [
+            (1.5, 0.0, 0.0, 0.0),
+            (0.1, 0.1, 0.1, 0.1, -0.2, 0.0),
+            # Too large for a float: float() raised OverflowError.
+            (10**400, 0, 0, 0),
+        ],
+    )
     def test_out_of_range_raises_one_error_type(self, build, q):
         # One type from both entry points, and still a ValueError for callers
         # that catch bad values.
@@ -175,6 +187,195 @@ class TestStoredSides:
 
     def test_sides_stay_out_of_repr(self):
         assert "_sides" not in repr(reference_scenario())
+
+
+_NAMES = ("x1", "y1", "x2", "y2")
+# Faults met while reading the wire form, in the projector arrays, and in the
+# labels (the last three break a Scenario rule).
+_DECODER_FAULTS = (
+    "missing_key",
+    "missing_observable",
+    "label_string",
+    "bad_pair",
+    "wrong_size",
+    "nan",
+    "not_hermitian",
+    "not_idempotent",
+    "not_orthogonal",
+    "incomplete",
+    "duplicate_label",
+    "x_arity",
+    "y_without_plus_one",
+)
+
+
+def _wire_scenario(rng, dims, trichotomic: bool, bloch) -> dict:
+    """A scenario payload with observables of the given dimensions (x1, y1, x2, y2).
+
+    Flagged qubit observables use the ``bloch`` shorthand (dichotomic x only);
+    the others are random measurements with their outcomes in random order.
+    """
+    payload = {}
+    for name, d, shorthand in zip(_NAMES, dims, bloch):
+        x = name.startswith("x")
+        if shorthand and d == 2 and not (x and trichotomic):
+            angles = {"theta": float(rng.uniform(0.0, pi)), "phi": float(rng.uniform(0.0, 2 * pi))}
+            payload[name] = {"bloch": angles}
+            continue
+        if x:
+            labels = (-1.0, 0.0, 1.0) if trichotomic else (-1.0, 1.0)
+        else:
+            labels = random_y_labels(rng, d)
+        labels = tuple(float(v) for v in rng.permutation(labels))
+        payload[name] = observable_to_dict(random_observable(rng, d, labels))
+    return payload
+
+
+def _inject(rng, payload: dict, fault: str) -> None:
+    """Put ``fault`` into a random observable of ``payload``, in place."""
+    name = _NAMES[int(rng.integers(4))]
+    if fault == "missing_observable":
+        payload.pop(name, None)
+        return
+    obs = payload.get(name)
+    if obs is None:
+        return
+    if "bloch" in obs:
+        # Any fault in a shorthand entry is in its angles.
+        angles = obs["bloch"]
+        choice = int(rng.integers(3))
+        if choice == 0:
+            angles["theta"] = 4.0
+        elif choice == 1:
+            angles["phi"] = "0"
+        else:
+            angles.pop("phi", None)
+        return
+    outcomes = obs.get("outcomes")
+    if not outcomes:
+        return
+    a = int(rng.integers(len(outcomes)))
+    b = (a + 1) % len(outcomes)
+    entry = outcomes[a]
+    if "projector" not in entry or "label" not in entry:
+        return
+    matrix = entry["projector"]
+    d = int(round(np.sqrt(len(matrix))))
+    if fault == "missing_key":
+        choice = int(rng.integers(3))
+        if choice == 0:
+            del obs["outcomes"]
+        elif choice == 1:
+            del obs["dim"]
+        else:
+            del entry["label"]
+    elif fault == "label_string":
+        entry["label"] = str(entry["label"])
+    elif fault == "bad_pair":
+        matrix[int(rng.integers(len(matrix)))] = [1.0]
+    elif fault == "wrong_size":
+        entry["projector"] = matrix[:-1]
+    elif fault == "nan":
+        matrix[int(rng.integers(len(matrix)))] = [float("nan"), 0.0]
+    elif fault == "not_hermitian":
+        matrix[1] = [matrix[1][0] + 1e-3, matrix[1][1]]
+    elif fault == "not_idempotent":
+        entry["projector"] = [[1.01 * re, 1.01 * im] for re, im in matrix]
+    elif fault == "not_orthogonal":
+        u = rng.normal(size=d) + 1j * rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        entry["projector"] = [[z.real, z.imag] for z in np.outer(u, u.conj()).reshape(-1)]
+    elif fault == "incomplete":
+        entry["projector"] = [[0.0, 0.0]] * (d * d)
+    elif fault == "duplicate_label":
+        entry["label"] = outcomes[b].get("label")
+    elif fault == "x_arity":
+        entry["label"] = 2.0
+    elif fault == "y_without_plus_one":
+        for other in outcomes:
+            if other.get("label") == 1.0:
+                other["label"] = 5.0
+
+
+def _assert_decodes_like_oracle(payload: dict) -> None:
+    """scenario_from_dict accepts, builds and rejects exactly as the sequential oracle."""
+    try:
+        expected = reference_scenario_from_dict(copy.deepcopy(payload))
+    except Exception as exc:  # noqa: BLE001 - any fault the oracle meets first
+        with pytest.raises(Exception) as info:
+            scenario_from_dict(payload)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    scenario = scenario_from_dict(payload)
+    for name in _NAMES:
+        got, want = getattr(scenario, name), getattr(expected, name)
+        assert got.dim == want.dim
+        assert got.labels == want.labels
+        for (_, mine), (_, theirs) in zip(got.outcomes, want.outcomes):
+            assert mine.tobytes() == theirs.tobytes()
+            assert not mine.flags.writeable
+    for mine, theirs in zip(scenario._sides, expected._sides):
+        assert mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes()
+        assert not mine.flags.writeable
+
+
+class TestScenarioDecoderMatchesOracle:
+    """The batched decoder against the observable-by-observable one it replaced."""
+
+    @settings(max_examples=400)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sides=st.sampled_from(((2, 2), (3, 3), (2, 3), (3, 2))),
+        mixed_side=st.sampled_from((None, None, 0, 1)),
+        trichotomic=st.booleans(),
+        bloch=st.lists(st.booleans(), min_size=4, max_size=4),
+        faults=st.lists(st.sampled_from(_DECODER_FAULTS), max_size=2),
+    )
+    def test_same_scenario_or_same_error(
+        self, seed, sides, mixed_side, trichotomic, bloch, faults
+    ):
+        rng = np.random.default_rng(seed)
+        dims = [sides[0], sides[0], sides[1], sides[1]]
+        if mixed_side is not None:
+            # y of one side in the other dimension: a Scenario fault, checked last.
+            dims[2 * mixed_side + 1] = 5 - dims[2 * mixed_side + 1]
+        payload = _wire_scenario(rng, dims, trichotomic, bloch)
+        for fault in faults:
+            _inject(rng, payload, fault)
+        _assert_decodes_like_oracle(payload)
+
+    def test_array_fault_in_x1_comes_before_wire_fault_in_y1(self):
+        payload = _wire_scenario(np.random.default_rng(7), (2, 2, 3, 3), True, [False] * 4)
+        x1 = payload["x1"]["outcomes"][0]
+        x1["projector"] = [[1.01 * re, 1.01 * im] for re, im in x1["projector"]]
+        del payload["y1"]["outcomes"]
+        with pytest.raises(ValueError, match="is not idempotent"):
+            scenario_from_dict(payload)
+        _assert_decodes_like_oracle(payload)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("not_orthogonal", "not orthogonal"), ("wire", "projector entries")],
+    )
+    def test_fault_in_y2_after_valid_x1_to_x2(self, fault, message):
+        rng = np.random.default_rng(11)
+        payload = _wire_scenario(rng, (3, 3, 3, 3), False, [False] * 4)
+        outcomes = payload["y2"]["outcomes"]
+        if fault == "wire":
+            outcomes[-1]["projector"][0] = [1.0, 0.0, 0.0]
+        else:
+            u = np.ones(3) / np.sqrt(3.0)
+            outcomes[0]["projector"] = [[v, 0.0] for v in np.outer(u, u).reshape(-1)]
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict(payload)
+        _assert_decodes_like_oracle(payload)
+
+    def test_bloch_and_mixed_dimensions_decode_like_oracle(self):
+        rng = np.random.default_rng(3)
+        _assert_decodes_like_oracle(_wire_scenario(rng, (2, 2, 3, 3), False, [True, False] * 2))
+        _assert_decodes_like_oracle(_wire_scenario(rng, (2, 2, 2, 2), False, [True] * 4))
 
 
 class TestQVectorExtraction:
