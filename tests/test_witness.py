@@ -266,7 +266,8 @@ def _inject(rng, payload: dict, fault: str) -> None:
         if choice == 0:
             del obs["outcomes"]
         elif choice == 1:
-            del obs["dim"]
+            # A second fault may pick the same observable.
+            obs.pop("dim", None)
         else:
             del entry["label"]
     elif fault == "label_string":
@@ -278,9 +279,10 @@ def _inject(rng, payload: dict, fault: str) -> None:
     elif fault == "nan":
         matrix[int(rng.integers(len(matrix)))] = [float("nan"), 0.0]
     elif fault == "not_hermitian":
-        matrix[1] = [matrix[1][0] + 1e-3, matrix[1][1]]
+        # Keep the entry's length: an earlier bad_pair may have cut it to one number.
+        matrix[1] = [matrix[1][0] + 1e-3, *matrix[1][1:]]
     elif fault == "not_idempotent":
-        entry["projector"] = [[1.01 * re, 1.01 * im] for re, im in matrix]
+        entry["projector"] = [[1.01 * v for v in pair] for pair in matrix]
     elif fault == "not_orthogonal":
         u = rng.normal(size=d) + 1j * rng.normal(size=d)
         u /= np.linalg.norm(u)
