@@ -24,8 +24,6 @@ from .search import (
     optimize_violation,
 )
 from .witness import (
-    ch_expression,
-    generalized_expression,
     planar_scenario,
     q_vector,
     scenario_from_dict,
@@ -148,9 +146,7 @@ def _cmd_sweep(args) -> int:
     if args.family == "werner":
         scenario = _reference_scenario()
         for v in np.linspace(args.lo, args.hi, args.steps):
-            state = werner_state(float(v))
-            q = q_vector(state, scenario)
-            rows.append((float(v), q, generalized_expression(q), ch_expression(state, scenario)))
+            rows.append((float(v), witness_report(werner_state(float(v)), scenario)))
     else:
         if not 0.0 < args.lo <= args.hi < pi / 4:
             raise ValueError(
@@ -158,14 +154,10 @@ def _cmd_sweep(args) -> int:
             )
         for theta in np.linspace(args.lo, args.hi, args.steps):
             schmidt = SchmidtState(float(theta))
-            scenario = hardy_observables(schmidt)
-            state = schmidt.state()
-            q = q_vector(state, scenario)
-            rows.append(
-                (float(theta), q, generalized_expression(q), ch_expression(state, scenario))
-            )
+            rows.append((float(theta), witness_report(schmidt.state(), hardy_observables(schmidt))))
     sys.stdout.write("parameter,q1,q2,q3,q4,q5,q6,generalized,ch\n")
-    for parameter, q, gen, ch in rows:
+    for parameter, report in rows:
+        q, gen, ch = report.qvec, report.generalized_value, report.ch_value
         q5 = _fmt(q.q5) if q.trichotomic else ""
         q6 = _fmt(q.q6) if q.trichotomic else ""
         sys.stdout.write(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidQVector, MalformedMeasure
-from .witness import QVECTOR_ATOL, QVector
+from .witness import QVector, _component
 
 FEASIBILITY_TOL = 1e-9
 _WEIGHT_SUM_ATOL = 1e-12
@@ -216,25 +216,6 @@ class FeasibilityResult:
         }
 
 
-def _coerce_components(q: "QVector | Sequence[float]") -> tuple[float, ...]:
-    if isinstance(q, QVector):
-        return q.components()
-    try:
-        values = tuple(float(v) for v in q)
-    except OverflowError:
-        raise InvalidQVector(
-            "a component is too large for a float and lies outside [0, 1]"
-        ) from None
-    if len(values) not in (4, 6):
-        raise InvalidQVector(f"expected 4 or 6 components, got {len(values)}")
-    cleaned = []
-    for i, value in enumerate(values):
-        if not -QVECTOR_ATOL <= value <= 1.0 + QVECTOR_ATOL:
-            raise InvalidQVector(f"component q{i + 1} = {value} lies outside [0, 1]")
-        cleaned.append(min(max(value, 0.0), 1.0))
-    return tuple(cleaned)
-
-
 def lhv_feasible(q: "QVector | Sequence[float]") -> FeasibilityResult:
     """Decide whether some mixture of deterministic strategies reproduces ``q``.
 
@@ -242,8 +223,14 @@ def lhv_feasible(q: "QVector | Sequence[float]") -> FeasibilityResult:
     components), the local polytope is ``0 <= q_i <= 1`` and four facets:
     ``0 <= q1 + Q2 + Q3 - q4 <= 1``, ``q1 + Q2 <= 1`` and ``q1 + Q3 <= 1``.
     ``q`` is feasible when none is violated by more than ``FEASIBILITY_TOL``.
+    A sequence of components is checked and clamped as ``QVector`` does.
     """
-    components = _coerce_components(q)
+    if not isinstance(q, QVector):
+        values = tuple(q)
+        if len(values) not in (4, 6):
+            raise InvalidQVector(f"expected 4 or 6 components, got {len(values)}")
+        q = QVector(*(_component(f"q{i}", value) for i, value in enumerate(values, 1)))
+    components = q.components()
     padded = components + (0.0, 0.0)[: 6 - len(components)]
     q1, q2, q3, q4, q5, q6 = padded
     total = q1 + q2 + q3 + q5 + q6

@@ -8,36 +8,22 @@ and all operations are pure functions.
 Every joint probability comes from one kernel: with rho reshaped to
 ``rho4[i, j, k, l] = <ij|rho|kl>`` and the projectors of each side stacked,
 ``einsum("...ijkl,aki,blj->...ab", rho4, side1, side2)`` is the table of
-Tr[rho (P1_a x P2_b)] over all pairs, one contraction per call with no d1*d2
-operator formed; a single probability is its 1x1 case, and a marginal is a
-partial trace of the same array. The leading batch axis takes several states
-at once (the Werner sweep reads both of its end points from one call), each
-table the same, bit for bit, as the state's own. Public constructors validate
-their input in full; values the package builds itself and knows to be valid
-(spin projectors, written entry by entry for any number of unit vectors into
-one array, the Werner mixture of the singlet built once) skip that check
-through ``_trusted``.
+Tr[rho (P1_a x P2_b)] over all pairs, with no d1*d2 operator formed; a single
+probability is its 1x1 case, and a marginal is a partial trace of the same
+array. Public constructors validate their input in full (projective
+measurements through ``_validate_observables``); values the package builds
+itself and knows to be valid skip that check through ``_trusted``.
 
-Projective measurements are validated by one batched validator,
-``_validate_observables``, which checks several observables at once: those of
-one dimension d are stacked into one (n, k_max, d, d) array, fewer outcomes
-padded with zero projectors; finiteness and Hermiticity are checked over the
-whole array, one Gram product P_a P_b per observable gives idempotence (its
-diagonal blocks less the stack) and orthogonality (its off-diagonal blocks),
-and completeness is the sum over outcomes. ``Observable`` is its
-one-observable case; ``witness.scenario_from_dict`` calls it once for the
-explicit observables of a scenario. Tolerances, messages and the fault
-reported first are those of checking the observables one after another,
-outcome by outcome, and each outcome's projector is a read-only view into the
-validated array. Labels and dimensions must be numbers: a string or a boolean
-raises ``ValueError``, in the constructors as in the JSON decoders. The
-decoders raise ``ValueError`` naming the field for a value of the wrong type
-or range and ``KeyError`` for a missing key.
+Labels and dimensions must be numbers: a string or a boolean raises
+``ValueError``, in the constructors as in the JSON decoders. The decoders
+raise ``ValueError`` naming the field for a value of the wrong type or range
+and ``KeyError`` for a missing key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import isfinite
 from typing import Iterable, Sequence
 
@@ -201,9 +187,9 @@ class Observable:
 
     def __post_init__(self) -> None:
         """Validate the projectors, as the one-observable case of ``_validate_observables``."""
-        ((d, labels, group, slot),) = _validate_observables(((self.dim, self.outcomes),))
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "outcomes", tuple(zip(labels, group[slot])))
+        ((dim, outcomes),) = _validate_observables(((self.dim, self.outcomes),))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def labels(self) -> tuple[float, ...]:
@@ -217,138 +203,118 @@ class Observable:
         raise UnknownLabel(f"label {label} not in spectrum {self.labels}")
 
 
-def _finite_rows(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has only finite entries."""
-    return np.isfinite(stack).all(axis=(-2, -1))
+def _check_observable(dim, outcomes) -> None:
+    """Check one observable outcome by outcome and raise its first fault."""
+    d = _dimension(dim)
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    labels, projectors = [], []
+    for raw_label, projector in outcomes:
+        label = _number(raw_label, "outcome label")
+        if not isfinite(label):
+            raise ValueError(f"outcome label {label} must be finite")
+        proj = np.asarray(projector, dtype=complex)
+        if proj.shape != (d, d):
+            raise ValueError(f"projector for label {label} must be {d}x{d}")
+        if not np.isfinite(proj).all():
+            raise ValueError(f"projector for label {label} has non-finite entries")
+        if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_ATOL:
+            raise ValueError(f"projector for label {label} is not Hermitian")
+        if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_ATOL:
+            raise ValueError(f"projector for label {label} is not idempotent")
+        labels.append(label)
+        projectors.append(proj)
+    if not labels:
+        raise ValueError("observable needs at least one outcome")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"outcome labels must be distinct, got {labels}")
+    for a, b in combinations(range(len(labels)), 2):
+        if np.max(np.abs(projectors[a] @ projectors[b])) > PROJECTOR_ATOL:
+            raise ValueError(
+                f"projectors for labels {labels[a]} and {labels[b]} are not orthogonal"
+            )
+    if np.max(np.abs(sum(projectors) - np.eye(d))) > PROJECTOR_ATOL:
+        raise ValueError("projectors do not sum to the identity")
+
+
+def _projective(stack: np.ndarray) -> bool:
+    """Whether every observable of an (n, k, d, d) stack is projective, one maximum per test."""
+    if not np.isfinite(stack).all():
+        return False
+    n, k, d, _ = stack.shape
+    # Every Gram block P_a P_b of an observable from one (k d) x (k d)
+    # product, at [o, a, :, b, :]. Less P_a on the diagonal blocks (through
+    # einsum's writeable view of them), all vanish for a projective measurement.
+    gram = stack.reshape(n, k * d, d) @ stack.transpose(0, 2, 1, 3).reshape(n, d, k * d)
+    gram = gram.reshape(n, k, d, k, d)
+    np.einsum("oaiaj->oaij", gram)[...] -= stack
+    # NaN from an overflowing product fails a maximum's comparison too; the
+    # diagnosis then lets NaN pass, as an outcome-by-outcome comparison does.
+    return bool(
+        np.abs(stack - stack.conj().swapaxes(2, 3)).max(initial=0.0) <= PROJECTOR_ATOL
+        and np.abs(gram).max(initial=0.0) <= PROJECTOR_ATOL
+        and np.abs(stack.sum(axis=1) - np.eye(d)).max(initial=0.0) <= PROJECTOR_ATOL
+    )
 
 
 def _validate_observables(
     observables: Iterable[tuple[object, Iterable]],
-) -> list[tuple[int, list[float], np.ndarray, int]]:
+) -> list[tuple[int, tuple[tuple[float, np.ndarray], ...]]]:
     """Validate the projectors of several observables, each given as (dim, outcomes).
 
-    Observables of one dimension d are stacked into one read-only
-    (n, k_max, d, d) array, those with fewer outcomes padded with zero
-    projectors (Hermitian, idempotent, orthogonal to all and adding nothing to
-    a sum). Over each array one pass checks finiteness and Hermiticity, one
-    Gram product P_a P_b per observable gives idempotence (its diagonal blocks
-    less the stack) and orthogonality (its off-diagonal blocks), and the sum
-    over outcomes gives completeness. On valid input each test is one
-    comparison of a maximum. Returns, per observable, its dimension, its
-    labels, the array of its dimension and its index there.
-
-    The checks, tolerances and messages are those of validating the
-    observables one after another, outcome by outcome, and so is the fault
-    reported first. Per observable: the dimension; per outcome, the label (a
-    number, finite), the shape, finite entries, Hermitian, idempotent; then at
-    least one outcome, distinct labels, pairwise orthogonality and
-    completeness. A fault met while reading (a dimension, a label or a shape)
-    is held back until everything read before it has passed its checks.
+    The screen reads the input and stacks the observables of one dimension d
+    into one read-only (n, k_max, d, d) array, those with fewer outcomes
+    padded with zero projectors (Hermitian, idempotent, orthogonal to all and
+    adding nothing to a sum), and tests each array with ``_projective``. If
+    reading fails or a test does, ``_check_observable`` checks the
+    observables in input order and raises the first fault. Returns each
+    observable's dimension and outcomes, every projector a read-only view into
+    the array of its dimension.
     """
-    parsed, held, held_at = [], None, -1
-    for dim, outcomes in observables:
-        try:
+    read, parsed, members, slots, arrays = [], [], {}, {}, {}
+    try:
+        for dim, outcomes in observables:
+            read.append((dim, outcomes))
             d = _dimension(dim)
-            if d < 1:
-                raise ValueError("dimension must be positive")
-        except ValueError as exc:
-            held, held_at = exc, len(parsed)
-            break
-        labels, projectors = [], []
-        parsed.append((d, labels, projectors))
-        try:
-            for raw_label, projector in outcomes:
-                label = _number(raw_label, "outcome label")
-                if not isfinite(label):
-                    raise ValueError(f"outcome label {label} must be finite")
-                proj = np.asarray(projector, dtype=complex)
-                if proj.shape != (d, d):
-                    raise ValueError(f"projector for label {label} must be {d}x{d}")
-                labels.append(label)
-                projectors.append(proj)
-        except (TypeError, ValueError, OverflowError) as exc:
-            held, held_at = exc, len(parsed) - 1
-            break
-
-    members: dict[int, list[int]] = {}
-    for i, (d, _, _) in enumerate(parsed):
-        members.setdefault(d, []).append(i)
-    slots, arrays, clean = {}, {}, held is None
-    for d, group in members.items():
-        k = max(len(parsed[i][1]) for i in group)
-        zero = np.zeros((d, d), dtype=complex)
-        rows = []
-        for slot, i in enumerate(group):
-            slots[i] = slot
-            rows += parsed[i][2] + [zero] * (k - len(parsed[i][2]))
-        n = len(group)
-        stack = np.array(rows, dtype=complex).reshape(n, k, d, d)
-        stack.setflags(write=False)
-        finite = bool(np.isfinite(stack).all())
-        # Outcomes from a non-finite one on are never read; zero them so that
-        # inf and NaN stay out of the products.
-        checked = stack if finite else np.where(_finite_rows(stack)[..., None, None], stack, 0.0)
-        asymmetry = np.abs(checked - checked.conj().swapaxes(2, 3))
-        # Every Gram block P_a P_b of an observable from one (k d) x (k d)
-        # product, at [o, a, :, b, :]. Less P_a on the diagonal blocks (through
-        # einsum's writeable view of them), all vanish for a projective measurement.
-        gram = checked.reshape(n, k * d, d) @ checked.transpose(0, 2, 1, 3).reshape(n, d, k * d)
-        gram = gram.reshape(n, k, d, k, d)
-        np.einsum("oaiaj->oaij", gram)[...] -= checked
-        defect = np.abs(gram)
-        incomplete = np.abs(checked.sum(axis=1) - np.eye(d))
-        arrays[d] = stack, asymmetry, defect, incomplete
-        # NaN from an overflowing product also fails a maximum's comparison;
-        # the per-outcome checks below then let NaN pass, as an
-        # outcome-by-outcome comparison does.
-        clean = (
-            clean
-            and finite
-            and asymmetry.max(initial=0.0) <= PROJECTOR_ATOL
-            and defect.max(initial=0.0) <= PROJECTOR_ATOL
-            and incomplete.max(initial=0.0) <= PROJECTOR_ATOL
+            # Read once, so that the diagnosis gets an iterator's outcomes too.
+            outcomes = tuple(outcomes)
+            read[-1] = (dim, outcomes)
+            labels = [_number(label, "outcome label") for label, _ in outcomes]
+            projectors = [np.asarray(proj, dtype=complex) for _, proj in outcomes]
+            members.setdefault(d, []).append(len(parsed))
+            parsed.append((d, labels, projectors))
+        passed = all(
+            d >= 1
+            and labels
+            and len(set(labels)) == len(labels)
+            and all(map(isfinite, labels))
+            and all(proj.shape == (d, d) for proj in projectors)
+            for d, labels, projectors in parsed
         )
-
-    if not clean or not all(labels and len(set(labels)) == len(labels) for _, labels, _ in parsed):
-        for i, (d, labels, _) in enumerate(parsed):
-            stack, asymmetry, defect, incomplete = (a[slots[i]] for a in arrays[d])
-            k = len(labels)
-            rows_finite = _finite_rows(stack[:k])
-            first = k if rows_finite.all() else int(np.argmin(rows_finite))
-            diagonal = np.einsum("aiaj->aij", defect)
-            not_hermitian = np.max(asymmetry[:first], axis=(1, 2)) > PROJECTOR_ATOL
-            not_idempotent = np.max(diagonal[:first], axis=(1, 2)) > PROJECTOR_ATOL
-            faulty = np.flatnonzero(not_hermitian | not_idempotent)
-            if faulty.size:
-                a = faulty[0]
-                fault = "Hermitian" if not_hermitian[a] else "idempotent"
-                raise ValueError(f"projector for label {labels[a]} is not {fault}")
-            if first < k:
-                raise ValueError(f"projector for label {labels[first]} has non-finite entries")
-            if i == held_at:
-                raise held
-            if not labels:
-                raise ValueError("observable needs at least one outcome")
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"outcome labels must be distinct, got {labels}")
-            overlapping = np.argwhere(
-                np.triu(np.max(defect[:k, :, :k], axis=(1, 3)) > PROJECTOR_ATOL, 1)
-            )
-            if overlapping.size:
-                a, b = overlapping[0]
-                raise ValueError(
-                    f"projectors for labels {labels[a]} and {labels[b]} are not orthogonal"
-                )
-            if np.max(incomplete) > PROJECTOR_ATOL:
-                raise ValueError("projectors do not sum to the identity")
-        if held is not None:
-            raise held
-    return [(d, labels, arrays[d][0], slots[i]) for i, (d, labels, _) in enumerate(parsed)]
+    except (TypeError, ValueError, OverflowError):
+        passed = False
+    if passed:
+        for d, group in members.items():
+            k = max(len(parsed[i][1]) for i in group)
+            zero = np.zeros((d, d), dtype=complex)
+            rows = []
+            for slot, i in enumerate(group):
+                slots[i] = slot
+                rows += parsed[i][2] + [zero] * (k - len(parsed[i][2]))
+            arrays[d] = np.array(rows, dtype=complex).reshape(len(group), k, d, d)
+            arrays[d].setflags(write=False)
+        passed = all(_projective(stack) for stack in arrays.values())
+    if not passed:
+        # Raises for every fault but NaN from an overflowing product (see _projective).
+        for dim, outcomes in read:
+            _check_observable(dim, outcomes)
+    return [(d, tuple(zip(labels, arrays[d][slots[i]]))) for i, (d, labels, _) in enumerate(parsed)]
 
 
 def spin_observable(direction: BlochDirection) -> Observable:
     """Dichotomic spin observable along ``direction`` with outcomes +1 and -1."""
-    return _spin_from_vector(direction.unit_vector())
+    projectors = _spin_projectors((direction.unit_vector(),))
+    return _spin_pair(projectors[0, 0], projectors[1, 0])
 
 
 def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
@@ -378,22 +344,10 @@ def _spin_pair(plus: np.ndarray, minus: np.ndarray) -> Observable:
     return _trusted(Observable, dim=2, outcomes=((1.0, plus), (-1.0, minus)))
 
 
-def _spin_from_vector(unit: Sequence[float]) -> Observable:
-    """Spin observable along a unit 3-vector; (1 +- n.sigma)/2 are projectors by construction."""
-    projectors = _spin_projectors((unit,))
-    return _spin_pair(projectors[0, 0], projectors[1, 0])
-
-
 def bloch_vector(projector: np.ndarray) -> np.ndarray:
     """Bloch vector of a qubit projector, the inverse of ``spin_observable``."""
     proj = np.asarray(projector, dtype=complex)
-    return np.array(
-        [
-            float(np.trace(proj @ PAULI_X).real),
-            float(np.trace(proj @ PAULI_Y).real),
-            float(np.trace(proj @ PAULI_Z).real),
-        ]
-    )
+    return np.array([float(np.trace(proj @ pauli).real) for pauli in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 def _clamp_probability(p: float) -> float:
@@ -532,6 +486,8 @@ def state_to_dict(state: QuantumState) -> dict:
 
 
 def state_from_dict(payload: dict) -> QuantumState:
+    if not isinstance(payload, dict):
+        raise ValueError(f"state must be an object, got {payload!r}")
     try:
         d1, d2 = payload["dims"]
         dims = (_dimension(d1), _dimension(d2))
@@ -563,6 +519,8 @@ def _read_observable(payload: dict) -> Observable | tuple[int, tuple]:
     The ``bloch`` shorthand gives its spin ``Observable``, built trusted; an
     explicit measurement gives its dimension and (label, projector) pairs.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(f"observable must be an object, got {payload!r}")
     if "bloch" in payload:
         angles = payload["bloch"]
         if not isinstance(angles, dict):

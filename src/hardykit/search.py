@@ -167,11 +167,6 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     return scenario
 
 
-def _correlation_matrix(state: QuantumState) -> np.ndarray:
-    """T[a][b] = Tr[rho (sigma_a x sigma_b)] for a two-qubit state."""
-    return _joint_table(_density_tensor(state), _PAULIS, _PAULIS)
-
-
 def optimize_violation(
     state: QuantumState,
     objective: str,
@@ -196,7 +191,8 @@ def optimize_violation(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if state.dims != (2, 2):
         raise DimensionMismatch(f"optimizer handles qubit pairs only, got dims {state.dims}")
-    correlations = _correlation_matrix(state)
+    # T[a][b] = Tr[rho (sigma_a x sigma_b)]
+    correlations = _joint_table(_density_tensor(state), _PAULIS, _PAULIS)
     if planar:
         correlations = correlations[::2, ::2]
     u, t, vt = np.linalg.svd(correlations)

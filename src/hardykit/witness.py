@@ -35,6 +35,7 @@ from .qcore import (
     _spin_projectors,
     _trusted,
     _validate_observables,
+    observable_from_dict,
     observable_to_dict,
 )
 
@@ -59,19 +60,15 @@ _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
 
 
-def _clamp_component(name: str, value: float) -> float:
-    if not -QVECTOR_ATOL <= value <= 1.0 + QVECTOR_ATOL:
-        raise InvalidQVector(f"{name} = {value} lies outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
-
-
 def _component(name: str, value) -> float:
-    """``value`` as a float, range-checked and clamped by ``_clamp_component``."""
+    """``value`` clamped to [0, 1]; more than ``QVECTOR_ATOL`` outside raises ``InvalidQVector``."""
     try:
         number = float(value)
     except OverflowError:
         raise InvalidQVector(f"{name} is too large for a float and lies outside [0, 1]") from None
-    return _clamp_component(name, number)
+    if not -QVECTOR_ATOL <= number <= 1.0 + QVECTOR_ATOL:
+        raise InvalidQVector(f"{name} = {number} lies outside [0, 1] beyond tolerance")
+    return min(max(number, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,11 +88,8 @@ class QVector:
     def __post_init__(self) -> None:
         if (self.q5 is None) != (self.q6 is None):
             raise ValueError("q5 and q6 must be given together")
-        for name in ("q1", "q2", "q3", "q4"):
+        for name in ("q1", "q2", "q3", "q4", "q5", "q6")[: 4 if self.q5 is None else 6]:
             object.__setattr__(self, name, _component(name, getattr(self, name)))
-        if self.q5 is not None:
-            object.__setattr__(self, "q5", _component("q5", self.q5))
-            object.__setattr__(self, "q6", _component("q6", self.q6))
 
     @property
     def trichotomic(self) -> bool:
@@ -173,13 +167,6 @@ class WitnessReport:
         }
 
 
-def _check_dims(state: QuantumState, scenario: Scenario) -> None:
-    if scenario.dims != state.dims:
-        raise DimensionMismatch(
-            f"scenario dims {scenario.dims} do not match state dims {state.dims}"
-        )
-
-
 def _side(x: Observable, y: Observable, trichotomic: bool) -> np.ndarray:
     """Read-only stacked projectors of one side.
 
@@ -201,7 +188,10 @@ def _joint_probabilities(
     ``table[a][b]`` pairs outcome ``a`` of side 1 with outcome ``b`` of side 2,
     both in ``_side`` order, and is not yet clamped.
     """
-    _check_dims(state, scenario)
+    if scenario.dims != state.dims:
+        raise DimensionMismatch(
+            f"scenario dims {scenario.dims} do not match state dims {state.dims}"
+        )
     rho4 = _density_tensor(state)
     return rho4, _joint_table(rho4, *scenario._sides).tolist()
 
@@ -212,7 +202,7 @@ def _q_from_table(table: list[list[float]]) -> QVector:
     Each entry is range-checked and clamped once, as ``QVector`` would, so the
     vector is built without its validation running again.
     """
-    c = _clamp_component
+    c = _component
     q = {
         "q1": c("q1", table[0][0]),
         "q2": c("q2", table[1][2]),
@@ -321,26 +311,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(payload: dict) -> Scenario:
     """Decode a scenario, validating its explicit observables in one batched pass.
 
-    The fault reported first is the one met by decoding x1, y1, x2 and y2 in
-    turn, each validated before the next is read, and checking the scenario
-    last: a fault in reading observable j is held back until the explicit
-    observables before it have passed validation. ``bloch`` entries are built
-    trusted and skip the batch. Each outcome's projector is a read-only view
-    into the validated array, which the ``Scenario`` stacks its sides from.
+    If reading any of x1, y1, x2, y2 fails, they are decoded again one at a
+    time by ``observable_from_dict``, which raises the first fault. ``bloch``
+    entries are built trusted and skip the batch. Each outcome's projector is
+    a read-only view into the validated array, which the ``Scenario`` stacks
+    its sides from.
     """
-    read, held = [], None
-    for name in ("x1", "y1", "x2", "y2"):
-        try:
-            read.append(_read_observable(payload[name]))
-        except (KeyError, TypeError, ValueError) as exc:
-            held = exc
-            break
+    if not isinstance(payload, dict):
+        raise ValueError(f"scenario must be an object, got {payload!r}")
+    names = ("x1", "y1", "x2", "y2")
+    try:
+        read = [_read_observable(payload[name]) for name in names]
+    except (KeyError, TypeError, ValueError):
+        read = [observable_from_dict(payload[name]) for name in names]
     explicit = [i for i, entry in enumerate(read) if not isinstance(entry, Observable)]
-    validated = _validate_observables([read[i] for i in explicit])
-    for i, (d, labels, group, slot) in zip(explicit, validated):
-        read[i] = _trusted(Observable, dim=d, outcomes=tuple(zip(labels, group[slot])))
-    if held is not None:
-        raise held
+    for i, (d, outcomes) in zip(explicit, _validate_observables([read[i] for i in explicit])):
+        read[i] = _trusted(Observable, dim=d, outcomes=outcomes)
     x1, y1, x2, y2 = read
     return Scenario(x1=x1, y1=y1, x2=x2, y2=y2)
 

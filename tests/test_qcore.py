@@ -4,6 +4,7 @@ probabilities, JSON codecs."""
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import FrozenInstanceError
 from math import cos, pi
 
@@ -615,6 +616,25 @@ class TestObservableMatchesOracle:
         with pytest.raises(ValueError, match=message):
             Observable(2, outcomes)
 
+    def test_dimension_is_checked_before_outcomes_are_read(self):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            Observable("x", None)
+
+    def test_infinite_projector_raises_without_warning(self):
+        outcomes = ((1.0, np.diag([np.inf, 0.0])), (-1.0, np.diag([0.0, 1.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="label 1.0 has non-finite entries"):
+                Observable(2, outcomes)
+
+    def test_generator_outcomes_build_the_tuple_observable(self):
+        outcomes = ((1.0, np.diag([1.0, 0.0])), (-1.0, np.diag([0.0, 1.0])))
+        from_generator = Observable(2, (outcome for outcome in outcomes))
+        from_tuple = Observable(2, outcomes)
+        assert from_generator.labels == from_tuple.labels
+        for (_, got), (_, want) in zip(from_generator.outcomes, from_tuple.outcomes):
+            assert np.array_equal(got, want)
+
     def test_projectors_are_read_only_copies(self):
         plus, minus = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         obs = Observable(2, ((1.0, plus), (-1.0, minus)))
@@ -761,6 +781,13 @@ _MALFORMED_JSON = [
     pytest.param(scenario_from_dict,
                  {**_REFERENCE_SCENARIO, "x1": _observable_payload({"label": 0.0})},
                  ValueError, "x1 labels", id="scenario-x-labels"),
+    pytest.param(scenario_from_dict, {"x1": 5, "y1": 5, "x2": 5, "y2": 5}, ValueError,
+                 "observable must be an object", id="scenario-observable-number"),
+    pytest.param(scenario_from_dict, [1], ValueError, "scenario must be an object",
+                 id="scenario-list"),
+    pytest.param(state_from_dict, [1], ValueError, "state must be an object", id="state-list"),
+    pytest.param(observable_from_dict, [1, 2], ValueError, "observable must be an object",
+                 id="observable-list"),
 ]
 
 
