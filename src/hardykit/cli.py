@@ -144,6 +144,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep(args) -> int:
     rows = []
     if args.family == "werner":
+        if not (0.0 <= args.lo <= 1.0 and 0.0 <= args.hi <= 1.0):
+            raise ValueError(f"werner sweep needs lo, hi in [0, 1], got {args.lo}, {args.hi}")
         scenario = _reference_scenario()
         for v in np.linspace(args.lo, args.hi, args.steps):
             rows.append((float(v), witness_report(werner_state(float(v)), scenario)))

@@ -95,8 +95,8 @@ class BlochDirection:
         """Build the direction from any nonzero 3-vector (normalized internally)."""
         vec = np.asarray(direction, dtype=float)
         norm = float(np.linalg.norm(vec))
-        if vec.shape != (3,) or norm == 0.0:
-            raise ValueError("direction must be a nonzero 3-vector")
+        if vec.shape != (3,) or not 0.0 < norm < np.inf:
+            raise ValueError("direction must be a nonzero 3-vector of finite norm")
         x, y, z = vec / norm
         theta = float(np.arctan2(np.hypot(x, y), z))
         phi = float(np.arctan2(y, x)) % (2.0 * np.pi)
@@ -136,7 +136,8 @@ class QuantumState:
         if self.kind == "pure":
             if data.shape != (n,):
                 raise ValueError(f"pure state needs {n} amplitudes, got shape {data.shape}")
-            norm_sq = float(np.sum(np.abs(data) ** 2))
+            with np.errstate(over="ignore"):
+                norm_sq = float(np.sum(np.abs(data) ** 2))
             if abs(norm_sq - 1.0) > STATE_ATOL:
                 raise ValueError(f"pure state squared norm {norm_sq} is not 1 within {STATE_ATOL}")
         elif self.kind == "density":
@@ -209,12 +210,19 @@ def _check_observable(dim, outcomes) -> None:
     if d < 1:
         raise ValueError("dimension must be positive")
     labels, projectors = [], []
-    for raw_label, projector in outcomes:
+    for index, outcome in enumerate(outcomes):
+        try:
+            raw_label, projector = outcome
+        except (TypeError, ValueError):
+            raise ValueError(f"outcome {index} must be a (label, projector) pair") from None
         label = _number(raw_label, "outcome label")
         if not isfinite(label):
             raise ValueError(f"outcome label {label} must be finite")
-        proj = np.asarray(projector, dtype=complex)
-        if proj.shape != (d, d):
+        try:
+            proj = np.asarray(projector, dtype=complex)
+        except (TypeError, ValueError):
+            proj = None  # ragged, or entries that are not numbers
+        if proj is None or proj.shape != (d, d):
             raise ValueError(f"projector for label {label} must be {d}x{d}")
         if not np.isfinite(proj).all():
             raise ValueError(f"projector for label {label} has non-finite entries")
@@ -303,11 +311,12 @@ def _validate_observables(
                 rows += parsed[i][2] + [zero] * (k - len(parsed[i][2]))
             arrays[d] = np.array(rows, dtype=complex).reshape(len(group), k, d, d)
             arrays[d].setflags(write=False)
-        passed = all(_projective(stack) for stack in arrays.values())
-    if not passed:
-        # Raises for every fault but NaN from an overflowing product (see _projective).
-        for dim, outcomes in read:
-            _check_observable(dim, outcomes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        passed = passed and all(_projective(stack) for stack in arrays.values())
+        if not passed:
+            # Raises for every fault but NaN from an overflowing product (see _projective).
+            for dim, outcomes in read:
+                _check_observable(dim, outcomes)
     return [(d, tuple(zip(labels, arrays[d][slots[i]]))) for i, (d, labels, _) in enumerate(parsed)]
 
 
@@ -477,6 +486,14 @@ def _complex_from_pairs(pairs: Sequence[Sequence[float]], field: str) -> np.ndar
     return np.array(values, dtype=complex)
 
 
+def _matrix_from_pairs(pairs, field: str, d: int) -> np.ndarray:
+    """A d x d matrix from its d*d row-major [re, im] pairs."""
+    flat = _complex_from_pairs(pairs, field)
+    if flat.size != d * d:
+        raise ValueError(f"{field} must hold {d * d} [re, im] pairs, got {flat.size}")
+    return flat.reshape(d, d)
+
+
 def state_to_dict(state: QuantumState) -> dict:
     return {
         "dims": [state.dims[0], state.dims[1]],
@@ -496,11 +513,10 @@ def state_from_dict(payload: dict) -> QuantumState:
     kind = payload["kind"]
     if kind not in ("pure", "density"):
         raise ValueError(f"kind must be 'pure' or 'density', got {kind!r}")
-    flat = _complex_from_pairs(payload["data"], "data")
     if kind == "density":
         n = dims[0] * dims[1]
-        return QuantumState.density(flat.reshape(n, n), dims)
-    return QuantumState.pure(flat, dims)
+        return QuantumState.density(_matrix_from_pairs(payload["data"], "data", n), dims)
+    return QuantumState.pure(_complex_from_pairs(payload["data"], "data"), dims)
 
 
 def observable_to_dict(obs: Observable) -> dict:
@@ -539,7 +555,7 @@ def _read_observable(payload: dict) -> Observable | tuple[int, tuple]:
     return d, tuple(
         (
             _number(entry["label"], "label"),
-            _complex_from_pairs(entry["projector"], "projector").reshape(d, d),
+            _matrix_from_pairs(entry["projector"], "projector", d),
         )
         for entry in entries
     )

@@ -66,6 +66,8 @@ def _component(name: str, value) -> float:
         number = float(value)
     except OverflowError:
         raise InvalidQVector(f"{name} is too large for a float and lies outside [0, 1]") from None
+    except (TypeError, ValueError):
+        raise InvalidQVector(f"{name} must be a number, got {value!r}") from None
     if not -QVECTOR_ATOL <= number <= 1.0 + QVECTOR_ATOL:
         raise InvalidQVector(f"{name} = {number} lies outside [0, 1] beyond tolerance")
     return min(max(number, 0.0), 1.0)

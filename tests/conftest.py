@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from hardykit import BlochDirection, Observable, QuantumState, Scenario, spin_observable
-from hardykit.qcore import PROJECTOR_ATOL, _complex_from_pairs, _dimension, _number
+from hardykit.qcore import PROJECTOR_ATOL, _dimension, _matrix_from_pairs, _number
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -91,7 +91,7 @@ def _reference_observable_from_dict(payload: dict) -> Observable:
     outcomes = tuple(
         (
             _number(entry["label"], "label"),
-            _complex_from_pairs(entry["projector"], "projector").reshape(d, d),
+            _matrix_from_pairs(entry["projector"], "projector", d),
         )
         for entry in entries
     )

@@ -23,6 +23,7 @@ from hardykit import (
 )
 from hardykit.cli import main
 from hardykit.search import SchmidtState
+from test_errors import ErrorRows
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -102,34 +103,9 @@ class TestEval:
         payload = json.loads(out)
         assert payload["class"] == "NoViolation"
 
-    def test_unknown_state_kind_is_domain_error(self, capsys, tmp_path, scenario_file):
-        path = tmp_path / "garbage.json"
-        payload = {"dims": [2, 2], "kind": "garbage", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code, out, err = run_cli(capsys, "eval", "--state", str(path), "--scenario", scenario_file)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("ValueError: ") and err.count("\n") == 1
-        assert "'pure' or 'density'" in err
-
-    def test_numeric_string_dimension_is_domain_error(self, capsys, tmp_path, scenario_file):
-        path = tmp_path / "strings.json"
-        payload = state_to_dict(singlet())
-        payload["dims"] = ["2", 2]
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        code, out, err = run_cli(capsys, "eval", "--state", str(path), "--scenario", scenario_file)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("ValueError: ") and err.count("\n") == 1
-        assert "dims must be a pair of integers" in err
-
-    def test_missing_file_is_domain_error(self, capsys, scenario_file):
-        code, out, err = run_cli(
-            capsys, "eval", "--state", "/does/not/exist.json", "--scenario", scenario_file
-        )
-        assert code == 3
-        assert out == ""
-        assert "FileNotFoundError" in err
+    test_unknown_state_kind_is_domain_error = ErrorRows()
+    test_numeric_string_dimension_is_domain_error = ErrorRows()
+    test_missing_file_is_domain_error = ErrorRows()
 
 
 class TestLhvCheck:
@@ -151,15 +127,8 @@ class TestLhvCheck:
         assert code == 0
         assert len(json.loads(out)["witness"]) == 36
 
-    def test_wrong_count_is_parse_error(self, capsys):
-        code, _, err = run_cli(capsys, "lhv-check", "--q", "0.1,0.2")
-        assert code == 2
-        assert "expected 4 or 6" in err
-
-    def test_out_of_range_is_domain_error(self, capsys):
-        code, _, err = run_cli(capsys, "lhv-check", "--q", "0,0,0,1.5")
-        assert code == 3
-        assert "InvalidQVector" in err
+    test_wrong_count_is_parse_error = ErrorRows()
+    test_out_of_range_is_domain_error = ErrorRows()
 
     def test_solver_runtime_error_is_domain_error(self, capsys, monkeypatch):
         def fail(*_args):
@@ -206,30 +175,9 @@ class TestHardy:
         q = q_vector(SchmidtState(theta).state(), scenario)
         assert np.max(np.abs(np.asarray(q.components()) - np.asarray(payload["q"]))) < 1e-15
 
-    def test_invalid_angles(self, capsys):
-        code, _, err = run_cli(capsys, "hardy", "--theta", "0")
-        assert code == 3
-        assert "NotEntangled" in err
-        code, _, err = run_cli(capsys, "hardy", "--theta", str(pi / 4))
-        assert code == 3
-        assert "MaximallyEntangled" in err
-        code, out, err = run_cli(capsys, "hardy", "--theta", "0.785398")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("MaximallyEntangled: ")
-
-    def test_nan_tol_is_domain_error(self, capsys):
-        code, out, err = run_cli(capsys, "hardy", "--theta", "0.3", "--tol", "nan")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("ValueError: ")
-
-    def test_unreachable_tol_is_bad_value(self, capsys):
-        code, out, err = run_cli(capsys, "hardy", "--theta", "0.3", "--tol", "1e300")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("ValueError: ")
-        assert "5 sqrt 5 - 11" in err
+    test_invalid_angles = ErrorRows()
+    test_nan_tol_is_domain_error = ErrorRows()
+    test_unreachable_tol_is_bad_value = ErrorRows()
 
     def test_planar_directions_have_exact_zero_y(self, capsys):
         code, out, _ = run_cli(capsys, "hardy", "--theta", "0.2")
@@ -241,27 +189,7 @@ class TestHardy:
 
 
 class TestOptimize:
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            pytest.param(
-                {"dims": [2, 2], "kind": "pure", "data": [[1], [0, 0], [0, 0], [0, 0]]}, id="pair"
-            ),
-            pytest.param(
-                {"dims": [2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}, id="dims"
-            ),
-        ],
-    )
-    def test_malformed_state_json_is_domain_error(self, tmp_path, payload):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        result = run_python(
-            "-m", "hardykit", "optimize", "--state", str(path), "--objective", "upper"
-        )
-        assert result.returncode == 3
-        assert result.stdout == ""
-        assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("ValueError: ")
+    test_malformed_state_json_is_domain_error = ErrorRows()
 
     def test_separable_state(self, capsys, tmp_path):
         path = tmp_path / "product.json"
@@ -320,32 +248,13 @@ class TestSweep:
             assert float(cells[1]) < 1e-9  # q1 vanishes along the construction
             assert float(cells[8]) < 0.0  # lower bound violated
 
-    def test_schmidt_near_maximal_entanglement_is_domain_error(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "sweep", "--family", "schmidt", "--lo", "0.5", "--hi", "0.78539", "--steps", "3",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("MaximallyEntangled: ")
-
-    @pytest.mark.parametrize("lo, hi", [("0", "0.5"), ("0.2", "0.8"), ("0.6", "0.3")])
-    def test_schmidt_range_checked_before_any_row(self, capsys, lo, hi):
-        code, out, err = run_cli(
-            capsys, "sweep", "--family", "schmidt", "--lo", lo, "--hi", hi, "--steps", "4"
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("ValueError: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+    test_schmidt_near_maximal_entanglement_is_domain_error = ErrorRows()
+    test_schmidt_range_checked_before_any_row = ErrorRows()
 
 
 class TestParsing:
-    def test_unknown_command(self, capsys):
-        assert run_cli(capsys, "frobnicate")[0] == 2
-
-    def test_missing_required_argument(self, capsys):
-        assert run_cli(capsys, "hardy")[0] == 2
+    test_unknown_command = ErrorRows()
+    test_missing_required_argument = ErrorRows()
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from hardykit import (
     DeterministicStrategy,
     FiniteMeasure,
-    InvalidQVector,
-    MalformedMeasure,
     QVector,
     enumerate_strategies,
     generalized_expression,
@@ -24,6 +22,7 @@ from hardykit import (
     vertex_table_csv,
 )
 from hardykit.lhv import FEASIBILITY_TOL
+from test_errors import ErrorRows
 
 # The local polytope's facets besides 0 <= q_i <= 1, as a . q <= b over
 # (q1, ..., q6); the dichotomic polytope keeps the first four coefficients.
@@ -129,15 +128,7 @@ class TestSetExpression:
         )
         assert proof_step_inequalities(m) == (True, True)
 
-    def test_malformed_measures_rejected(self):
-        with pytest.raises(MalformedMeasure):
-            measure([0.5, -0.1, 0.6], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0])
-        with pytest.raises(MalformedMeasure):
-            measure([0.5, 0.4], [1, 0], [0, 1], [0, 0], [0, 0])
-        with pytest.raises(MalformedMeasure):
-            measure([1.0], [1, 0], [1], [1], [1])
-        with pytest.raises(MalformedMeasure):
-            measure([float("nan"), 1.0], [1, 0], [0, 1], [0, 0], [0, 0])
+    test_malformed_measures_rejected = ErrorRows()
 
 
 class TestEnumeration:
@@ -159,9 +150,7 @@ class TestEnumeration:
         assert trichotomic[4] == DeterministicStrategy(-1, 0, False, False)
         assert trichotomic[-1] == DeterministicStrategy(1, 1, True, True)
 
-    def test_outcome_validation(self):
-        with pytest.raises(ValueError):
-            DeterministicStrategy(2, 1, False, False)
+    test_outcome_validation = ErrorRows()
 
 
 class TestVertexValues:
@@ -260,6 +249,8 @@ class TestFeasibility:
     def test_zero_vector_is_feasible(self):
         result = lhv_feasible((0.0, 0.0, 0.0, 0.0))
         assert result.feasible
+        # Roundoff-scale overshoot is clamped, not rejected.
+        assert lhv_feasible((0.0, 0.0, 0.0, -1e-12)).feasible
         # The all-minus strategy with neither y-event firing realizes it alone.
         quiet = DeterministicStrategy(-1, -1, False, False)
         assert quiet.q_components() == (0, 0, 0, 0)
@@ -307,15 +298,7 @@ class TestFeasibility:
         result = lhv_feasible(QVector(0.25, 0.25, 0.25, 0.25))
         assert result.feasible
 
-    def test_component_validation(self):
-        with pytest.raises(InvalidQVector):
-            lhv_feasible((0.2, 0.2, 0.2, 1.5))
-        with pytest.raises(InvalidQVector):
-            lhv_feasible((-0.2, 0.2, 0.2, 0.5))
-        with pytest.raises(InvalidQVector):
-            lhv_feasible((0.2, 0.2, 0.2))
-        # Roundoff-scale overshoot is clamped, not rejected.
-        assert lhv_feasible((0.0, 0.0, 0.0, -1e-12)).feasible
+    test_component_validation = ErrorRows()
 
     def test_result_serialization(self):
         payload = lhv_feasible((0.0, 0.0, 0.0, 0.05)).to_dict()

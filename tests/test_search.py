@@ -12,10 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_state
 from hardykit import (
     BlochDirection,
-    DimensionMismatch,
-    MaximallyEntangled,
     NoCrossing,
-    NotEntangled,
     QuantumState,
     Scenario,
     SchmidtState,
@@ -34,6 +31,7 @@ from hardykit import (
     werner_sweep,
 )
 from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
+from test_errors import ErrorRows
 
 # Frozen from the closed-form grid oracle over (theta, free angle): the family
 # member with maximal q4 at theta = pi/8, and the global maximum over theta.
@@ -84,11 +82,7 @@ class TestSchmidtState:
         vector = state.state()
         assert vector.dims == (2, 2)
 
-    def test_angle_range(self):
-        with pytest.raises(ValueError):
-            SchmidtState(-0.1)
-        with pytest.raises(ValueError):
-            SchmidtState(pi / 3)
+    test_angle_range = ErrorRows()
 
 
 class TestHardyObservables:
@@ -117,26 +111,9 @@ class TestHardyObservables:
         assert max(q.q1, q.q2, q.q3) < 1e-15
         assert abs(q.q4 - exact_q4(theta)) < 1e-12
 
-    def test_product_state_rejected(self):
-        with pytest.raises(NotEntangled):
-            hardy_observables(SchmidtState(0.0))
-        # q4 can reach only ~1e-10 here, below the default tol.
-        with pytest.raises(NotEntangled):
-            hardy_observables(SchmidtState(1e-5))
-
-    def test_maximally_entangled_rejected(self):
-        with pytest.raises(MaximallyEntangled):
-            hardy_observables(SchmidtState(pi / 4))
-        with pytest.raises(MaximallyEntangled):
-            hardy_observables(SchmidtState(pi / 4 - 1e-5))
-
-    # From (5 sqrt 5 - 11)/2 up, no Schmidt angle can clear tol.
-    @pytest.mark.parametrize(
-        "tol", [float("nan"), 0.0, -1.0, float("inf"), (5 * sqrt(5) - 11) / 2, 0.5, 1e300]
-    )
-    def test_tol_validated(self, tol):
-        with pytest.raises(ValueError):
-            hardy_observables(SchmidtState(0.3), tol)
+    test_product_state_rejected = ErrorRows()
+    test_maximally_entangled_rejected = ErrorRows()
+    test_tol_validated = ErrorRows()
 
     def test_tol_bound_is_named(self):
         theta_star, _ = max_hardy_probability()
@@ -196,14 +173,7 @@ class TestOptimizeViolation:
         assert len(result.angles) == 8
         assert result.value <= UPPER_TARGET + 1e-9
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            optimize_violation(singlet(), "maximize_everything")
-        qutrit_state = QuantumState.pure([1.0] + [0.0] * 8, (3, 3))
-        with pytest.raises(DimensionMismatch):
-            optimize_violation(qutrit_state, "maximize_upper")
-        with pytest.raises(ValueError):
-            SearchConfig(restarts=0)
+    test_input_validation = ErrorRows()
 
 
 class TestCorrelationObjective:
@@ -289,9 +259,7 @@ class TestWernerSweep:
             assert werner_sweep(scenario, lo, hi) == expected
         assert crossings >= 100
 
-    def test_no_crossing_below_half_visibility(self):
-        with pytest.raises(NoCrossing):
-            werner_sweep(reference_scenario(), 0.0, 0.5)
+    test_no_crossing_below_half_visibility = ErrorRows()
 
     def test_endpoint_value_is_singlet_value(self):
         scenario = reference_scenario()
@@ -307,8 +275,4 @@ class TestWernerSweep:
         mid = value(0.5)
         assert abs(mid - 0.5 * (value(0.2) + value(0.8))) < 1e-10
 
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            werner_sweep(reference_scenario(), 0.9, 0.2)
-        with pytest.raises(ValueError):
-            werner_sweep(reference_scenario(), 0.0, 1.5)
+    test_interval_validation = ErrorRows()

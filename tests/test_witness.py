@@ -21,9 +21,7 @@ from conftest import (
 )
 from hardykit import (
     BlochDirection,
-    DimensionMismatch,
     InvalidQVector,
-    Observable,
     QVector,
     QuantumState,
     Scenario,
@@ -42,6 +40,7 @@ from hardykit import (
     witness_report,
 )
 from hardykit.witness import _q_from_table, _side
+from test_errors import ErrorRows
 
 REFERENCE_ANGLES = (0.0, pi / 2, 3 * pi / 4, pi / 4)  # (x1, y1, x2, y2)
 UPPER_TARGET = 0.5 * (1.0 + sqrt(2.0))
@@ -57,32 +56,8 @@ class TestQVectorType:
         assert q.q1 == 0.0
         assert q.q3 == 1.0
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            QVector(0.1, 0.2, 0.3, 1.5)
-
-    @pytest.mark.parametrize(
-        "build",
-        [
-            pytest.param(lambda q: QVector(*q), id="QVector"),
-            pytest.param(lhv_feasible, id="lhv_feasible"),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "q",
-        [
-            (1.5, 0.0, 0.0, 0.0),
-            (0.1, 0.1, 0.1, 0.1, -0.2, 0.0),
-            # Too large for a float: float() raised OverflowError.
-            (10**400, 0, 0, 0),
-        ],
-    )
-    def test_out_of_range_raises_one_error_type(self, build, q):
-        # One type from both entry points, and still a ValueError for callers
-        # that catch bad values.
-        with pytest.raises(InvalidQVector) as info:
-            build(q)
-        assert isinstance(info.value, ValueError)
+    test_out_of_range_rejected = ErrorRows()
+    test_out_of_range_raises_one_error_type = ErrorRows()
 
     @pytest.mark.parametrize(
         "table",
@@ -109,9 +84,7 @@ class TestQVectorType:
         with pytest.raises(InvalidQVector, match="outside"):
             _q_from_table(table)
 
-    def test_q5_q6_must_come_together(self):
-        with pytest.raises(ValueError):
-            QVector(0.1, 0.1, 0.1, 0.1, q5=0.1)
+    test_q5_q6_must_come_together = ErrorRows()
 
     def test_trichotomic_flag(self):
         assert not QVector(0.1, 0.1, 0.1, 0.1).trichotomic
@@ -119,24 +92,9 @@ class TestQVectorType:
 
 
 class TestScenarioType:
-    def test_x_labels_must_be_standard(self, rng):
-        bad = random_observable(rng, 2, (0.0, 1.0))
-        good = random_observable(rng, 2, (-1.0, 1.0))
-        with pytest.raises(ValueError):
-            Scenario(x1=bad, y1=good, x2=good, y2=good)
-
-    def test_x_arities_must_agree(self, rng):
-        dichotomic = random_observable(rng, 3, (-1.0, 1.0))
-        trichotomic = random_observable(rng, 3, (-1.0, 0.0, 1.0))
-        y = random_observable(rng, 3, (1.0, 2.0))
-        with pytest.raises(ValueError):
-            Scenario(x1=dichotomic, y1=y, x2=trichotomic, y2=y)
-
-    def test_y_must_contain_plus_one(self, rng):
-        x = random_observable(rng, 2, (-1.0, 1.0))
-        bad_y = random_observable(rng, 2, (0.0, 2.0))
-        with pytest.raises(ValueError):
-            Scenario(x1=x, y1=bad_y, x2=x, y2=x)
+    test_x_labels_must_be_standard = ErrorRows()
+    test_x_arities_must_agree = ErrorRows()
+    test_y_must_contain_plus_one = ErrorRows()
 
     def test_json_round_trip(self, rng):
         scenario = random_scenario(rng, 3, 3, trichotomic=True)
@@ -412,10 +370,7 @@ class TestQVectorExtraction:
         assert q.trichotomic
         assert len(q.components()) == 6
 
-    def test_dimension_mismatch(self, rng):
-        scenario = random_scenario(rng, 3, 3)
-        with pytest.raises(DimensionMismatch):
-            q_vector(singlet(), scenario)
+    test_dimension_mismatch = ErrorRows()
 
 
 class TestGeneralizedExpression:
@@ -513,26 +468,7 @@ class TestClassify:
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.0, 0.0)
         assert classify(q, generalized_expression(q), 1e-9) == "HardyViolation"
 
-    @pytest.mark.parametrize(
-        ("tol", "gen_value"),
-        [
-            pytest.param(0.0, None, id="0.0"),
-            pytest.param(float("nan"), None, id="nan"),
-            pytest.param(float("inf"), None, id="inf"),
-            pytest.param(1e-9, float("nan"), id="gen_value=nan"),
-            pytest.param(1e-9, float("inf"), id="gen_value=inf"),
-            pytest.param(1e-9, float("-inf"), id="gen_value=-inf"),
-        ],
-    )
-    def test_tolerance_must_be_positive(self, tol, gen_value):
-        # Neither the Hardy pattern nor the plain no-violation point may mask a bad argument.
-        for q in (QVector(0.0, 0.0, 0.0, 0.3), QVector(0.4, 0.4, 0.4, 0.05)):
-            value = generalized_expression(q) if gen_value is None else gen_value
-            with pytest.raises(ValueError):
-                classify(q, value, tol)
-        if gen_value is None:
-            with pytest.raises(ValueError):
-                witness_report(singlet(), reference_scenario(), tol)
+    test_tolerance_must_be_positive = ErrorRows()
 
     @given(q4=st.floats(min_value=1e-6, max_value=1.0))
     def test_hardy_condition_violates_lower_bound(self, q4):
