@@ -4,70 +4,15 @@ Born-rule probabilities for small bipartite systems, the generalized
 zero-probability witness and the Clauser-Horne expression, exact local-model
 feasibility via the local polytope's facets with an explicit mixing witness,
 and the exact extreme values over qubit measurement settings.
+
+``errors`` and ``lhv`` need no numpy and load with the package. ``qcore``,
+``witness`` and ``search`` import numpy and load when one of their names is
+first read, so ``import hardykit`` and the q-vector commands start without it.
 """
 
-from .errors import (
-    DimensionMismatch,
-    HardykitError,
-    InvalidQVector,
-    MalformedMeasure,
-    MaximallyEntangled,
-    NoCrossing,
-    NoSolution,
-    NotEntangled,
-    UnknownLabel,
-)
-from .lhv import (
-    DeterministicStrategy,
-    FeasibilityResult,
-    FiniteMeasure,
-    enumerate_strategies,
-    lhv_feasible,
-    proof_step_inequalities,
-    set_expression,
-    strategy_matrix,
-    vertex_expression_value,
-    vertex_table,
-    vertex_table_csv,
-)
-from .qcore import (
-    BlochDirection,
-    Observable,
-    QuantumState,
-    bloch_vector,
-    joint_probability,
-    marginal_probability,
-    maximally_mixed,
-    observable_from_dict,
-    observable_to_dict,
-    singlet,
-    spin_observable,
-    state_from_dict,
-    state_to_dict,
-    werner_state,
-)
-from .search import (
-    SchmidtState,
-    SearchConfig,
-    SearchResult,
-    hardy_observables,
-    max_hardy_probability,
-    optimize_violation,
-    werner_sweep,
-)
-from .witness import (
-    QVector,
-    Scenario,
-    WitnessReport,
-    ch_expression,
-    classify,
-    generalized_expression,
-    planar_scenario,
-    q_vector,
-    scenario_from_dict,
-    scenario_to_dict,
-    witness_report,
-)
+from importlib import import_module
+
+from . import errors, lhv  # noqa: F401  (numpy-free, loaded with the package)
 
 __version__ = "0.1.0"
 
@@ -125,3 +70,21 @@ __all__ = [
     "werner_sweep",
     "witness_report",
 ]
+
+
+def __getattr__(name: str):
+    """Bind a public name on first use (PEP 562) and cache it in this namespace.
+
+    Modules are tried in import order, so a name loads no module it does not need.
+    """
+    if name in __all__:
+        for home in ("errors", "lhv", "qcore", "witness", "search"):
+            module = import_module(f"{__name__}.{home}")
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -2,7 +2,8 @@
 
 Machine output goes to stdout (9 significant digits by default, full precision
 under --json); diagnostics go to stderr. Exit codes: 0 on success, 2 on
-command-line parse errors, 3 on domain errors.
+command-line parse errors, 3 on domain errors. Handlers import the numpy-backed
+modules they use, so lhv-check and vertices run without numpy.
 """
 
 from __future__ import annotations
@@ -12,31 +13,13 @@ import json
 import sys
 from math import pi, sqrt
 
-import numpy as np
-
 from .errors import HardykitError
 from .lhv import lhv_feasible, vertex_table, vertex_table_csv
-from .qcore import bloch_vector, singlet, state_from_dict, werner_state
-from .search import (
-    SchmidtState,
-    SearchConfig,
-    hardy_observables,
-    optimize_violation,
-)
-from .witness import (
-    planar_scenario,
-    q_vector,
-    scenario_from_dict,
-    scenario_to_dict,
-    witness_report,
-)
 
 # In-plane angles (x1, y1, x2, y2) of the reference four-direction configuration.
 _REFERENCE_ANGLES = (0.0, pi / 2, 3 * pi / 4, pi / 4)
-
-
-def _reference_scenario():
-    return planar_scenario(*_REFERENCE_ANGLES, plane="xy")
+# Rows a sweep may ask for; each costs tens of microseconds and a CSV line.
+MAX_SWEEP_STEPS = 1_000_000
 
 
 def _fmt(value: float) -> str:
@@ -61,6 +44,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sweep_steps(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_SWEEP_STEPS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SWEEP_STEPS}")
+    return value
+
+
 def _q_components(text: str) -> tuple[float, ...]:
     try:
         parts = tuple(float(piece) for piece in text.split(","))
@@ -72,6 +62,8 @@ def _q_components(text: str) -> tuple[float, ...]:
 
 
 def _cmd_eval(args) -> int:
+    from .qcore import state_from_dict
+    from .witness import scenario_from_dict, witness_report
     state = state_from_dict(_load_json(args.state))
     scenario = scenario_from_dict(_load_json(args.scenario))
     report = witness_report(state, scenario)
@@ -108,6 +100,9 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_hardy(args) -> int:
+    from .qcore import bloch_vector
+    from .search import SchmidtState, hardy_observables
+    from .witness import q_vector, scenario_to_dict
     schmidt = SchmidtState(args.theta)
     scenario = hardy_observables(schmidt, args.tol)
     q = q_vector(schmidt.state(), scenario)
@@ -128,6 +123,8 @@ def _cmd_hardy(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .qcore import state_from_dict
+    from .search import SearchConfig, optimize_violation
     state = state_from_dict(_load_json(args.state))
     objective = "maximize_upper" if args.objective == "upper" else "minimize_lower"
     config = SearchConfig(restarts=args.restarts, seed=args.seed)
@@ -142,11 +139,15 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+    from .qcore import werner_state
+    from .search import SchmidtState, hardy_observables
+    from .witness import planar_scenario, witness_report
     rows = []
     if args.family == "werner":
         if not (0.0 <= args.lo <= 1.0 and 0.0 <= args.hi <= 1.0):
             raise ValueError(f"werner sweep needs lo, hi in [0, 1], got {args.lo}, {args.hi}")
-        scenario = _reference_scenario()
+        scenario = planar_scenario(*_REFERENCE_ANGLES)
         for v in np.linspace(args.lo, args.hi, args.steps):
             rows.append((float(v), witness_report(werner_state(float(v)), scenario)))
     else:
@@ -170,9 +171,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    state = singlet()
-    scenario = _reference_scenario()
-    report = witness_report(state, scenario)
+    from .qcore import singlet
+    from .witness import planar_scenario, witness_report
+    report = witness_report(singlet(), planar_scenario(*_REFERENCE_ANGLES))
     target = 0.5 * (1.0 + sqrt(2.0))
     print(f"q = {_fmt_tuple(report.qvec.components())}")
     print(f"generalized = {_fmt(report.generalized_value)}")
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--family", required=True, choices=("werner", "schmidt"))
     cmd.add_argument("--lo", required=True, type=float)
     cmd.add_argument("--hi", required=True, type=float)
-    cmd.add_argument("--steps", required=True, type=_positive_int)
+    cmd.add_argument("--steps", required=True, type=_sweep_steps)
     cmd.set_defaults(handler=_cmd_sweep)
 
     cmd = commands.add_parser("demo", help="run the reference configuration end to end")

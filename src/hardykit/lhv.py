@@ -5,6 +5,9 @@ mixing such assignments with nonnegative weights spans exactly the probability
 vectors a local theory can produce. Membership is decided by the polytope's
 closed-form facets: an infeasible verdict reports the largest facet violation,
 and a feasible one comes with an explicit mixing witness built by formula.
+
+The q-vector, ``lhv_feasible`` and the vertex table use plain floats and
+integers; numpy is imported only inside ``FiniteMeasure`` and ``strategy_matrix``.
 """
 
 from __future__ import annotations
@@ -12,20 +15,64 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidQVector, MalformedMeasure
-from .witness import QVector, _component
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FEASIBILITY_TOL = 1e-9
+QVECTOR_ATOL = 1e-10
 _WEIGHT_SUM_ATOL = 1e-12
 _COMPARE_SLACK = 1e-12  # absorbs summation-order roundoff in measure comparisons
 
 _X_OUTCOMES_DICHOTOMIC = (-1, 1)
 _X_OUTCOMES_TRICHOTOMIC = (-1, 0, 1)
 _Y_EVENTS = (False, True)  # ordered (other, +1)
+
+
+def _component(name: str, value) -> float:
+    """``value`` clamped to [0, 1]; more than ``QVECTOR_ATOL`` outside raises ``InvalidQVector``."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InvalidQVector(f"{name} is too large for a float and lies outside [0, 1]") from None
+    except (TypeError, ValueError):
+        raise InvalidQVector(f"{name} must be a number, got {value!r}") from None
+    if not -QVECTOR_ATOL <= number <= 1.0 + QVECTOR_ATOL:
+        raise InvalidQVector(f"{name} = {number} lies outside [0, 1] beyond tolerance")
+    return min(max(number, 0.0), 1.0)
+
+
+@dataclass(frozen=True)
+class QVector:
+    """Probability vector of the witness scenario, clamped to [0, 1].
+
+    q5 and q6 are present exactly when the x-observables are trichotomic.
+    """
+
+    q1: float
+    q2: float
+    q3: float
+    q4: float
+    q5: float | None = None
+    q6: float | None = None
+
+    def __post_init__(self) -> None:
+        if (self.q5 is None) != (self.q6 is None):
+            raise ValueError("q5 and q6 must be given together")
+        for name in ("q1", "q2", "q3", "q4", "q5", "q6")[: 4 if self.q5 is None else 6]:
+            object.__setattr__(self, name, _component(name, getattr(self, name)))
+
+    @property
+    def trichotomic(self) -> bool:
+        return self.q5 is not None
+
+    def components(self) -> tuple[float, ...]:
+        if self.trichotomic:
+            return (self.q1, self.q2, self.q3, self.q4, self.q5, self.q6)
+        return (self.q1, self.q2, self.q3, self.q4)
 
 
 @dataclass(frozen=True)
@@ -42,6 +89,7 @@ class FiniteMeasure:
     d: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size < 1:
             raise MalformedMeasure("weights must be a nonempty 1-d array")
@@ -68,6 +116,7 @@ class FiniteMeasure:
 
     def mu(self, mask: np.ndarray) -> float:
         """Measure of the subset given by a boolean mask."""
+        import numpy as np
         return float(self.weights[np.asarray(mask, dtype=bool)].sum())
 
 
@@ -162,6 +211,7 @@ def vertex_expression_value(strategy: DeterministicStrategy) -> int:
 
 def strategy_matrix(trichotomic: bool = False) -> np.ndarray:
     """Columns are the indicator q-vectors of the canonical strategy list."""
+    import numpy as np
     strategies = enumerate_strategies(trichotomic)
     rows = 6 if trichotomic else 4
     matrix = np.zeros((rows, len(strategies)))
@@ -199,19 +249,19 @@ def vertex_table_csv(trichotomic: bool = False) -> str:
 class FeasibilityResult:
     """Outcome of the local-polytope membership test.
 
-    ``witness`` holds mixing weights over the canonical strategy list when
-    feasible; ``residual`` is the largest facet violation either way (0.0
-    inside the polytope, at most ``FEASIBILITY_TOL`` when feasible).
+    ``witness`` holds the mixing weights over the canonical strategy list, a
+    tuple of floats, when feasible; ``residual`` is the largest facet violation
+    either way (0.0 inside the polytope, at most ``FEASIBILITY_TOL`` when feasible).
     """
 
     feasible: bool
-    witness: np.ndarray | None
+    witness: tuple[float, ...] | None
     residual: float
 
     def to_dict(self) -> dict:
         return {
             "feasible": self.feasible,
-            "witness": None if self.witness is None else [float(w) for w in self.witness],
+            "witness": None if self.witness is None else list(self.witness),
             "residual": self.residual,
         }
 
@@ -243,7 +293,7 @@ def lhv_feasible(q: "QVector | Sequence[float]") -> FeasibilityResult:
 
 def _mixing_witness(
     size: int, q1: float, q2: float, q3: float, q4: float, q5: float, q6: float
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Weights over the canonical strategies that mix to the given q.
 
     ``both`` sits on (x1 != +1, x2 != +1, both y fire); ``rest = q4 - both`` is
@@ -260,9 +310,9 @@ def _mixing_witness(
     on1 = min(q1, rest)
     on2 = min(big2 - both, rest - on1)
     on3 = rest - on1 - on2
-    # Outcome distributions of one x observable, {outcome index: probability},
+    # Outcome distributions of one x observable, ((outcome index, probability), ...),
     # indices in canonical order (-1 first, +1 last).
-    minus, plus = {0: 1.0}, {size - 1: 1.0}
+    minus, plus = ((0, 1.0),), ((size - 1, 1.0),)
     x1_other, x2_other = _other_than_plus(q3, q6), _other_than_plus(q2, q5)
     weights = [0.0] * (size * size * 4)  # (x1, x2, y1, y2), canonical order
     for mass, x1, x2, y1, y2 in (
@@ -275,18 +325,38 @@ def _mixing_witness(
         (big3 - both - on3, x1_other, plus, 0, 1),
         (1.0 - q1 - big2 - big3 + both, minus, plus, 0, 0),
     ):
-        for i, p1 in x1.items():
-            for j, p2 in x2.items():
+        for i, p1 in x1:
+            for j, p2 in x2:
                 weights[4 * (size * i + j) + 2 * y1 + y2] += mass * (p1 * p2)
     # Clip roundoff and the overshoot of a q outside the polytope by at most
-    # FEASIBILITY_TOL, then restore the unit sum.
-    clipped = np.maximum(weights, 0.0)
-    return clipped / clipped.sum()
+    # FEASIBILITY_TOL, then restore the unit sum, as np.maximum(w, 0) / np.sum
+    # would. No weight is -0.0: each starts at 0.0 and changes only by +=.
+    if min(weights) < 0.0:
+        weights = [w if w > 0.0 else 0.0 for w in weights]
+    total = _numpy_sum(weights)
+    return tuple([w / total for w in weights])
 
 
-def _other_than_plus(minus_mass: float, zero_mass: float) -> dict[int, float]:
+def _numpy_sum(values: list[float]) -> float:
+    """``np.sum`` of 8 to 128 floats, bit for bit: eight lanes added pairwise, then the rest.
+
+    The built-in ``sum`` adds in another order, and compensated from Python 3.12.
+    """
+    n = len(values) - len(values) % 8
+    l0, l1, l2, l3, l4, l5, l6, l7 = values[:8]
+    for i in range(8, n, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+        l0, l1, l2, l3 = l0 + a0, l1 + a1, l2 + a2, l3 + a3
+        l4, l5, l6, l7 = l4 + a4, l5 + a5, l6 + a6, l7 + a7
+    total = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+    for value in values[n:]:
+        total += value
+    return total
+
+
+def _other_than_plus(minus_mass: float, zero_mass: float) -> tuple[tuple[int, float], ...]:
     """Distribution over outcomes -1 (index 0) and 0 (index 1), as ``minus_mass : zero_mass``."""
     if zero_mass > 0.0:
         total = minus_mass + zero_mass
-        return {0: minus_mass / total, 1: zero_mass / total}
-    return {0: 1.0}
+        return ((0, minus_mass / total), (1, zero_mass / total))
+    return ((0, 1.0),)

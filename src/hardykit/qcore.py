@@ -94,7 +94,8 @@ class BlochDirection:
     def from_vector(cls, direction: Sequence[float]) -> "BlochDirection":
         """Build the direction from any nonzero 3-vector (normalized internally)."""
         vec = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(vec))
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = float(np.linalg.norm(vec))
         if vec.shape != (3,) or not 0.0 < norm < np.inf:
             raise ValueError("direction must be a nonzero 3-vector of finite norm")
         x, y, z = vec / norm
@@ -549,6 +550,8 @@ def _read_observable(payload: dict) -> Observable | tuple[int, tuple]:
         raise ValueError(
             f"dim {payload['dim']!r} is not valid: dimensions must be integers"
         ) from None
+    if d < 1:
+        raise ValueError(f"dim must be a positive integer, got {d}")
     entries = payload["outcomes"]
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError(f"outcomes must be a list of objects, got {entries!r}")

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidQVector
+from .errors import DimensionMismatch
+from .lhv import QVector, _component
 from .qcore import (
     Observable,
     QuantumState,
@@ -40,7 +41,6 @@ from .qcore import (
 )
 
 DEFAULT_TOLERANCE = 1e-9  # numeric zero for the "vanishing probability" conditions
-QVECTOR_ATOL = 1e-10
 
 HARDY_VIOLATION = "HardyViolation"
 KUNKRI_VIOLATION = "KunkriViolation"
@@ -58,49 +58,6 @@ CLASSIFICATIONS = (
 
 _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
-
-
-def _component(name: str, value) -> float:
-    """``value`` clamped to [0, 1]; more than ``QVECTOR_ATOL`` outside raises ``InvalidQVector``."""
-    try:
-        number = float(value)
-    except OverflowError:
-        raise InvalidQVector(f"{name} is too large for a float and lies outside [0, 1]") from None
-    except (TypeError, ValueError):
-        raise InvalidQVector(f"{name} must be a number, got {value!r}") from None
-    if not -QVECTOR_ATOL <= number <= 1.0 + QVECTOR_ATOL:
-        raise InvalidQVector(f"{name} = {number} lies outside [0, 1] beyond tolerance")
-    return min(max(number, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class QVector:
-    """Probability vector of the witness scenario, clamped to [0, 1].
-
-    q5 and q6 are present exactly when the x-observables are trichotomic.
-    """
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float | None = None
-    q6: float | None = None
-
-    def __post_init__(self) -> None:
-        if (self.q5 is None) != (self.q6 is None):
-            raise ValueError("q5 and q6 must be given together")
-        for name in ("q1", "q2", "q3", "q4", "q5", "q6")[: 4 if self.q5 is None else 6]:
-            object.__setattr__(self, name, _component(name, getattr(self, name)))
-
-    @property
-    def trichotomic(self) -> bool:
-        return self.q5 is not None
-
-    def components(self) -> tuple[float, ...]:
-        if self.trichotomic:
-            return (self.q1, self.q2, self.q3, self.q4, self.q5, self.q6)
-        return (self.q1, self.q2, self.q3, self.q4)
 
 
 @dataclass(frozen=True)

@@ -183,3 +183,45 @@ def random_scenario(
         x2=random_observable(rng, d2, x_labels),
         y2=random_observable(rng, d2, random_y_labels(rng, d2)),
     )
+
+
+def reference_mixing_witness(components) -> np.ndarray:
+    """Mixing weights of a feasible q, as ``lhv_feasible`` once built them with numpy.
+
+    The oracle for the plain-float witness: the same greedy weights, clipped by
+    ``np.maximum`` and renormalised by ``np.sum``, which the float code must
+    reproduce bit for bit.
+    """
+    size = 3 if len(components) == 6 else 2
+    q1, q2, q3, q4, q5, q6 = tuple(components) + (0.0, 0.0)[: 6 - len(components)]
+
+    def other_than_plus(minus_mass, zero_mass):
+        if zero_mass > 0.0:
+            total = minus_mass + zero_mass
+            return {0: minus_mass / total, 1: zero_mass / total}
+        return {0: 1.0}
+
+    big2, big3 = q2 + q5, q3 + q6
+    both = max(0.0, q1 + big2 + big3 - 1.0)
+    rest = q4 - both
+    on1 = min(q1, rest)
+    on2 = min(big2 - both, rest - on1)
+    on3 = rest - on1 - on2
+    minus, plus = {0: 1.0}, {size - 1: 1.0}
+    x1_other, x2_other = other_than_plus(q3, q6), other_than_plus(q2, q5)
+    weights = [0.0] * (size * size * 4)
+    for mass, x1, x2, y1, y2 in (
+        (both, x1_other, x2_other, 1, 1),
+        (on1, plus, plus, 1, 1),
+        (on2, plus, x2_other, 1, 1),
+        (on3, x1_other, plus, 1, 1),
+        (q1 - on1, plus, plus, 0, 0),
+        (big2 - both - on2, plus, x2_other, 1, 0),
+        (big3 - both - on3, x1_other, plus, 0, 1),
+        (1.0 - q1 - big2 - big3 + both, minus, plus, 0, 0),
+    ):
+        for i, p1 in x1.items():
+            for j, p2 in x2.items():
+                weights[4 * (size * i + j) + 2 * y1 + y2] += mass * (p1 * p2)
+    clipped = np.maximum(weights, 0.0)
+    return clipped / clipped.sum()

@@ -228,5 +228,5 @@ def test_criterion_8_necessity_and_witness_soundness():
             result = lhv_feasible(target)
             passed &= result.feasible
             passed &= float(np.max(np.abs(columns @ result.witness - target))) < 1e-9
-            passed &= abs(float(result.witness.sum()) - 1.0) < 1e-9
+            passed &= abs(float(np.sum(result.witness)) - 1.0) < 1e-9
     check.finish(bool(passed))

@@ -160,6 +160,12 @@ LIBRARY = {
          "squared norm inf is not 1"),
         ("bloch-vector-inf", BlochDirection.from_vector, ([INF, 0.0, 1.0],), ValueError,
          "nonzero 3-vector of finite norm"),
+        ("bloch-vector-norm-overflow", BlochDirection.from_vector, ((1e200, 1e200, 0.0),),
+         ValueError, "nonzero 3-vector of finite norm"),
+        ("observable-dim-negative", observable_from_dict, (_observable_payload(dim=-2),),
+         ValueError, r"^dim must be a positive integer, got -2$"),
+        ("observable-dim-zero", observable_from_dict, (_observable_payload(dim=0),),
+         ValueError, r"^dim must be a positive integer, got 0$"),
         ("qvector-string", QVector, ("a", 0, 0, 0), InvalidQVector, "^q1 must be a number"),
         ("lhv-feasible-string", lhv_feasible, (["a", 0, 0, 0],), InvalidQVector,
          "^q1 must be a number"),
@@ -524,6 +530,13 @@ CLI = {
          ("eval", "--state", {**_PRODUCT, "data": [[1e200, 0]] + _PRODUCT["data"][1:]},
           "--scenario", _BLOCH_SCENARIO),
          3, "^ValueError: pure state squared norm inf"),
+        # Rejected by the parser, so no sweep runs and nothing is allocated.
+        ("sweep-steps-above-cap", ("sweep", "--family", "werner", "--lo", "0", "--hi", "1",
+                                   "--steps", "1000001"),
+         2, "argument --steps: must be at most 1000000"),
+        ("sweep-steps-far-above-cap", ("sweep", "--family", "schmidt", "--lo", "0.1", "--hi",
+                                       "0.5", "--steps", "1000000000000"),
+         2, "argument --steps: must be at most 1000000"),
     ],
     "TestEval.test_unknown_state_kind_is_domain_error": [
         (None, ("eval", "--state", {**_PRODUCT, "kind": "garbage"}, "--scenario", _BLOCH_SCENARIO),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_mixing_witness
 from hardykit import (
     DeterministicStrategy,
     FiniteMeasure,
@@ -218,12 +219,49 @@ class TestFacets:
             assert result.residual > FEASIBILITY_TOL
             return
         assert result.residual <= FEASIBILITY_TOL
-        assert np.all(result.witness >= 0.0)
-        assert abs(result.witness.sum() - 1.0) <= 1e-12
+        assert np.all(np.asarray(result.witness) >= 0.0)
+        assert abs(np.sum(result.witness) - 1.0) <= 1e-12
         # A q at most FEASIBILITY_TOL outside still counts as feasible; clipping
         # its witness to nonnegative weights moves it by a few residuals.
         reproduced = strategy_matrix(len(q) == 6) @ result.witness
         assert np.max(np.abs(reproduced - q)) <= 1e-12 + 8.0 * result.residual
+
+
+@st.composite
+def feasible_q(draw) -> list[float]:
+    """A q of either arity, mostly inside the local polytope or within ``FEASIBILITY_TOL``.
+
+    A mixture of strategies, each component kept, nudged by roundoff (which
+    makes some raw weights negative, so that they are clipped) or replaced by
+    0.0 or -0.0.
+    """
+    columns = strategy_matrix(draw(st.booleans()))
+    # A few strategies, so that q often lies on a face of the polytope.
+    mass = np.zeros(columns.shape[1])
+    weights = st.sampled_from((0.25, 1.0)) | st.floats(0.0, 1.0)
+    for index, weight in draw(st.lists(st.tuples(st.integers(0, len(mass) - 1), weights),
+                                       min_size=1, max_size=6)):
+        mass[index] += weight
+    assume(mass.sum() > 0.0)
+    edits = st.sampled_from((0.0, 0.0, 1e-16, -1e-16, 3e-11, -3e-11, 5e-10, -5e-10,
+                             "0.0", "-0.0"))
+    q = []
+    for value in columns @ (mass / mass.sum()):
+        edit = draw(edits)
+        q.append(float(edit) if isinstance(edit, str) else float(value) + edit)
+    return q
+
+
+class TestWitnessMatchesNumpyOracle:
+    @settings(max_examples=400)
+    @given(q=feasible_q())
+    def test_weights_are_bitwise_equal(self, q):
+        assume(min(q) >= -1e-10 and max(q) <= 1.0 + 1e-10)
+        result = lhv_feasible(q)
+        assume(result.feasible)
+        assert type(result.witness) is tuple
+        expected = reference_mixing_witness(QVector(*q).components())
+        assert [w.hex() for w in result.witness] == [float(w).hex() for w in expected]
 
 
 class TestFeasibility:
@@ -240,8 +278,8 @@ class TestFeasibility:
         columns = strategy_matrix(False)
         # The returned witness reproduces q ...
         assert np.max(np.abs(columns @ result.witness - np.asarray(q))) < 1e-9
-        assert abs(result.witness.sum() - 1.0) < 1e-9
-        assert np.all(result.witness >= 0.0)
+        assert abs(np.sum(result.witness) - 1.0) < 1e-9
+        assert np.all(np.asarray(result.witness) >= 0.0)
         # ... and the uniform mixture is itself a valid witness.
         uniform = np.full(16, 1.0 / 16.0)
         assert np.max(np.abs(columns @ uniform - np.asarray(q))) < 1e-15
@@ -269,7 +307,7 @@ class TestFeasibility:
                 result = lhv_feasible(target)
                 assert result.feasible
                 assert np.max(np.abs(columns @ result.witness - target)) < 1e-9
-                assert abs(result.witness.sum() - 1.0) < 1e-9
+                assert abs(np.sum(result.witness) - 1.0) < 1e-9
 
     def test_generalized_value_outside_unit_interval_implies_infeasible(self, rng):
         checked = 0
