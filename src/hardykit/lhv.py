@@ -2,24 +2,23 @@
 
 A local deterministic model assigns one definite outcome per local observable;
 mixing such assignments with nonnegative weights spans exactly the probability
-vectors a local theory can produce. Membership is decided by the polytope's
-closed-form facets: an infeasible verdict reports the largest facet violation,
-and a feasible one comes with an explicit mixing witness built by formula.
-
-The q-vector, ``lhv_feasible`` and the vertex table use plain floats and
-integers; numpy is imported only inside ``FiniteMeasure`` and ``strategy_matrix``.
+vectors a local theory can produce. The q-vector, ``lhv_feasible`` and the
+vertex table use plain floats and integers; numpy is imported only inside
+``FiniteMeasure`` and ``strategy_matrix``.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
 
+from ._value import Value
 from .errors import InvalidQVector, MalformedMeasure
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
 FEASIBILITY_TOL = 1e-9
@@ -45,19 +44,18 @@ def _component(name: str, value) -> float:
     return min(max(number, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class QVector:
+class QVector(Value):
     """Probability vector of the witness scenario, clamped to [0, 1].
 
     q5 and q6 are present exactly when the x-observables are trichotomic.
     """
 
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float | None = None
-    q6: float | None = None
+    _fields = ("q1", "q2", "q3", "q4", "q5", "q6")
+
+    def __init__(self, q1: float, q2: float, q3: float, q4: float,
+                 q5: float | None = None, q6: float | None = None) -> None:
+        self.__dict__.update(q1=q1, q2=q2, q3=q3, q4=q4, q5=q5, q6=q6)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if (self.q5 is None) != (self.q6 is None):
@@ -75,18 +73,18 @@ class QVector:
         return (self.q1, self.q2, self.q3, self.q4)
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
+class FiniteMeasure(Value):
     """Probability weights over finitely many atoms with four marked subsets.
 
     ``a``, ``b``, ``c``, ``d`` are boolean membership masks over the atoms.
     """
 
-    weights: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
+    _fields = ("weights", "a", "b", "c", "d")
+
+    def __init__(self, weights: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 d: np.ndarray) -> None:
+        self.__dict__.update(weights=weights, a=a, b=b, c=c, d=d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -154,18 +152,18 @@ def proof_step_inequalities(m: FiniteMeasure) -> tuple[bool, bool]:
     )
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(Value):
     """One definite outcome per local observable; a vertex of the local polytope.
 
     ``y1_plus``/``y2_plus`` record whether the y-observables yield +1 or any
     other value; finer detail about "other" never enters the witness.
     """
 
-    x1: int
-    x2: int
-    y1_plus: bool
-    y2_plus: bool
+    _fields = ("x1", "x2", "y1_plus", "y2_plus")
+
+    def __init__(self, x1: int, x2: int, y1_plus: bool, y2_plus: bool) -> None:
+        self.__dict__.update(x1=x1, x2=x2, y1_plus=y1_plus, y2_plus=y2_plus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("x1", "x2"):
@@ -245,8 +243,7 @@ def vertex_table_csv(trichotomic: bool = False) -> str:
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Value):
     """Outcome of the local-polytope membership test.
 
     ``witness`` holds the mixing weights over the canonical strategy list, a
@@ -254,9 +251,10 @@ class FeasibilityResult:
     either way (0.0 inside the polytope, at most ``FEASIBILITY_TOL`` when feasible).
     """
 
-    feasible: bool
-    witness: tuple[float, ...] | None
-    residual: float
+    _fields = ("feasible", "witness", "residual")
+
+    def __init__(self, feasible: bool, witness: tuple[float, ...] | None, residual: float) -> None:
+        self.__dict__.update(feasible=feasible, witness=witness, residual=residual)
 
     def to_dict(self) -> dict:
         return {

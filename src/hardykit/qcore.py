@@ -1,34 +1,19 @@
 """States, projective observables, and Born-rule probabilities on small bipartite systems.
 
-Everything is dense complex double precision: subsystem dimensions stay in the
-single digits, so validation by direct matrix arithmetic is cheap and leaves
-ample headroom for the tolerances used here. All types are immutable values
-and all operations are pure functions.
-
-Every joint probability comes from one kernel: with rho reshaped to
-``rho4[i, j, k, l] = <ij|rho|kl>`` and the projectors of each side stacked,
-``einsum("...ijkl,aki,blj->...ab", rho4, side1, side2)`` is the table of
-Tr[rho (P1_a x P2_b)] over all pairs, with no d1*d2 operator formed; a single
-probability is its 1x1 case, and a marginal is a partial trace of the same
-array. Public constructors validate their input in full (projective
-measurements through ``_validate_observables``); values the package builds
-itself and knows to be valid skip that check through ``_trusted``.
-
-Labels and dimensions must be numbers: a string or a boolean raises
-``ValueError``, in the constructors as in the JSON decoders. The decoders
-raise ``ValueError`` naming the field for a value of the wrong type or range
-and ``KeyError`` for a missing key.
+Everything is dense complex double precision. Public constructors validate
+their input in full; values the package builds itself and knows to be valid
+skip that check through ``_trusted``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import DimensionMismatch, UnknownLabel
 
 # Absolute tolerances. Projector checks are looser than state normalization
@@ -65,24 +50,24 @@ def _dimension(value) -> int:
 
 
 def _trusted(cls, **fields):
-    """Instance of a frozen dataclass built without running its validation.
+    """Instance of a value class built without running its ``__init__`` or validation.
 
     Only for values that are valid by construction; every field must be
-    given in the form ``__post_init__`` would have stored. The fields go
-    straight into the instance's ``__dict__``; assigning to one afterwards
-    still raises ``FrozenInstanceError``.
+    given in the form ``__post_init__`` would have stored.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class BlochDirection:
+class BlochDirection(Value):
     """Unit direction on the Bloch sphere, polar angle theta and azimuth phi."""
 
-    theta: float
-    phi: float
+    _fields = ("theta", "phi")
+
+    def __init__(self, theta: float, phi: float) -> None:
+        self.__dict__.update(theta=theta, phi=phi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= np.pi:
@@ -112,8 +97,7 @@ class BlochDirection:
         )
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(Value):
     """Bipartite state, either a pure amplitude vector or a density operator.
 
     ``dims`` holds the two subsystem dimensions (each >= 2); ``data`` is the
@@ -121,9 +105,11 @@ class QuantumState:
     ``"density"``) on the d1*d2-dimensional joint space.
     """
 
-    dims: tuple[int, int]
-    kind: str
-    data: np.ndarray
+    _fields = ("dims", "kind", "data")
+
+    def __init__(self, dims: tuple[int, int], kind: str, data: np.ndarray) -> None:
+        self.__dict__.update(dims=dims, kind=kind, data=data)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         d1, d2 = (_dimension(d) for d in self.dims)
@@ -145,12 +131,15 @@ class QuantumState:
             if data.shape != (n, n):
                 raise ValueError(f"density matrix must be {n}x{n}, got shape {data.shape}")
             adjoint = data.conj().T
-            if np.max(np.abs(data - adjoint)) > STATE_ATOL:
+            # Huge entries overflow to inf or NaN here, and fail the tests below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                asymmetry = np.max(np.abs(data - adjoint))
+                trace = complex(np.trace(data))
+            if asymmetry > STATE_ATOL:
                 raise ValueError("density matrix is not Hermitian within tolerance")
-            trace = complex(np.trace(data))
-            if abs(trace - 1.0) > STATE_ATOL:
+            if not abs(trace - 1.0) <= STATE_ATOL:
                 raise ValueError(f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
-            hermitian_part = 0.5 * (data + adjoint)
+            hermitian_part = 0.5 * data + 0.5 * adjoint  # 0.5 * (data + adjoint) may overflow
             smallest = float(np.linalg.eigvalsh(hermitian_part)[0])
             if smallest < EIGENVALUE_FLOOR:
                 raise ValueError(f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
@@ -174,8 +163,7 @@ class QuantumState:
         return np.array(self.data)
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Value):
     """Projective measurement: labeled real outcomes with orthogonal projectors.
 
     The projectors must be Hermitian idempotents, mutually orthogonal, and sum
@@ -184,8 +172,11 @@ class Observable:
     any dimension.
     """
 
-    dim: int
-    outcomes: tuple[tuple[float, np.ndarray], ...]
+    _fields = ("dim", "outcomes")
+
+    def __init__(self, dim: int, outcomes: tuple[tuple[float, np.ndarray], ...]) -> None:
+        self.__dict__.update(dim=dim, outcomes=outcomes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         """Validate the projectors, as the one-observable case of ``_validate_observables``."""

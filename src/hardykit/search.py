@@ -1,26 +1,18 @@
-"""Construction and optimization of measurement settings for maximal violations.
+"""Construction and optimization of measurement settings for maximal violations, in closed form.
 
-The zero-probability construction works in the Schmidt basis, where every
-needed observable is a real planar qubit projector parametrized by one angle.
-Each of the three vanishing joint probabilities fixes one angle in closed form,
-and the remaining free angle is set where the fourth probability peaks, so the
-largest q4 is (alpha beta (alpha - beta) / (1 - alpha beta))^2 exactly.
-
-The setting optimizer needs no search: for spin settings on a qubit pair the
-witness equals the Clauser-Horne form 1/2 + CHSH/4, which depends on the state
-only through its correlation matrix T, and its extreme values
-(1 +- sqrt(t1^2 + t2^2))/2 are reached at settings built from the top two
-singular pairs of T (Horodecki, Horodecki and Horodecki, Phys. Lett. A 200,
-340 (1995)).
+The zero-probability construction fixes one planar qubit angle per vanishing
+probability in the Schmidt basis. The optimizer reads the extreme values off
+the state's correlation matrix (Horodecki, Horodecki and Horodecki, Phys.
+Lett. A 200, 340 (1995)).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import asin, atan, atan2, cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
+from ._value import Value
 from .errors import (
     DimensionMismatch,
     MaximallyEntangled,
@@ -50,19 +42,21 @@ from .witness import (
 
 OBJECTIVES = ("maximize_upper", "minimize_lower")
 
-# Schmidt angle of the largest constructed q4, (5 sqrt 5 - 11)/2: there
-# s = sin(2 theta)/2 solves s^2 - 3s + 1 = 0.
+# Schmidt angle of the largest constructed q4 (see max_hardy_probability).
 _THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
 # That largest q4; no Schmidt angle's construction clears a tol at or above it.
 _Q4_MAX = (5.0 * sqrt(5.0) - 11.0) / 2.0
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
-@dataclass(frozen=True)
-class SchmidtState:
+class SchmidtState(Value):
     """Two-qubit pure state cos(angle)|00> + sin(angle)|11>, angle in [0, pi/4]."""
 
-    angle: float
+    _fields = ("angle",)
+
+    def __init__(self, angle: float) -> None:
+        self.__dict__["angle"] = angle
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.angle <= pi / 4:
@@ -80,31 +74,33 @@ class SchmidtState:
         return _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Value):
     """Restart count and seed, kept for callers that pass them.
 
     Both are validated, but the optimum is computed in closed form, so
     neither changes the result.
     """
 
-    restarts: int = 20
-    seed: int = 0
+    _fields = ("restarts", "seed")
+
+    def __init__(self, restarts: int = 20, seed: int = 0) -> None:
+        self.__dict__.update(restarts=restarts, seed=seed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError("restarts must be positive")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Value):
     """Optimal scenario, its expression value, and the angles that describe it."""
 
-    objective: str
-    value: float
-    angles: tuple[float, ...]
-    scenario: Scenario
-    planar: bool
+    _fields = ("objective", "value", "angles", "scenario", "planar")
+
+    def __init__(self, objective: str, value: float, angles: tuple[float, ...], scenario: Scenario,
+                 planar: bool) -> None:
+        self.__dict__.update(objective=objective, value=value, angles=angles, scenario=scenario,
+                             planar=planar)
 
     def to_dict(self) -> dict:
         return {
@@ -132,15 +128,12 @@ def _hardy_angles(alpha: float, beta: float) -> tuple[float, float, float, float
 def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     """Observables forcing q1 = q2 = q3 = 0 with the largest attainable q4.
 
-    Among the one-parameter family of settings that satisfies the three zero
-    constraints, the member with maximal q4 = (alpha beta (alpha - beta) /
-    (1 - alpha beta))^2 is returned, so downstream sweeps see the strongest
-    violation the state supports. If that q4 is not above ``tol``, the state
-    is too close to a product state (``NotEntangled``) or to the maximally
-    entangled one (``MaximallyEntangled``). The built settings are verified on
-    the state's q-vector, and ``NoSolution`` is raised unless
-    max(q1, q2, q3) < tol < q4. A ``tol`` that is not positive, or not below
-    the largest q4 over all Schmidt states, (5 sqrt 5 - 11)/2, raises
+    That q4 is (alpha beta (alpha - beta) / (1 - alpha beta))^2. If it is not
+    above ``tol``, the state is too close to a product state (``NotEntangled``)
+    or to the maximally entangled one (``MaximallyEntangled``). The built
+    settings are verified on the state's q-vector, and ``NoSolution`` is raised
+    unless max(q1, q2, q3) < tol < q4. A ``tol`` that is not positive, or not
+    below the largest q4 over all Schmidt states, (5 sqrt 5 - 11)/2, raises
     ``ValueError``.
     """
     if not (isfinite(tol) and tol > 0.0):
@@ -234,12 +227,10 @@ def max_hardy_probability() -> tuple[float, float]:
 
 
 def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> float:
-    """Visibility at which the expression crosses the upper bound.
+    """Visibility v at which the expression crosses 1 on v |singlet><singlet| + (1 - v) I/4.
 
-    The state family is v |singlet><singlet| + (1 - v) I/4. The expression is
-    affine in v, so its values at v_lo and v_hi give the crossing exactly by
-    linear interpolation. Both ends' tables of joint probabilities come from
-    one call of the joint kernel on the two stacked densities.
+    The expression is affine in v, so its values at v_lo and v_hi, both from one
+    call of the joint kernel, give the crossing exactly by linear interpolation.
     """
     if not 0.0 <= v_lo < v_hi <= 1.0:
         raise ValueError(f"need 0 <= v_lo < v_hi <= 1, got [{v_lo}, {v_hi}]")

@@ -5,23 +5,16 @@ the probability vector (q1..q4, optionally q5, q6), the combination
 q1 + q2 + q3 (+ q5 + q6) - q4 whose value must lie in [0, 1] for any local
 deterministic model, and the six-term Clauser-Horne combination, which agrees
 with it identically.
-
-A ``Scenario`` stacks each side's projectors once, when it is built: side 1
-holds x1 = +1, y1 = +1, x1 = -1 (and x1 = 0 if trichotomic), side 2 likewise.
-Every ``q_vector``, ``ch_expression`` and ``witness_report`` call reads all its
-joint probabilities from one contraction of the state with these two stored
-stacks. ``planar_scenario`` writes its eight spin projectors into one array,
-and its side stacks are views of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import cos, isfinite, sin
 from typing import Sequence
 
 import numpy as np
 
+from ._value import Value
 from .errors import DimensionMismatch
 from .lhv import QVector, _component
 from .qcore import (
@@ -60,21 +53,20 @@ _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """Four local observables: x1, y1 on side 1 and x2, y2 on side 2.
 
     The x-observables carry spectrum {-1, +1} or {-1, 0, +1} (both sides
     alike); the y-observables may have any spectrum containing +1. Each side's
     projectors are stacked once, in ``_side`` order, into the read-only
-    ``_sides`` that the joint kernel reads.
+    ``_sides`` that the joint kernel reads; ``_sides`` is not a field.
     """
 
-    x1: Observable
-    y1: Observable
-    x2: Observable
-    y2: Observable
-    _sides: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _fields = ("x1", "y1", "x2", "y2")
+
+    def __init__(self, x1: Observable, y1: Observable, x2: Observable, y2: Observable) -> None:
+        self.__dict__.update(x1=x1, y1=y1, x2=x2, y2=y2)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.x1.dim != self.y1.dim or self.x2.dim != self.y2.dim:
@@ -108,14 +100,15 @@ class Scenario:
         return (self.x1.dim, self.x2.dim)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Value):
     """Bundle of the probability vector, both expression values, and the verdict."""
 
-    qvec: QVector
-    generalized_value: float
-    ch_value: float
-    classification: str
+    _fields = ("qvec", "generalized_value", "ch_value", "classification")
+
+    def __init__(self, qvec: QVector, generalized_value: float, ch_value: float,
+                 classification: str) -> None:
+        self.__dict__.update(qvec=qvec, generalized_value=generalized_value, ch_value=ch_value,
+                             classification=classification)
 
     def to_dict(self) -> dict:
         return {
@@ -195,11 +188,7 @@ def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
 
 
 def generalized_expression(q: QVector) -> float:
-    """q1 + q2 + q3 - q4, plus q5 + q6 in the trichotomic case.
-
-    Local deterministic models confine this value to [0, 1]; either bound can
-    be violated by entangled states.
-    """
+    """q1 + q2 + q3 - q4, plus q5 + q6 in the trichotomic case."""
     value = q.q1 + q.q2 + q.q3 - q.q4
     if q.trichotomic:
         value += q.q5 + q.q6
@@ -247,11 +236,7 @@ def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> st
 def witness_report(
     state: QuantumState, scenario: Scenario, tol: float = DEFAULT_TOLERANCE
 ) -> WitnessReport:
-    """Evaluate everything the witness has to say about a state and scenario.
-
-    q and the four joint terms of CH are read from one table of joint
-    probabilities, as ``q_vector`` and ``ch_expression`` read them.
-    """
+    """Evaluate everything the witness has to say about a state and scenario, from one table."""
     rho4, table = _joint_probabilities(state, scenario)
     q = _q_from_table(table)
     gen = generalized_expression(q)
@@ -272,9 +257,7 @@ def scenario_from_dict(payload: dict) -> Scenario:
 
     If reading any of x1, y1, x2, y2 fails, they are decoded again one at a
     time by ``observable_from_dict``, which raises the first fault. ``bloch``
-    entries are built trusted and skip the batch. Each outcome's projector is
-    a read-only view into the validated array, which the ``Scenario`` stacks
-    its sides from.
+    entries are built trusted and skip the batch.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"scenario must be an object, got {payload!r}")

@@ -6,7 +6,8 @@ message the regex finds, and no warning on the way. A CLI row is (id, argv,
 exit code, stderr regex), run through ``cli.main``: stdout stays empty, a
 domain error (exit 3) prints one ``Type: message`` line, nothing prints a
 traceback and nothing warns. An argv entry that is not a string is written to
-a JSON file, and ``fails_cleanly`` passes the file's path in its place.
+a JSON file, and ``fails_cleanly`` passes the file's path in its place; a
+``Stdin`` entry goes to stdin instead, and ``-`` takes its place.
 
 Rows are grouped under the test that runs them, named ``Class.test``.
 ``TestErrorContract`` below runs its own groups. Every other group belongs to
@@ -120,12 +121,22 @@ def _measure(weights, a, b, c, d) -> FiniteMeasure:
     return FiniteMeasure(np.asarray(weights, dtype=float), *arrays)
 
 
+class Stdin(dict):
+    """A JSON payload that ``fails_cleanly`` sends to stdin, passing ``-`` in its place."""
+
+
 def _density(*entries) -> np.ndarray:
     """I/4 with the given (row, column, value) entries set."""
     matrix = np.eye(4, dtype=complex) / 4.0
     for i, j, value in entries:
         matrix[i, j] = value
     return matrix
+
+
+def _density_payload(*entries) -> dict:
+    """The wire form of ``_density(*entries)``."""
+    pairs = [[z.real, z.imag] for z in _density(*entries).reshape(-1).tolist()]
+    return {"dims": [2, 2], "kind": "density", "data": pairs}
 
 
 _SINGLET_DATA = state_to_dict(singlet())["data"]
@@ -171,6 +182,15 @@ LIBRARY = {
          "^q1 must be a number"),
         ("lhv-feasible-null-q5", lhv_feasible, ([0, 0, 0, 0, None, 0],), InvalidQVector,
          "^q5 must be a number"),
+        # Finite densities whose Hermiticity difference, trace or Hermitian part overflows.
+        ("state-density-asymmetry-overflow", _DENSITY, (_density((3, 3, 0.25 + 1e308j)), (2, 2)),
+         ValueError, "^density matrix is not Hermitian within tolerance$"),
+        ("state-density-trace-overflow", _DENSITY,
+         (_density((0, 0, 1e308), (1, 1, 1e308), (2, 2, -1e308), (3, 3, -1e308 + 1)), (2, 2)),
+         ValueError, r"^density matrix trace \(nan\+0j\) is not 1 within"),
+        ("state-density-hermitian-part-overflow", _DENSITY,
+         (_density((0, 1, 1.5e308), (1, 0, 1.5e308)), (2, 2)), ValueError,
+         "^density matrix has eigenvalue -1.5e[+]308 below"),
     ],
     # -- qcore: directions, probabilities, states, observables ------------------------
     "TestBlochDirection.test_rejects_out_of_range_angles": [
@@ -537,6 +557,10 @@ CLI = {
         ("sweep-steps-far-above-cap", ("sweep", "--family", "schmidt", "--lo", "0.1", "--hi",
                                        "0.5", "--steps", "1000000000000"),
          2, "argument --steps: must be at most 1000000"),
+        ("optimize-stdin-density-overflow",
+         ("optimize", "--state", Stdin(_density_payload((3, 3, 0.25 + 1e308j))),
+          "--objective", "upper"),
+         3, "^ValueError: density matrix is not Hermitian within tolerance$"),
     ],
     "TestEval.test_unknown_state_kind_is_domain_error": [
         (None, ("eval", "--state", {**_PRODUCT, "kind": "garbage"}, "--scenario", _BLOCH_SCENARIO),
@@ -602,11 +626,14 @@ def raises_one_error(call, args, error, message) -> None:
     assert re.search(message, str(info.value)), str(info.value)
 
 
-def fails_cleanly(argv, code, stderr, tmp_path, capsys) -> None:
+def fails_cleanly(argv, code, stderr, tmp_path, capsys, monkeypatch) -> None:
     """``main(argv)`` exits with ``code``, no stdout and no traceback, and never warns."""
     args = []
     for index, arg in enumerate(argv):
-        if not isinstance(arg, str):
+        if isinstance(arg, Stdin):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(arg)))
+            arg = "-"
+        elif not isinstance(arg, str):
             path = tmp_path / f"arg{index}.json"
             path.write_text(json.dumps(arg), encoding="utf-8")
             arg = str(path)
@@ -633,7 +660,7 @@ def _library_check(request, row) -> None:
 
 
 def _cli_check(request, row) -> None:
-    fails_cleanly(*row[1:], request.getfixturevalue("tmp_path"), request.getfixturevalue("capsys"))
+    fails_cleanly(*row[1:], *map(request.getfixturevalue, ("tmp_path", "capsys", "monkeypatch")))
 
 
 class ErrorRows:

@@ -13,14 +13,17 @@ import hardykit
 from test_cli import run_python
 
 
-def modules_at_exit(package: str, body: str, *argv: str) -> tuple[int, str, list[str]]:
-    """Exit code, stdout and the modules of ``package`` loaded by ``body`` in a fresh
-    interpreter with ``argv``; the module list prints at exit, after the output."""
+def modules_at_exit(
+    packages: str, body: str, *argv: str, flags: tuple[str, ...] = ()
+) -> tuple[int, str, list[str]]:
+    """Exit code, stdout and the modules of the space-separated ``packages`` loaded by
+    ``body`` in a fresh interpreter with ``flags`` and ``argv``; the module list prints
+    at exit, after the output."""
     hook = (
         "import atexit, runpy, sys; atexit.register(lambda: print(sorted(m for m in sys.modules "
-        f"if m == {package!r} or m.startswith({package + '.'!r})))); "
+        f"if m.partition('.')[0] in {packages.split()!r}))); "
     )
-    done = run_python("-c", hook + body, *argv)
+    done = run_python(*flags, "-c", hook + body, *argv)
     out, _, modules = done.stdout.rstrip("\n").rpartition("\n")
     return done.returncode, out, ast.literal_eval(modules) if done.returncode == 0 else done.stderr
 
@@ -77,6 +80,15 @@ class TestStartWithoutNumpy:
 
     def test_import(self):
         assert modules_at_exit("numpy", "import hardykit") == (0, "", [])
+
+    def test_import_without_dataclasses_inspect_or_typing(self):
+        # -S leaves out site, whose .pth files may import typing themselves.
+        heavy = "numpy dataclasses inspect typing"
+        assert modules_at_exit(heavy, "import hardykit", flags=("-S",)) == (0, "", [])
+        # The check can see them: dataclasses brings inspect along.
+        body = "import hardykit, dataclasses, typing"
+        code, _, seen = modules_at_exit(heavy, body, flags=("-S",))
+        assert code == 0 and {"dataclasses", "inspect", "typing"} <= set(seen)
 
     def test_quantum_name_loads_numpy(self):
         # The checks above can see numpy: reading a quantum name loads it.
