@@ -17,7 +17,7 @@ class Value:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return _equal(self._values(), other._values())
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -34,3 +34,15 @@ class Value:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _equal(a, b) -> bool:
+    """``a == b`` as one bool: tuples item by item, arrays by shape and then entries."""
+    if a is b:
+        return True
+    if type(a) is tuple or type(b) is tuple:
+        return type(a) is type(b) and len(a) == len(b) and all(map(_equal, a, b))
+    shape = getattr(a, "shape", ())
+    if shape or getattr(b, "shape", ()):  # an array on either side, compared without numpy
+        return shape == getattr(b, "shape", ()) and bool((a == b).all())
+    return bool(a == b)

@@ -179,10 +179,24 @@ class Observable(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Validate the projectors, as the one-observable case of ``_validate_observables``."""
-        ((dim, outcomes),) = _validate_observables(((self.dim, self.outcomes),))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "outcomes", outcomes)
+        """Screen the projectors as one read-only stack, kept as their views; diagnose a failure."""
+        outcomes = self.outcomes
+        try:
+            d = _dimension(self.dim)
+            outcomes = tuple(outcomes)  # read once, so that the diagnosis gets an iterator's too
+            labels = [_number(label, "outcome label") for label, _ in outcomes]
+            stack = np.array([proj for _, proj in outcomes], dtype=complex)
+            passed = (d >= 1 and stack.shape == (len(labels), d, d)
+                      and len(set(labels)) == len(labels) and all(map(isfinite, labels)))
+        except (TypeError, ValueError, OverflowError):
+            passed = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (passed and _projective(stack[None])):
+                # Raises for every fault but NaN from an overflowing product (see _projective).
+                _check_observable(self.dim, outcomes)
+        stack.setflags(write=False)
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
 
     @property
     def labels(self) -> tuple[float, ...]:
@@ -255,61 +269,6 @@ def _projective(stack: np.ndarray) -> bool:
         and np.abs(gram).max(initial=0.0) <= PROJECTOR_ATOL
         and np.abs(stack.sum(axis=1) - np.eye(d)).max(initial=0.0) <= PROJECTOR_ATOL
     )
-
-
-def _validate_observables(
-    observables: Iterable[tuple[object, Iterable]],
-) -> list[tuple[int, tuple[tuple[float, np.ndarray], ...]]]:
-    """Validate the projectors of several observables, each given as (dim, outcomes).
-
-    The screen reads the input and stacks the observables of one dimension d
-    into one read-only (n, k_max, d, d) array, those with fewer outcomes
-    padded with zero projectors (Hermitian, idempotent, orthogonal to all and
-    adding nothing to a sum), and tests each array with ``_projective``. If
-    reading fails or a test does, ``_check_observable`` checks the
-    observables in input order and raises the first fault. Returns each
-    observable's dimension and outcomes, every projector a read-only view into
-    the array of its dimension.
-    """
-    read, parsed, members, slots, arrays = [], [], {}, {}, {}
-    try:
-        for dim, outcomes in observables:
-            read.append((dim, outcomes))
-            d = _dimension(dim)
-            # Read once, so that the diagnosis gets an iterator's outcomes too.
-            outcomes = tuple(outcomes)
-            read[-1] = (dim, outcomes)
-            labels = [_number(label, "outcome label") for label, _ in outcomes]
-            projectors = [np.asarray(proj, dtype=complex) for _, proj in outcomes]
-            members.setdefault(d, []).append(len(parsed))
-            parsed.append((d, labels, projectors))
-        passed = all(
-            d >= 1
-            and labels
-            and len(set(labels)) == len(labels)
-            and all(map(isfinite, labels))
-            and all(proj.shape == (d, d) for proj in projectors)
-            for d, labels, projectors in parsed
-        )
-    except (TypeError, ValueError, OverflowError):
-        passed = False
-    if passed:
-        for d, group in members.items():
-            k = max(len(parsed[i][1]) for i in group)
-            zero = np.zeros((d, d), dtype=complex)
-            rows = []
-            for slot, i in enumerate(group):
-                slots[i] = slot
-                rows += parsed[i][2] + [zero] * (k - len(parsed[i][2]))
-            arrays[d] = np.array(rows, dtype=complex).reshape(len(group), k, d, d)
-            arrays[d].setflags(write=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        passed = passed and all(_projective(stack) for stack in arrays.values())
-        if not passed:
-            # Raises for every fault but NaN from an overflowing product (see _projective).
-            for dim, outcomes in read:
-                _check_observable(dim, outcomes)
-    return [(d, tuple(zip(labels, arrays[d][slots[i]]))) for i, (d, labels, _) in enumerate(parsed)]
 
 
 def spin_observable(direction: BlochDirection) -> Observable:
@@ -521,12 +480,8 @@ def observable_to_dict(obs: Observable) -> dict:
     }
 
 
-def _read_observable(payload: dict) -> Observable | tuple[int, tuple]:
-    """An observable's wire form, read but not validated.
-
-    The ``bloch`` shorthand gives its spin ``Observable``, built trusted; an
-    explicit measurement gives its dimension and (label, projector) pairs.
-    """
+def observable_from_dict(payload: dict) -> Observable:
+    """An observable from its wire form: the ``bloch`` shorthand or explicit outcomes."""
     if not isinstance(payload, dict):
         raise ValueError(f"observable must be an object, got {payload!r}")
     if "bloch" in payload:
@@ -538,23 +493,14 @@ def _read_observable(payload: dict) -> Observable | tuple[int, tuple]:
     try:
         d = _dimension(payload["dim"])
     except ValueError:
-        raise ValueError(
-            f"dim {payload['dim']!r} is not valid: dimensions must be integers"
-        ) from None
+        raise ValueError(f"dim {payload['dim']!r} is not valid: dimensions must be integers") from None
     if d < 1:
         raise ValueError(f"dim must be a positive integer, got {d}")
     entries = payload["outcomes"]
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError(f"outcomes must be a list of objects, got {entries!r}")
-    return d, tuple(
-        (
-            _number(entry["label"], "label"),
-            _matrix_from_pairs(entry["projector"], "projector", d),
-        )
+    outcomes = tuple(
+        (_number(entry["label"], "label"), _matrix_from_pairs(entry["projector"], "projector", d))
         for entry in entries
     )
-
-
-def observable_from_dict(payload: dict) -> Observable:
-    read = _read_observable(payload)
-    return read if isinstance(read, Observable) else Observable(*read)
+    return Observable(d, outcomes)

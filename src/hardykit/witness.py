@@ -9,6 +9,7 @@ with it identically.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import cos, isfinite, sin
 from typing import Sequence
 
@@ -24,11 +25,10 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _marginal,
-    _read_observable,
+    _projective,
     _spin_pair,
     _spin_projectors,
     _trusted,
-    _validate_observables,
     observable_from_dict,
     observable_to_dict,
 )
@@ -49,6 +49,8 @@ CLASSIFICATIONS = (
     NO_VIOLATION,
 )
 
+_NAMES = ("x1", "y1", "x2", "y2")
+_NUMBER = frozenset((int, float))  # the types a JSON number decodes to
 _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
 
@@ -244,33 +246,73 @@ def witness_report(
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "x1": observable_to_dict(scenario.x1),
-        "y1": observable_to_dict(scenario.y1),
-        "x2": observable_to_dict(scenario.x2),
-        "y2": observable_to_dict(scenario.y2),
-    }
+    return {name: observable_to_dict(getattr(scenario, name)) for name in _NAMES}
 
 
 def scenario_from_dict(payload: dict) -> Scenario:
-    """Decode a scenario, validating its explicit observables in one batched pass.
+    """Decode a scenario in one pass; what it refuses, ``observable_from_dict`` decodes again.
 
-    If reading any of x1, y1, x2, y2 fails, they are decoded again one at a
-    time by ``observable_from_dict``, which raises the first fault. ``bloch``
-    entries are built trusted and skip the batch.
+    The second decode reads x1, y1, x2, y2 in turn and raises the first fault.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"scenario must be an object, got {payload!r}")
-    names = ("x1", "y1", "x2", "y2")
     try:
-        read = [_read_observable(payload[name]) for name in names]
-    except (KeyError, TypeError, ValueError):
-        read = [observable_from_dict(payload[name]) for name in names]
-    explicit = [i for i, entry in enumerate(read) if not isinstance(entry, Observable)]
-    for i, (d, outcomes) in zip(explicit, _validate_observables([read[i] for i in explicit])):
-        read[i] = _trusted(Observable, dim=d, outcomes=outcomes)
-    x1, y1, x2, y2 = read
-    return Scenario(x1=x1, y1=y1, x2=x2, y2=y2)
+        read = _screened_observables(payload)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        read = None
+    if read is None:
+        read = [observable_from_dict(payload[name]) for name in _NAMES]
+    return Scenario(*read)
+
+
+def _screened_observables(payload: dict) -> list[Observable] | None:
+    """x1, y1, x2, y2 when the explicit ones hold JSON numbers and pass the screen, else None.
+
+    All [re, im] pairs go through one ``np.array``; the observables of each dimension d form
+    one read-only (n, k_max, d, d) stack for ``_projective``, padded with zero projectors.
+    """
+    read, groups = [], {}
+    for name in _NAMES:
+        entry = payload[name]
+        if type(entry) is not dict or "bloch" in entry:
+            read.append(observable_from_dict(entry))
+            continue
+        dim, outcomes = entry["dim"], entry["outcomes"]
+        if not (type(dim) in _NUMBER and type(outcomes) is list and set(map(type, outcomes)) == {dict}):
+            return None
+        labels = [outcome["label"] for outcome in outcomes]
+        projectors = [outcome["projector"] for outcome in outcomes]
+        if not (int(dim) == dim >= 1 and set(map(type, labels)) <= _NUMBER
+                and set(map(type, projectors)) == {list}
+                and set(map(len, projectors)) == {dim * dim}):
+            return None
+        labels = [*map(float, labels)]
+        if len(set(labels)) != len(labels) or not all(map(isfinite, labels)):
+            return None
+        groups.setdefault(int(dim), []).append((len(read), labels, projectors))
+        read.append(None)
+    rows, k_max = [], []
+    for d, members in groups.items():
+        k_max.append(max(len(labels) for _, labels, _ in members))
+        for _, _, projectors in members:
+            rows += projectors + [[[0.0, 0.0]] * (d * d)] * (k_max[-1] - len(projectors))
+    pairs = [*chain.from_iterable(rows)]
+    flat = [*chain.from_iterable(pairs)]
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, flat)) <= _NUMBER):
+        return None
+    values = np.array(flat, dtype=float).view(complex)
+    values.setflags(write=False)
+    start = 0
+    for (d, members), k in zip(groups.items(), k_max):
+        stack = values[start : start + len(members) * k * d * d].reshape(len(members), k, d, d)
+        start += stack.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not _projective(stack):
+                return None
+        for (i, labels, _), block in zip(members, stack):
+            read[i] = _trusted(Observable, dim=d, outcomes=tuple(zip(labels, block)))
+    return read
 
 
 def planar_scenario(

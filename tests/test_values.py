@@ -4,9 +4,9 @@ The twelve public value classes behave as frozen dataclasses did: ``__init__``
 takes the fields by position or keyword, ``==`` and ``hash`` compare the
 fields of two instances of the same class, ``repr`` is ``Name(field=value, ...)``,
 and setting or deleting an attribute raises ``FrozenInstanceError``.
-A field holding a numpy array makes ``==`` ambiguous between distinct arrays
-and ``hash`` raise ``TypeError``, so those classes are compared on shared
-fields only.
+``==`` compares fields that hold numpy arrays by shape and entries, so two
+separately built instances with equal arrays are equal; ``hash`` of such an
+instance raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from hardykit import (
     WitnessReport,
     planar_scenario,
     spin_observable,
+    werner_state,
 )
 from hardykit.qcore import _trusted
 
@@ -138,8 +139,8 @@ class TestValueClass:
         assert twin is not value and twin == value and not twin != value
         assert value != cls(*spec.other)
         assert value != field_values(value, spec)
+        assert value == cls(*spec.args) and not value != cls(*spec.args)
         if hashable(spec.args):
-            assert value == cls(*spec.args)
             assert hash(value) == hash(cls(*spec.args)) == hash(field_values(value, spec))
         else:
             with pytest.raises(TypeError):
@@ -198,3 +199,26 @@ class TestScenarioSides:
             Scenario(_Z, _X, _Z, _X, _REFERENCE._sides)
         with pytest.raises(TypeError):
             Scenario(_Z, _X, _Z, _X, _sides=_REFERENCE._sides)
+
+
+# Builders of instances whose fields hold arrays of more than one entry, with an
+# argument and a different one.
+_ARRAY_BUILDERS = {
+    "FiniteMeasure": (lambda w: FiniteMeasure(np.array([w, 1.0 - w]), [True, False], [False, True],
+                                              [True, True], [False, False]), 0.25, 0.5),
+    "QuantumState": (werner_state, 0.5, 0.75),
+    "Observable": (lambda theta: spin_observable(BlochDirection(theta, 0.0)), 0.5, 1.0),
+    "Scenario": (lambda a: planar_scenario(0.0, pi / 2, a, pi / 4), 1.0, 2.0),
+    "SearchResult": (lambda a: SearchResult("maximize_upper", 1.2, (0.0, a), planar_scenario(
+        0.0, pi / 2, a, pi / 4), True), 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_BUILDERS))
+def test_separately_built_arrays_compare_by_entries(name):
+    build, arg, other = _ARRAY_BUILDERS[name]
+    value = build(arg)
+    assert value == build(arg) and not value != build(arg)
+    assert value != build(other) and not value == build(other)
+    with pytest.raises(TypeError):
+        hash(value)

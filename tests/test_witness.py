@@ -257,6 +257,33 @@ def _inject(rng, payload: dict, fault: str) -> None:
                 other["label"] = 5.0
 
 
+_QUBITS = (2, 2, 2, 2)
+
+
+def _z_basis(one, zero, minus_one):
+    """Replace x1 by the z measurement, written with the given numbers for 1, 0 and -1."""
+    def edit(payload):
+        up = [[one, zero], [zero, zero], [zero, zero], [zero, zero]]
+        down = [[zero, zero], [zero, zero], [zero, zero], [one, zero]]
+        payload["x1"] = {"dim": 2 * one, "outcomes": [
+            {"label": one, "projector": up}, {"label": minus_one, "projector": down},
+        ]}
+    return edit
+
+
+def _pair(pair):
+    """Put ``pair`` in place of the first entry of x1's first projector."""
+    return lambda payload: payload["x1"]["outcomes"][0]["projector"].__setitem__(0, pair)
+
+
+def _label(label):
+    """Set x1's first label to ``label``; None copies its second label."""
+    def edit(payload):
+        first, second = payload["x1"]["outcomes"][:2]
+        first["label"] = second["label"] if label is None else label
+    return edit
+
+
 def _assert_decodes_like_oracle(payload: dict) -> None:
     """scenario_from_dict accepts, builds and rejects exactly as the sequential oracle."""
     try:
@@ -336,6 +363,47 @@ class TestScenarioDecoderMatchesOracle:
         rng = np.random.default_rng(3)
         _assert_decodes_like_oracle(_wire_scenario(rng, (2, 2, 3, 3), False, [True, False] * 2))
         _assert_decodes_like_oracle(_wire_scenario(rng, (2, 2, 2, 2), False, [True] * 4))
+
+    @pytest.mark.parametrize(
+        "dims, bloch, edit, message",
+        [
+            pytest.param(*row[1:], id=row[0])
+            for row in (
+                ("dim-integral-float", _QUBITS, None, lambda payload: payload["x1"].update(dim=2.0),
+                 None),
+                ("pair-int-entries", _QUBITS, None, _z_basis(1, 0, -1), None),
+                ("pair-negative-zero", _QUBITS, None, _z_basis(1.0, -0.0, -1.0), None),
+                ("pair-true", _QUBITS, None, _pair([True, 0.0]), "pairs of numbers"),
+                ("pair-numeric-string", _QUBITS, None, _pair(["0.5", 0.0]), "pairs of numbers"),
+                ("pair-null", _QUBITS, None, _pair([0.5, None]), "pairs of numbers"),
+                ("pair-length-1", _QUBITS, None, _pair([0.5]), "pairs of numbers"),
+                ("pair-length-3", _QUBITS, None, _pair([0.5, 0.0, 0.0]), "pairs of numbers"),
+                ("pair-two-character-string", _QUBITS, None, _pair("10"), "pairs of numbers"),
+                ("pair-two-key-object", _QUBITS, None, _pair({"re": 0.5, "im": 0.0}),
+                 "pairs of numbers"),
+                ("entry-huge-integer", _QUBITS, None, _pair([10**400, 0]), "pairs of numbers"),
+                ("entry-infinity", _QUBITS, None, _pair([float("inf"), 0.0]), "non-finite"),
+                ("label-nan", _QUBITS, None, _label(float("nan")), "must be finite"),
+                ("label-duplicate", _QUBITS, None, _label(None), "must be distinct"),
+                ("sides-2-3", (2, 2, 3, 3), None, None, None),
+                ("bloch-beside-explicit", _QUBITS, [False, True, False, False], None, None),
+            )
+        ],
+    )
+    def test_edge_row_decodes_like_oracle(self, dims, bloch, edit, message):
+        payload = _wire_scenario(np.random.default_rng(13), dims, False, bloch or [False] * 4)
+        if edit is not None:
+            edit(payload)
+        _assert_decodes_like_oracle(payload)
+        if message is not None:
+            with pytest.raises(ValueError, match=message):
+                scenario_from_dict(payload)
+            return
+        scenario = scenario_from_dict(payload)
+        for name in _NAMES:
+            for _, projector in getattr(scenario, name).outcomes:
+                with pytest.raises(ValueError, match="read-only"):
+                    projector[0, 0] = 0.5
 
 
 class TestQVectorExtraction:
