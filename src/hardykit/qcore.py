@@ -179,22 +179,8 @@ class Observable(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Screen the projectors as one read-only stack, kept as their views; diagnose a failure."""
-        outcomes = self.outcomes
-        try:
-            d = _dimension(self.dim)
-            outcomes = tuple(outcomes)  # read once, so that the diagnosis gets an iterator's too
-            labels = [_number(label, "outcome label") for label, _ in outcomes]
-            stack = np.array([proj for _, proj in outcomes], dtype=complex)
-            passed = (d >= 1 and stack.shape == (len(labels), d, d)
-                      and len(set(labels)) == len(labels) and all(map(isfinite, labels)))
-        except (TypeError, ValueError, OverflowError):
-            passed = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not (passed and _projective(stack[None])):
-                # Raises for every fault but NaN from an overflowing product (see _projective).
-                _check_observable(self.dim, outcomes)
-        stack.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow silently
+            d, labels, stack = _check_observable(self.dim, self.outcomes)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
 
@@ -210,8 +196,11 @@ class Observable(Value):
         raise UnknownLabel(f"label {label} not in spectrum {self.labels}")
 
 
-def _check_observable(dim, outcomes) -> None:
-    """Check one observable outcome by outcome and raise its first fault."""
+def _check_observable(dim, outcomes) -> tuple[int, list[float], np.ndarray]:
+    """Check one observable outcome by outcome and raise its first fault.
+
+    Returns the dimension, the labels and the projectors as one read-only stack.
+    """
     d = _dimension(dim)
     if d < 1:
         raise ValueError("dimension must be positive")
@@ -249,12 +238,13 @@ def _check_observable(dim, outcomes) -> None:
             )
     if np.max(np.abs(sum(projectors) - np.eye(d))) > PROJECTOR_ATOL:
         raise ValueError("projectors do not sum to the identity")
+    stack = np.array(projectors)
+    stack.setflags(write=False)
+    return d, labels, stack
 
 
 def _projective(stack: np.ndarray) -> bool:
     """Whether every observable of an (n, k, d, d) stack is projective, one maximum per test."""
-    if not np.isfinite(stack).all():
-        return False
     n, k, d, _ = stack.shape
     # Every Gram block P_a P_b of an observable from one (k d) x (k d)
     # product, at [o, a, :, b, :]. Less P_a on the diagonal blocks (through
@@ -262,8 +252,9 @@ def _projective(stack: np.ndarray) -> bool:
     gram = stack.reshape(n, k * d, d) @ stack.transpose(0, 2, 1, 3).reshape(n, d, k * d)
     gram = gram.reshape(n, k, d, k, d)
     np.einsum("oaiaj->oaij", gram)[...] -= stack
-    # NaN from an overflowing product fails a maximum's comparison too; the
-    # diagnosis then lets NaN pass, as an outcome-by-outcome comparison does.
+    # A NaN or infinite entry makes the Hermiticity difference NaN or infinite
+    # there. NaN from an overflowing product fails a maximum's comparison too;
+    # the sequential check then lets NaN pass, as an outcome-by-outcome one does.
     return bool(
         np.abs(stack - stack.conj().swapaxes(2, 3)).max(initial=0.0) <= PROJECTOR_ATOL
         and np.abs(gram).max(initial=0.0) <= PROJECTOR_ATOL

@@ -41,14 +41,6 @@ LOWER_BOUND_VIOLATION = "LowerBoundViolation"
 UPPER_BOUND_VIOLATION = "UpperBoundViolation"
 NO_VIOLATION = "NoViolation"
 
-CLASSIFICATIONS = (
-    HARDY_VIOLATION,
-    KUNKRI_VIOLATION,
-    LOWER_BOUND_VIOLATION,
-    UPPER_BOUND_VIOLATION,
-    NO_VIOLATION,
-)
-
 _NAMES = ("x1", "y1", "x2", "y2")
 _NUMBER = frozenset((int, float))  # the types a JSON number decodes to
 _DICHOTOMIC = frozenset((-1.0, 1.0))
@@ -259,60 +251,49 @@ def scenario_from_dict(payload: dict) -> Scenario:
     try:
         read = _screened_observables(payload)
     except (KeyError, TypeError, ValueError, OverflowError):
-        read = None
-    if read is None:
         read = [observable_from_dict(payload[name]) for name in _NAMES]
     return Scenario(*read)
 
 
-def _screened_observables(payload: dict) -> list[Observable] | None:
-    """x1, y1, x2, y2 when the explicit ones hold JSON numbers and pass the screen, else None.
+def _screened_observables(payload: dict) -> list[Observable]:
+    """x1, y1, x2, y2 when all four are explicit JSON observables of one int dim and pass the screen.
 
-    All [re, im] pairs go through one ``np.array``; the observables of each dimension d form
-    one read-only (n, k_max, d, d) stack for ``_projective``, padded with zero projectors.
+    All [re, im] pairs go through one ``np.array``, reshaped to the read-only (4, k_max, d, d) stack
+    that ``_projective`` screens (zero projectors pad it). Anything else raises.
     """
-    read, groups = [], {}
-    for name in _NAMES:
-        entry = payload[name]
-        if type(entry) is not dict or "bloch" in entry:
-            read.append(observable_from_dict(entry))
-            continue
-        dim, outcomes = entry["dim"], entry["outcomes"]
-        if not (type(dim) in _NUMBER and type(outcomes) is list and set(map(type, outcomes)) == {dict}):
-            return None
+    entries = [payload[name] for name in _NAMES]
+    d, spectra, rows = entries[0]["dim"], [], []
+    for entry in entries:
+        if not (type(entry) is dict and "bloch" not in entry and type(entry["dim"]) is int
+                and entry["dim"] == d >= 1):
+            raise ValueError("not four explicit observables of one dimension")
+        outcomes = entry["outcomes"]
+        if not (type(outcomes) is list and set(map(type, outcomes)) == {dict}):
+            raise ValueError("outcomes are not a list of objects")
         labels = [outcome["label"] for outcome in outcomes]
         projectors = [outcome["projector"] for outcome in outcomes]
-        if not (int(dim) == dim >= 1 and set(map(type, labels)) <= _NUMBER
-                and set(map(type, projectors)) == {list}
-                and set(map(len, projectors)) == {dim * dim}):
-            return None
+        if not (set(map(type, labels)) <= _NUMBER and set(map(type, projectors)) == {list}
+                and set(map(len, projectors)) == {d * d}):
+            raise ValueError("labels or projectors of the wrong type or size")
         labels = [*map(float, labels)]
         if len(set(labels)) != len(labels) or not all(map(isfinite, labels)):
-            return None
-        groups.setdefault(int(dim), []).append((len(read), labels, projectors))
-        read.append(None)
-    rows, k_max = [], []
-    for d, members in groups.items():
-        k_max.append(max(len(labels) for _, labels, _ in members))
-        for _, _, projectors in members:
-            rows += projectors + [[[0.0, 0.0]] * (d * d)] * (k_max[-1] - len(projectors))
-    pairs = [*chain.from_iterable(rows)]
+            raise ValueError("labels are not distinct and finite")
+        spectra.append(labels)
+        rows.append(projectors)
+    k = max(map(len, rows))
+    padded = chain.from_iterable(row + [[[0.0, 0.0]] * (d * d)] * (k - len(row)) for row in rows)
+    pairs = [*chain.from_iterable(padded)]
     flat = [*chain.from_iterable(pairs)]
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
             and set(map(type, flat)) <= _NUMBER):
-        return None
-    values = np.array(flat, dtype=float).view(complex)
-    values.setflags(write=False)
-    start = 0
-    for (d, members), k in zip(groups.items(), k_max):
-        stack = values[start : start + len(members) * k * d * d].reshape(len(members), k, d, d)
-        start += stack.size
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not _projective(stack):
-                return None
-        for (i, labels, _), block in zip(members, stack):
-            read[i] = _trusted(Observable, dim=d, outcomes=tuple(zip(labels, block)))
-    return read
+        raise ValueError("projector entries are not [re, im] pairs of numbers")
+    stack = np.array(flat, dtype=float).view(complex).reshape(4, k, d, d)
+    stack.setflags(write=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not _projective(stack):
+            raise ValueError("not projective")
+    return [_trusted(Observable, dim=d, outcomes=tuple(zip(labels, block)))
+            for labels, block in zip(spectra, stack)]
 
 
 def planar_scenario(

@@ -73,6 +73,8 @@ def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndar
 
 
 def _reference_observable_from_dict(payload: dict) -> Observable:
+    if not isinstance(payload, dict):
+        raise ValueError(f"observable must be an object, got {payload!r}")
     if "bloch" in payload:
         angles = payload["bloch"]
         if not isinstance(angles, dict):
@@ -85,6 +87,8 @@ def _reference_observable_from_dict(payload: dict) -> Observable:
         raise ValueError(
             f"dim {payload['dim']!r} is not valid: dimensions must be integers"
         ) from None
+    if d < 1:
+        raise ValueError(f"dim must be a positive integer, got {d}")
     entries = payload["outcomes"]
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError(f"outcomes must be a list of objects, got {entries!r}")

@@ -42,7 +42,7 @@ from hardykit import (
     state_to_dict,
     werner_state,
 )
-from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z, _spin_projectors, _trusted
+from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z, _projective, _spin_projectors, _trusted
 from hardykit.witness import QVector
 from test_errors import ErrorRows
 
@@ -543,6 +543,34 @@ class TestObservableMatchesOracle:
         assert obs.projector(1.0)[0, 0] == 1.0
         for _, proj in obs.outcomes:
             assert not proj.flags.writeable
+
+
+class TestProjectiveScreen:
+    """``_projective`` refuses a non-finite entry without a separate finiteness pass."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        k=st.integers(1, 3),
+        d=st.sampled_from((2, 3)),
+        value=st.sampled_from((float("nan"), float("inf"), float("-inf"))),
+        part=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_any_non_finite_entry_fails(self, seed, n, k, d, value, part):
+        rng = np.random.default_rng(seed)
+        stack = np.zeros((n, k, d, d), dtype=complex)
+        for block in stack:
+            # Observables with fewer than k outcomes keep zero projectors as padding.
+            labels = tuple(float(v) for v in range(int(rng.integers(1, k + 1))))
+            for row, (_, projector) in zip(block, random_observable(rng, d, labels).outcomes):
+                row[...] = projector
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            assert _projective(stack)
+            # Real and imaginary parts in turn, padded rows included.
+            stack.view(float).reshape(-1)[int(part * 2 * stack.size)] = value
+            assert not _projective(stack)
 
 
 class TestJsonCodecs:

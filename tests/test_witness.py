@@ -39,6 +39,7 @@ from hardykit import (
     spin_observable,
     witness_report,
 )
+from hardykit import witness
 from hardykit.witness import _q_from_table, _side
 from test_errors import ErrorRows
 
@@ -153,6 +154,8 @@ _NAMES = ("x1", "y1", "x2", "y2")
 _DECODER_FAULTS = (
     "missing_key",
     "missing_observable",
+    "not_object",
+    "dim_zero",
     "label_string",
     "bad_pair",
     "wrong_size",
@@ -195,8 +198,12 @@ def _inject(rng, payload: dict, fault: str) -> None:
     if fault == "missing_observable":
         payload.pop(name, None)
         return
+    if fault == "not_object":
+        if name in payload:
+            payload[name] = (5, None, "x1", [])[int(rng.integers(4))]
+        return
     obs = payload.get(name)
-    if obs is None:
+    if not isinstance(obs, dict):
         return
     if "bloch" in obs:
         # Any fault in a shorthand entry is in its angles.
@@ -208,6 +215,9 @@ def _inject(rng, payload: dict, fault: str) -> None:
             angles["phi"] = "0"
         else:
             angles.pop("phi", None)
+        return
+    if fault == "dim_zero":
+        obs["dim"] = 0
         return
     outcomes = obs.get("outcomes")
     if not outcomes:
@@ -404,6 +414,50 @@ class TestScenarioDecoderMatchesOracle:
             for _, projector in getattr(scenario, name).outcomes:
                 with pytest.raises(ValueError, match="read-only"):
                     projector[0, 0] = 0.5
+
+
+class TestOnePassTraffic:
+    """Certify's shape, four explicit observables of one dimension, takes the one pass;
+    every other payload is decoded again observable by observable, like the oracle."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """The entries ``observable_from_dict`` decodes, in order."""
+        entries, decode = [], witness.observable_from_dict
+        monkeypatch.setattr(
+            witness, "observable_from_dict", lambda entry: entries.append(entry) or decode(entry)
+        )
+        return entries
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("x_labels", ((1.0, -1.0), (1.0, 0.0, -1.0)))
+    @pytest.mark.parametrize("y_labels", ((1.0, -1.0), (1.0, 0.5, -3.0)))
+    def test_certify_shape_takes_the_one_pass(self, decoded, d, x_labels, y_labels):
+        rng = np.random.default_rng(17)
+        payload = {
+            name: observable_to_dict(
+                random_observable(rng, d, x_labels if name.startswith("x") else y_labels)
+            )
+            for name in _NAMES
+        }
+        _assert_decodes_like_oracle(payload)
+        assert decoded == []
+
+    @pytest.mark.parametrize(
+        "dims, bloch, edit",
+        [
+            pytest.param(_QUBITS, [True, False, False, False], None, id="bloch"),
+            pytest.param((2, 2, 3, 3), [False] * 4, None, id="mixed-dimensions"),
+            pytest.param(_QUBITS, [False] * 4, lambda payload: payload["y2"].update(dim=2.0),
+                         id="float-dim"),
+        ],
+    )
+    def test_other_shapes_decode_observable_by_observable(self, decoded, dims, bloch, edit):
+        payload = _wire_scenario(np.random.default_rng(19), dims, False, bloch)
+        if edit is not None:
+            edit(payload)
+        _assert_decodes_like_oracle(payload)
+        assert decoded == [payload[name] for name in _NAMES]
 
 
 class TestQVectorExtraction:
