@@ -215,8 +215,8 @@ def _check_observable(dim, outcomes) -> tuple[int, list[float], np.ndarray]:
             raise ValueError(f"outcome label {label} must be finite")
         try:
             proj = np.asarray(projector, dtype=complex)
-        except (TypeError, ValueError):
-            proj = None  # ragged, or entries that are not numbers
+        except (TypeError, ValueError, OverflowError):
+            proj = None  # ragged, entries that are not numbers, or ints too large for a float
         if proj is None or proj.shape != (d, d):
             raise ValueError(f"projector for label {label} must be {d}x{d}")
         if not np.isfinite(proj).all():
@@ -310,12 +310,21 @@ def _clamp_probability(p: float) -> float:
 
 
 def _density_tensor(state: QuantumState) -> np.ndarray:
-    """rho as a (d1, d2, d1, d2) array, rho4[i, j, k, l] = <ij|rho|kl>."""
-    d1, d2 = state.dims
-    if state.kind == "pure":
-        psi = state.data.reshape(d1, d2)
-        return psi[:, :, None, None] * psi.conj()
-    return state.data.reshape(d1, d2, d1, d2)
+    """rho as a read-only (d1, d2, d1, d2) array, rho4[i, j, k, l] = <ij|rho|kl>.
+
+    Built on first use and kept on the state as ``_rho4``, which is not a field.
+    """
+    rho4 = state.__dict__.get("_rho4")
+    if rho4 is None:
+        d1, d2 = state.dims
+        if state.kind == "pure":
+            psi = state.data.reshape(d1, d2)
+            rho4 = psi[:, :, None, None] * psi.conj()
+            rho4.setflags(write=False)
+        else:
+            rho4 = state.data.reshape(d1, d2, d1, d2)  # a view of the read-only data
+        object.__setattr__(state, "_rho4", rho4)
+    return rho4
 
 
 def _joint_table(rho4: np.ndarray, side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
@@ -382,6 +391,7 @@ def _werner_density(v) -> np.ndarray:
     """v |singlet><singlet| + (1 - v) I/4, with v unchecked.
 
     ``v`` is a visibility, or an array of them shaped (n, 1, 1) for a stack of n densities.
+    A new array on every call; ``search.werner_sweep`` keeps its end pairs (``_werner_ends``).
     """
     return v * _SINGLET_DENSITY + (1.0 - v) * _WHITE_NOISE
 

@@ -8,6 +8,7 @@ Lett. A 200, 340 (1995)).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import asin, atan, atan2, cos, isfinite, pi, sin, sqrt
 
 import numpy as np
@@ -47,6 +48,8 @@ _THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
 # That largest q4; no Schmidt angle's construction clears a tol at or above it.
 _Q4_MAX = (5.0 * sqrt(5.0) - 11.0) / 2.0
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+# Distinct (v_lo, v_hi) pairs whose Werner end densities werner_sweep keeps.
+_WERNER_ENDS_KEPT = 8
 
 
 class SchmidtState(Value):
@@ -67,11 +70,19 @@ class SchmidtState(Value):
         return (cos(self.angle), sin(self.angle))
 
     def state(self) -> QuantumState:
-        big, small = self.amplitudes
-        amplitudes = np.array([big, 0.0, 0.0, small], dtype=complex)
-        amplitudes.setflags(write=False)
-        # The angle is validated and (cos, sin) has unit norm.
-        return _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
+        """The pure ``QuantumState``, the same object on every call.
+
+        It is built on the first call and kept as ``_state``, not a field.
+        """
+        state = self.__dict__.get("_state")
+        if state is None:
+            big, small = self.amplitudes
+            amplitudes = np.array([big, 0.0, 0.0, small], dtype=complex)
+            amplitudes.setflags(write=False)
+            # The angle is validated and (cos, sin) has unit norm.
+            state = _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
+            object.__setattr__(self, "_state", state)
+        return state
 
 
 class SearchConfig(Value):
@@ -226,11 +237,22 @@ def max_hardy_probability() -> tuple[float, float]:
     return (_THETA_STAR, q_vector(schmidt.state(), hardy_observables(schmidt)).q4)
 
 
+@lru_cache(maxsize=_WERNER_ENDS_KEPT)
+def _werner_ends(v_lo: float, v_hi: float) -> np.ndarray:
+    """The Werner densities at v_lo and v_hi as one read-only (2, 2, 2, 2, 2) stack."""
+    visibilities = np.array((v_lo, v_hi), dtype=float).reshape(2, 1, 1)
+    densities = _werner_density(visibilities).reshape(2, 2, 2, 2, 2)
+    densities.setflags(write=False)
+    return densities
+
+
 def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> float:
     """Visibility v at which the expression crosses 1 on v |singlet><singlet| + (1 - v) I/4.
 
     The expression is affine in v, so its values at v_lo and v_hi, both from one
     call of the joint kernel, give the crossing exactly by linear interpolation.
+    The two end densities come from ``_werner_ends``, which keeps those of the
+    last ``_WERNER_ENDS_KEPT`` pairs of ends, so repeated sweeps build them once.
     """
     if not 0.0 <= v_lo < v_hi <= 1.0:
         raise ValueError(f"need 0 <= v_lo < v_hi <= 1, got [{v_lo}, {v_hi}]")
@@ -239,8 +261,7 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
 
-    visibilities = np.array((v_lo, v_hi), dtype=float).reshape(2, 1, 1)
-    densities = _werner_density(visibilities).reshape(2, 2, 2, 2, 2)
+    densities = _werner_ends(float(v_lo), float(v_hi))
     excess_lo, excess_hi = (
         generalized_expression(_q_from_table(table)) - 1.0
         for table in _joint_table(densities, *scenario._sides).tolist()

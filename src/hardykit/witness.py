@@ -17,7 +17,7 @@ import numpy as np
 
 from ._value import Value
 from .errors import DimensionMismatch
-from .lhv import QVector, _component
+from .lhv import QVECTOR_ATOL, QVector, _component
 from .qcore import (
     Observable,
     QuantumState,
@@ -145,21 +145,20 @@ def _joint_probabilities(
 def _q_from_table(table: list[list[float]]) -> QVector:
     """q1..q4, and q5, q6 when the table has the x = 0 outcomes.
 
-    Each entry is range-checked and clamped once, as ``QVector`` would, so the
-    vector is built without its validation running again.
+    The entries are range-checked together, by their minimum, their maximum
+    and their sum (NaN anywhere makes it NaN), and clamped as ``QVector``
+    would, so the vector is built without its validation running again. Only
+    a failed check reads them one by one, to raise ``QVector``'s error.
     """
-    c = _component
-    q = {
-        "q1": c("q1", table[0][0]),
-        "q2": c("q2", table[1][2]),
-        "q3": c("q3", table[2][1]),
-        "q4": c("q4", table[1][1]),
-        "q5": None,
-        "q6": None,
-    }
+    q = [table[0][0], table[1][2], table[2][1], table[1][1]]
     if len(table) == 4:
-        q.update(q5=c("q5", table[1][3]), q6=c("q6", table[3][1]))
-    return _trusted(QVector, **q)
+        q += [table[1][3], table[3][1]]
+    if not (-QVECTOR_ATOL <= min(q) and max(q) <= 1.0 + QVECTOR_ATOL and isfinite(sum(q))):
+        for index, value in enumerate(q, 1):
+            _component(f"q{index}", value)
+    q = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in q]
+    q5, q6 = q[4:] or (None, None)
+    return _trusted(QVector, q1=q[0], q2=q[1], q3=q[2], q4=q[3], q5=q5, q6=q6)
 
 
 def _ch_from_table(rho4: np.ndarray, table: list[list[float]], scenario: Scenario) -> float:

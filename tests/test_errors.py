@@ -162,6 +162,9 @@ LIBRARY = {
          r"^outcome 0 must be a \(label, projector\) pair$"),
         ("observable-projector-ragged", _observable((1.0, [[1, 0], [0]]), (-1.0, MINUS)), (),
          ValueError, r"^projector for label 1.0 must be 2x2$"),
+        ("observable-projector-int-overflow",
+         _observable((1.0, [[10**400, 0], [0, 0]]), (-1.0, MINUS)), (), ValueError,
+         r"^projector for label 1.0 must be 2x2$"),
         ("observable-projector-huge",
          _observable((1.0, np.full((2, 2), 1e200)), (-1.0, MINUS)), (), ValueError,
          "label 1.0 is not idempotent"),

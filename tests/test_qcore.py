@@ -41,8 +41,17 @@ from hardykit import (
     state_from_dict,
     state_to_dict,
     werner_state,
+    witness_report,
 )
-from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z, _projective, _spin_projectors, _trusted
+from hardykit.qcore import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    _density_tensor,
+    _projective,
+    _spin_projectors,
+    _trusted,
+)
 from hardykit.witness import QVector
 from test_errors import ErrorRows
 
@@ -255,6 +264,34 @@ class TestTrustedInstances:
         for value, name in values:
             with pytest.raises(FrozenInstanceError):
                 setattr(value, name, None)
+
+
+class TestKeptDensityTensor:
+    """A state keeps its (d1, d2, d1, d2) tensor after first use; it must stay read-only."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    def test_tensor_is_kept_and_read_only(self, rng, pure):
+        state = random_pure_state(rng, 2, 3) if pure else random_density_state(rng, 3, 2)
+        rho4 = _density_tensor(state)
+        assert _density_tensor(state) is rho4
+        with pytest.raises(ValueError):
+            rho4[0, 0, 0, 0] = 0.0
+        d = state.dims[0] * state.dims[1]
+        assert np.array_equal(rho4.reshape(d, d), state.density_matrix())
+        assert state == QuantumState(state.dims, state.kind, state.data)
+
+    def test_schmidt_state_tensor_is_read_only(self):
+        with pytest.raises(ValueError):
+            _density_tensor(SchmidtState(pi / 8).state())[0, 0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("trichotomic", [False, True])
+    def test_repeated_evaluation_is_bitwise_equal(self, rng, trichotomic):
+        for state in (random_pure_state(rng, 3, 3), random_density_state(rng, 3, 3)):
+            scenario = random_scenario(rng, 3, 3, trichotomic=trichotomic)
+            first = (q_vector(state, scenario), witness_report(state, scenario))
+            second = (q_vector(state, scenario), witness_report(state, scenario))
+            assert repr(first) == repr(second)
+            assert first[1].qvec.components() == first[0].components()
 
 
 class TestPlanarDirections:

@@ -31,6 +31,7 @@ from hardykit import (
     werner_sweep,
 )
 from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
+from hardykit.search import _werner_ends
 from test_errors import ErrorRows
 
 # Frozen from the closed-form grid oracle over (theta, free angle): the family
@@ -83,6 +84,17 @@ class TestSchmidtState:
         assert vector.dims == (2, 2)
 
     test_angle_range = ErrorRows()
+
+    def test_state_is_built_once_and_read_only(self):
+        schmidt = SchmidtState(pi / 8)
+        state = schmidt.state()
+        assert schmidt.state() is state
+        with pytest.raises(ValueError):
+            state.data[0] = 0.0
+        # The kept state is not a field: equality and hash ignore it.
+        assert schmidt == SchmidtState(pi / 8)
+        assert hash(schmidt) == hash(SchmidtState(pi / 8))
+        assert np.array_equal(state.data, [cos(pi / 8), 0.0, 0.0, sin(pi / 8)])
 
 
 class TestHardyObservables:
@@ -258,6 +270,39 @@ class TestWernerSweep:
             expected = lo - excess_lo * (hi - lo) / (excess_hi - excess_lo)
             assert werner_sweep(scenario, lo, hi) == expected
         assert crossings >= 100
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 1),
+            (-0.0, 1.0),
+            (np.float64(0.0), np.float64(1.0)),
+            (np.array(0.0), np.array(1.0)),
+            (np.float64(0.125), np.array(0.875)),
+            (0.25, 1),
+        ],
+    )
+    def test_repeated_sweeps_keep_the_crossing(self, lo, hi):
+        # The end densities are kept per (float(v_lo), float(v_hi)): whatever
+        # form the ends take, and however often a sweep repeats, the crossing
+        # is the one that freshly built densities give.
+        for phi in (0.0, 0.3, 2.0):
+            scenario = reference_scenario(phi)
+            excess_lo, excess_hi = (
+                generalized_expression(q_vector(werner_state(float(v)), scenario)) - 1.0
+                for v in (lo, hi)
+            )
+            expected = float(lo - excess_lo * (hi - lo) / (excess_hi - excess_lo))
+            crossings = [werner_sweep(scenario, lo, hi) for _ in range(3)]
+            assert [repr(c) for c in crossings] == [repr(expected)] * 3
+
+    def test_kept_ends_are_read_only(self):
+        ends = _werner_ends(0.0, 1.0)
+        assert ends.shape == (2, 2, 2, 2, 2)
+        assert _werner_ends(0.0, 1.0) is ends
+        with pytest.raises(ValueError):
+            ends[0, 0, 0, 0, 0] = 1.0
+        assert np.array_equal(ends[1].reshape(4, 4), werner_state(1.0).data)
 
     test_no_crossing_below_half_visibility = ErrorRows()
 

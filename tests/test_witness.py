@@ -40,6 +40,7 @@ from hardykit import (
     witness_report,
 )
 from hardykit import witness
+from hardykit.lhv import QVECTOR_ATOL
 from hardykit.witness import _q_from_table, _side
 from test_errors import ErrorRows
 
@@ -67,15 +68,32 @@ class TestQVectorType:
             [[-5e-11, 0.0, 0.0], [0.0, 1.0 + 5e-11, 0.1], [0.0, 0.4, 0.0]],
             [[0.2, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, -4e-11], [0.0, 0.4, 0.0, 0.0],
              [0.0, 0.25, 0.0, 0.0]],
+            # The edges of the range check, and a signed zero.
+            [[-QVECTOR_ATOL, 0.0, 0.0], [0.0, 1.0 + QVECTOR_ATOL, 0.1], [0.0, 0.4, 0.0]],
+            [[-0.0, 0.0, 0.0], [0.0, 0.5, -0.0], [0.0, -0.0, 0.0]],
+            [[0.2, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, -0.0], [0.0, 0.4, 0.0, 0.0],
+             [0.0, 1.0 + QVECTOR_ATOL, 0.0, 0.0]],
+            # Six entries, only q6 out of range.
+            [[0.2, 0.0, 0.0, 0.0], [0.0, 0.3, 0.1, 0.1], [0.0, 0.4, 0.0, 0.0],
+             [0.0, 1.0 + 2 * QVECTOR_ATOL, 0.0, 0.0]],
         ],
     )
     def test_table_reading_matches_public_constructor(self, table):
-        # q_vector and witness_report check each entry once and skip QVector's
-        # own validation; the result must be what the public constructor gives.
+        # q_vector and witness_report check the entries once and skip QVector's
+        # own validation; the result, bit for bit, or the error must be what
+        # the public constructor gives.
         entries = [table[0][0], table[1][2], table[2][1], table[1][1]]
         if len(table) == 4:
             entries += [table[1][3], table[3][1]]
-        assert _q_from_table(table) == QVector(*entries)
+
+        def outcome(build, *args):
+            try:
+                q = build(*args)
+            except InvalidQVector as error:
+                return str(error)
+            return [repr(component) for component in q.components()]
+
+        assert outcome(_q_from_table, table) == outcome(QVector, *entries)
 
     @pytest.mark.parametrize("row, column", [(0, 0), (1, 2), (2, 1), (1, 1), (1, 3), (3, 1)])
     @pytest.mark.parametrize("bad", [-2e-10, 1.0 + 2e-10, float("nan")])
