@@ -221,9 +221,9 @@ def _check_observable(dim, outcomes) -> tuple[int, list[float], np.ndarray]:
             raise ValueError(f"projector for label {label} must be {d}x{d}")
         if not np.isfinite(proj).all():
             raise ValueError(f"projector for label {label} has non-finite entries")
-        if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_ATOL:
+        if not np.max(np.abs(proj - proj.conj().T)) <= PROJECTOR_ATOL:
             raise ValueError(f"projector for label {label} is not Hermitian")
-        if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_ATOL:
+        if not np.max(np.abs(proj @ proj - proj)) <= PROJECTOR_ATOL:
             raise ValueError(f"projector for label {label} is not idempotent")
         labels.append(label)
         projectors.append(proj)
@@ -232,11 +232,11 @@ def _check_observable(dim, outcomes) -> tuple[int, list[float], np.ndarray]:
     if len(set(labels)) != len(labels):
         raise ValueError(f"outcome labels must be distinct, got {labels}")
     for a, b in combinations(range(len(labels)), 2):
-        if np.max(np.abs(projectors[a] @ projectors[b])) > PROJECTOR_ATOL:
+        if not np.max(np.abs(projectors[a] @ projectors[b])) <= PROJECTOR_ATOL:
             raise ValueError(
                 f"projectors for labels {labels[a]} and {labels[b]} are not orthogonal"
             )
-    if np.max(np.abs(sum(projectors) - np.eye(d))) > PROJECTOR_ATOL:
+    if not np.max(np.abs(sum(projectors) - np.eye(d))) <= PROJECTOR_ATOL:
         raise ValueError("projectors do not sum to the identity")
     stack = np.array(projectors)
     stack.setflags(write=False)
@@ -253,8 +253,8 @@ def _projective(stack: np.ndarray) -> bool:
     gram = gram.reshape(n, k, d, k, d)
     np.einsum("oaiaj->oaij", gram)[...] -= stack
     # A NaN or infinite entry makes the Hermiticity difference NaN or infinite
-    # there. NaN from an overflowing product fails a maximum's comparison too;
-    # the sequential check then lets NaN pass, as an outcome-by-outcome one does.
+    # there. NaN from an overflowing product fails a maximum's ``<=`` too, as
+    # in ``_check_observable``, so the screen and the check agree on NaN.
     return bool(
         np.abs(stack - stack.conj().swapaxes(2, 3)).max(initial=0.0) <= PROJECTOR_ATOL
         and np.abs(gram).max(initial=0.0) <= PROJECTOR_ATOL

@@ -29,9 +29,9 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndarray], ...]]:
     """Outcome-by-outcome validation of a projective measurement, as ``Observable`` once did it.
 
-    The oracle for ``Observable``'s batched check: the same checks, tolerances
-    and messages, in the same order. Returns the dimension and the cleaned
-    outcomes, or raises the first fault found.
+    The oracle for ``Observable``'s check: the same checks, tolerances and
+    messages, in the same order, with NaN failing each comparison. Returns the
+    dimension and the cleaned outcomes, or raises the first fault found.
     """
     number = float(dim)
     if not number.is_integer():
@@ -49,9 +49,9 @@ def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndar
             raise ValueError(f"projector for label {label} must be {d}x{d}")
         if not np.isfinite(proj).all():
             raise ValueError(f"projector for label {label} has non-finite entries")
-        if np.max(np.abs(proj - proj.conj().T)) > PROJECTOR_ATOL:
+        if not np.max(np.abs(proj - proj.conj().T)) <= PROJECTOR_ATOL:
             raise ValueError(f"projector for label {label} is not Hermitian")
-        if np.max(np.abs(proj @ proj - proj)) > PROJECTOR_ATOL:
+        if not np.max(np.abs(proj @ proj - proj)) <= PROJECTOR_ATOL:
             raise ValueError(f"projector for label {label} is not idempotent")
         cleaned.append((label, np.array(proj, dtype=complex)))
     if not cleaned:
@@ -62,12 +62,12 @@ def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndar
     for i in range(len(cleaned)):
         for j in range(i + 1, len(cleaned)):
             cross = cleaned[i][1] @ cleaned[j][1]
-            if np.max(np.abs(cross)) > PROJECTOR_ATOL:
+            if not np.max(np.abs(cross)) <= PROJECTOR_ATOL:
                 raise ValueError(
                     f"projectors for labels {labels[i]} and {labels[j]} are not orthogonal"
                 )
     total = sum(proj for _, proj in cleaned)
-    if np.max(np.abs(total - np.eye(d))) > PROJECTOR_ATOL:
+    if not np.max(np.abs(total - np.eye(d))) <= PROJECTOR_ATOL:
         raise ValueError("projectors do not sum to the identity")
     return d, tuple(cleaned)
 

@@ -10,7 +10,8 @@ a JSON file, and ``fails_cleanly`` passes the file's path in its place; a
 ``Stdin`` entry goes to stdin instead, and ``-`` takes its place.
 
 Rows are grouped under the test that runs them, named ``Class.test``.
-``TestErrorContract`` below runs its own groups. Every other group belongs to
+``TestErrorContract`` below runs its own groups, one case per row, under ids
+that are unique (checked at import). Every other group belongs to
 a test of another file, defined there as ``test_x = ErrorRows()``, so that
 each case kept the test id it had as a standalone test. A group whose rows
 have the id ``None`` is one test; otherwise each distinct id is one test case,
@@ -116,6 +117,23 @@ def _huge_y2_scenario() -> dict:
     return payload
 
 
+# Hermitian and finite, but not idempotent: b * conj(b) overflows to inf + nan j,
+# so the Gram maxima of this pair come out NaN.
+_B = 1e200 * (1 + 1j)
+GRAM_NAN = (
+    (1.0, np.array([[0.5, _B], [_B.conjugate(), 0.5]])),
+    (-1.0, np.array([[0.5, -_B], [-_B.conjugate(), 0.5]])),
+)
+_GRAM_NAN_PAYLOAD = {
+    "dim": 2,
+    "outcomes": [
+        {"label": label, "projector": [[z.real, z.imag] for z in proj.reshape(-1).tolist()]}
+        for label, proj in GRAM_NAN
+    ],
+}
+_GRAM_NAN_SCENARIO = {**scenario_to_dict(REFERENCE), "y1": _GRAM_NAN_PAYLOAD}
+
+
 def _measure(weights, a, b, c, d) -> FiniteMeasure:
     arrays = [np.asarray(mask, dtype=bool) for mask in (a, b, c, d)]
     return FiniteMeasure(np.asarray(weights, dtype=float), *arrays)
@@ -194,6 +212,13 @@ LIBRARY = {
         ("state-density-hermitian-part-overflow", _DENSITY,
          (_density((0, 1, 1.5e308), (1, 0, 1.5e308)), (2, 2)), ValueError,
          "^density matrix has eigenvalue -1.5e[+]308 below"),
+        # A NaN maximum must fail each projector test, as it fails the one-pass screen.
+        ("observable-projector-gram-nan", _observable(*GRAM_NAN), (), ValueError,
+         r"^projector for label 1.0 is not idempotent$"),
+        ("observable-dict-projector-gram-nan", observable_from_dict, (_GRAM_NAN_PAYLOAD,),
+         ValueError, r"^projector for label 1.0 is not idempotent$"),
+        ("scenario-projector-gram-nan", scenario_from_dict, (_GRAM_NAN_SCENARIO,), ValueError,
+         r"^projector for label 1.0 is not idempotent$"),
     ],
     # -- qcore: directions, probabilities, states, observables ------------------------
     "TestBlochDirection.test_rejects_out_of_range_angles": [
@@ -564,6 +589,8 @@ CLI = {
          ("optimize", "--state", Stdin(_density_payload((3, 3, 0.25 + 1e308j))),
           "--objective", "upper"),
          3, "^ValueError: density matrix is not Hermitian within tolerance$"),
+        ("eval-projector-gram-nan", ("eval", "--state", _PRODUCT, "--scenario", _GRAM_NAN_SCENARIO),
+         3, r"^ValueError: projector for label 1.0 is not idempotent$"),
     ],
     "TestEval.test_unknown_state_kind_is_domain_error": [
         (None, ("eval", "--state", {**_PRODUCT, "kind": "garbage"}, "--scenario", _BLOCH_SCENARIO),
@@ -617,6 +644,9 @@ CLI = {
         (None, ("hardy",), 2, "the following arguments are required: --theta"),
     ],
 }
+# TestErrorContract's own rows are one case each, so no two may share an id.
+for _rows in (LIBRARY["TestErrorContract.test_library"], CLI["TestErrorContract.test_cli"]):
+    assert len({row[0] for row in _rows}) == len(_rows), "two rows share an id"
 
 
 def raises_one_error(call, args, error, message) -> None:

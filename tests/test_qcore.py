@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import FrozenInstanceError
-from math import cos, pi
+from math import cos, pi, sin
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -53,7 +53,7 @@ from hardykit.qcore import (
     _trusted,
 )
 from hardykit.witness import QVector
-from test_errors import ErrorRows
+from test_errors import GRAM_NAN, ErrorRows
 
 
 def planar_xy(angle: float) -> Observable:
@@ -503,7 +503,7 @@ def _outcomes_with_faults(rng, d: int, k: int, faults) -> tuple:
 
 
 class TestObservableMatchesOracle:
-    """The batched check accepts and rejects exactly as the outcome-by-outcome oracle."""
+    """``Observable`` accepts and rejects exactly as the outcome-by-outcome oracle."""
 
     @settings(max_examples=400)
     @given(
@@ -582,8 +582,31 @@ class TestObservableMatchesOracle:
             assert not proj.flags.writeable
 
 
+@st.composite
+def _perturbed_observable(draw) -> tuple[int, tuple]:
+    """A random projective observable (d 2 or 3, 1-3 outcomes) whose projectors get up
+    to two off-diagonal shifts of size 1e150-1e300, each Hermitian or not, and each
+    taken back from a second projector or not, so that the sum can stay the identity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, k = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+    labels = tuple(float(v) for v in range(k))
+    projectors = [np.array(proj) for _, proj in random_observable(rng, d, labels).outcomes]
+    for _ in range(draw(st.integers(0, 2))):
+        order = draw(st.permutations(range(k)))
+        i, j = draw(st.permutations(range(d)))[:2]
+        size, phase = draw(st.floats(1e150, 1e300)), draw(st.floats(0.0, 2 * pi))
+        shift = size * complex(cos(phase), sin(phase))
+        hermitian, taken_back = draw(st.booleans()), k > 1 and draw(st.booleans())
+        for index, sign in zip(order, (1, -1) if taken_back else (1,)):
+            projectors[index][i, j] += sign * shift
+            if hermitian:
+                projectors[index][j, i] += sign * shift.conjugate()
+    return d, tuple(zip(labels, projectors))
+
+
 class TestProjectiveScreen:
-    """``_projective`` refuses a non-finite entry without a separate finiteness pass."""
+    """``_projective`` refuses a non-finite entry without a separate finiteness pass,
+    and gives ``Observable``'s verdict."""
 
     @settings(max_examples=300)
     @given(
@@ -608,6 +631,23 @@ class TestProjectiveScreen:
             # Real and imaginary parts in turn, padded rows included.
             stack.view(float).reshape(-1)[int(part * 2 * stack.size)] = value
             assert not _projective(stack)
+
+    @settings(max_examples=200)
+    @given(drawn=_perturbed_observable())
+    @example(drawn=(2, GRAM_NAN))
+    def test_screen_agrees_with_observable(self, drawn):
+        """One verdict from the screen and from ``Observable``, also where a Gram product is NaN."""
+        d, outcomes = drawn
+        stack = np.array([projector for _, projector in outcomes])
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            try:
+                Observable(d, outcomes)
+            except ValueError:
+                accepted = False
+            else:
+                accepted = True
+            assert _projective(stack[None]) == accepted
 
 
 class TestJsonCodecs:
