@@ -79,22 +79,34 @@ class BlochDirection(Value):
     def from_vector(cls, direction: Sequence[float]) -> "BlochDirection":
         """Build the direction from any nonzero 3-vector (normalized internally)."""
         vec = np.asarray(direction, dtype=float)
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = float(np.linalg.norm(vec))
-        if vec.shape != (3,) or not 0.0 < norm < np.inf:
+        if vec.shape != (3,):
             raise ValueError("direction must be a nonzero 3-vector of finite norm")
-        x, y, z = vec / norm
-        theta = float(np.arctan2(np.hypot(x, y), z))
-        phi = float(np.arctan2(y, x)) % (2.0 * np.pi)
-        if phi >= 2.0 * np.pi:
-            phi = 0.0
-        return cls(min(max(theta, 0.0), float(np.pi)), phi)
+        return cls(*_bloch_angles(vec[None])[0])
 
     def unit_vector(self) -> np.ndarray:
-        st = np.sin(self.theta)
-        return np.array(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)]
-        )
+        return _bloch_units(self.theta, self.phi)
+
+
+def _bloch_angles(vectors: np.ndarray) -> list[tuple[float, float]]:
+    """(theta, phi) of each row of an (n, 3) float array; a zero, infinite or NaN norm raises.
+
+    diag(v v^T) rounds as ``np.linalg.norm`` of each row. phi lies in [0, 2 pi).
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norms = np.sqrt(np.diagonal(vectors @ vectors.T))
+    if not all(0.0 < norm < np.inf for norm in norms.tolist()):
+        raise ValueError("direction must be a nonzero 3-vector of finite norm")
+    x, y, z = (vectors / norms[:, None]).T
+    thetas = np.arctan2(np.hypot(x, y), z).tolist()
+    phis = (np.arctan2(y, x) % (2.0 * np.pi)).tolist()  # a tiny negative phi wraps to 2 pi
+    return [(min(max(t, 0.0), np.pi), 0.0 if p >= 2.0 * np.pi else p)
+            for t, p in zip(thetas, phis)]
+
+
+def _bloch_units(theta, phi) -> np.ndarray:
+    """Unit vectors at polar angles ``theta`` and azimuths ``phi``, one per column."""
+    st = np.sin(theta)
+    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
 
 
 class QuantumState(Value):
@@ -133,9 +145,9 @@ class QuantumState(Value):
             adjoint = data.conj().T
             # Huge entries overflow to inf or NaN here, and fail the tests below.
             with np.errstate(over="ignore", invalid="ignore"):
-                asymmetry = np.max(np.abs(data - adjoint))
-                trace = complex(np.trace(data))
-            if asymmetry > STATE_ATOL:
+                asymmetry = np.abs(data - adjoint).max()
+                trace = complex(data.trace())
+            if not asymmetry <= STATE_ATOL:
                 raise ValueError("density matrix is not Hermitian within tolerance")
             if not abs(trace - 1.0) <= STATE_ATOL:
                 raise ValueError(f"density matrix trace {trace} is not 1 within {STATE_ATOL}")

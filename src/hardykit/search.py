@@ -25,17 +25,21 @@ from .qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    BlochDirection,
     QuantumState,
+    _bloch_angles,
+    _bloch_units,
     _density_tensor,
     _joint_table,
+    _number,
     _trusted,
     _werner_density,
 )
 from .witness import (
+    HARDY_VIOLATION,
     Scenario,
     _q_from_table,
     _spin_scenario,
+    classify,
     generalized_expression,
     planar_scenario,
     q_vector,
@@ -99,8 +103,9 @@ class SearchConfig(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
+        restarts = _number(self.restarts, "restarts")
+        if not (restarts >= 1.0 and restarts.is_integer()):
+            raise ValueError(f"restarts must be positive and integral, got {self.restarts!r}")
 
 
 class SearchResult(Value):
@@ -143,9 +148,9 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     above ``tol``, the state is too close to a product state (``NotEntangled``)
     or to the maximally entangled one (``MaximallyEntangled``). The built
     settings are verified on the state's q-vector, and ``NoSolution`` is raised
-    unless max(q1, q2, q3) < tol < q4. A ``tol`` that is not positive, or not
-    below the largest q4 over all Schmidt states, (5 sqrt 5 - 11)/2, raises
-    ``ValueError``.
+    unless ``classify`` names it a Hardy violation at the same ``tol``. A ``tol``
+    that is not positive, or not below the largest q4 over all Schmidt states,
+    (5 sqrt 5 - 11)/2, raises ``ValueError``.
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -164,9 +169,10 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     x1, x2, y1, y2 = _hardy_angles(alpha, beta)
     scenario = planar_scenario(2.0 * x1, 2.0 * y1, 2.0 * x2, 2.0 * y2, plane="xz")
     q = q_vector(schmidt.state(), scenario)
-    if not max(q.q1, q.q2, q.q3) < tol < q.q4:
+    if classify(q, generalized_expression(q), tol) != HARDY_VIOLATION:
         raise NoSolution(
-            f"constructed q = {q.q1, q.q2, q.q3, q.q4} misses max(q1, q2, q3) < {tol} < q4"
+            f"constructed q = {q.q1, q.q2, q.q3, q.q4} is not a {HARDY_VIOLATION} at tol {tol}: "
+            f"classify needs q1, q2, q3 < tol < q4 and q1 + q2 + q3 - q4 < -tol"
         )
     return scenario
 
@@ -188,8 +194,9 @@ def optimize_violation(
     the xz plane, T is restricted to its xz block, and ``angles`` holds each
     direction's angle from the z axis, (sin a, 0, cos a); otherwise ``angles``
     holds a (theta, phi) Bloch pair per direction. Order: x1, y1, x2, y2. The
-    returned value is the built scenario's q-vector expression. ``config`` is
-    accepted for compatibility and does not change the result.
+    SVD is read into floats once, and full Bloch angles come from one batched
+    conversion shared with ``BlochDirection``. The returned value is the built
+    scenario's q-vector expression. ``config`` does not change the result.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -199,23 +206,22 @@ def optimize_violation(
     correlations = _joint_table(_density_tensor(state), _PAULIS, _PAULIS)
     if planar:
         correlations = correlations[::2, ::2]
-    u, t, vt = np.linalg.svd(correlations)
+    u, t, vt = (m.tolist() for m in np.linalg.svd(correlations))
     sign = 1.0 if objective == "maximize_upper" else -1.0
     phi = atan2(t[1], t[0])
-    directions = (
-        sign * u[:, 0],
-        -sign * u[:, 1],
-        cos(phi) * vt[0] + sin(phi) * vt[1],
-        -cos(phi) * vt[0] + sin(phi) * vt[1],
-    )
+    c, s = cos(phi), sin(phi)
+    # Python float arithmetic rounds as numpy's elementwise operations would.
+    v12 = list(zip(vt[0], vt[1]))
+    directions = [[sign * row[0] for row in u], [-sign * row[1] for row in u],
+                  [c * a + s * b for a, b in v12], [-c * a + s * b for a, b in v12]]
     if planar:
         angles = tuple(atan2(x, z) for x, z in directions)
         scenario = planar_scenario(*angles, plane="xz")
     else:
-        bloch = [BlochDirection.from_vector(d) for d in directions]
-        angles = tuple(a for b in bloch for a in (b.theta, b.phi))
+        bloch = _bloch_angles(np.array(directions))
+        angles = tuple(a for pair in bloch for a in pair)
         # The settings are rebuilt from the reported angles, so that they match them exactly.
-        scenario = _spin_scenario(*(b.unit_vector() for b in bloch))
+        scenario = _spin_scenario(*_bloch_units(*np.array(bloch).T).T.tolist())
     return SearchResult(
         objective=objective,
         value=generalized_expression(q_vector(state, scenario)),

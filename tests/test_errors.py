@@ -43,6 +43,7 @@ from hardykit import (
     MalformedMeasure,
     MaximallyEntangled,
     NoCrossing,
+    NoSolution,
     NotEntangled,
     Observable,
     QuantumState,
@@ -219,6 +220,12 @@ LIBRARY = {
          ValueError, r"^projector for label 1.0 is not idempotent$"),
         ("scenario-projector-gram-nan", scenario_from_dict, (_GRAM_NAN_SCENARIO,), ValueError,
          r"^projector for label 1.0 is not idempotent$"),
+        # Just inside each entanglement threshold the computed q2 + q3 (~1e-17) outweighs
+        # q4 - tol, so classify calls the construction NoViolation and it is refused.
+        ("hardy-band-lower", hardy_observables, (SchmidtState(3.1622776638678034e-05),),
+         NoSolution, r"^constructed q = .* is not a HardyViolation at tol 1e-09"),
+        ("hardy-band-upper", hardy_observables, (SchmidtState(0.7853758027171096),),
+         NoSolution, r"^constructed q = .* is not a HardyViolation at tol 1e-09"),
     ],
     # -- qcore: directions, probabilities, states, observables ------------------------
     "TestBlochDirection.test_rejects_out_of_range_angles": [
@@ -556,6 +563,9 @@ LIBRARY = {
         (None, optimize_violation, (QuantumState.pure([1.0] + [0.0] * 8, (3, 3)),
                                     "maximize_upper"), DimensionMismatch, "qubit"),
         (None, partial(SearchConfig, restarts=0), (), ValueError, "restarts must be positive"),
+        *((None, partial(SearchConfig, restarts=bad), (), ValueError,
+           r"^restarts must be positive and integral, got (nan|2\.5|inf)$")
+          for bad in (NAN, 2.5, INF)),
     ],
     "TestWernerSweep.test_no_crossing_below_half_visibility": [
         (None, werner_sweep, (REFERENCE, 0.0, 0.5), NoCrossing, "never exceeds"),
@@ -591,6 +601,8 @@ CLI = {
          3, "^ValueError: density matrix is not Hermitian within tolerance$"),
         ("eval-projector-gram-nan", ("eval", "--state", _PRODUCT, "--scenario", _GRAM_NAN_SCENARIO),
          3, r"^ValueError: projector for label 1.0 is not idempotent$"),
+        ("hardy-band-lower", ("hardy", "--theta", "3.1622776638678034e-05"), 3,
+         "^NoSolution: constructed q = .* is not a HardyViolation"),
     ],
     "TestEval.test_unknown_state_kind_is_domain_error": [
         (None, ("eval", "--state", {**_PRODUCT, "kind": "garbage"}, "--scenario", _BLOCH_SCENARIO),

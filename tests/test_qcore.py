@@ -47,6 +47,8 @@ from hardykit.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _bloch_angles,
+    _bloch_units,
     _density_tensor,
     _projective,
     _spin_projectors,
@@ -103,6 +105,58 @@ class TestBlochDirection:
             assert np.allclose(direction.unit_vector(), vec / np.linalg.norm(vec), atol=1e-12)
 
     test_from_vector_rejects_zero = ErrorRows()
+
+    @settings(max_examples=300)
+    @given(
+        components=st.tuples(*[st.one_of(
+            st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.floats(min_value=-1e-30, max_value=-1e-300),
+        )] * 3),
+        scale=st.floats(min_value=1e-150, max_value=1e150),
+    )
+    @example(components=(0.0, 0.0, 1.0), scale=1.0)
+    @example(components=(-0.0, 0.0, -1.0), scale=1e150)
+    @example(components=(0.0, -0.0, 1e-150), scale=1e-150)
+    @example(components=(1.0, -1e-300, 0.3), scale=1.0)  # phi wraps to 2 pi, stored as 0
+    @example(components=(-0.0, -1e-20, 1.0), scale=3.0)
+    def test_matches_scalar_oracle(self, components, scale):
+        vec = np.array(components) * scale
+        if not 0.0 < np.linalg.norm(vec) < np.inf:
+            with pytest.raises(ValueError, match="nonzero 3-vector of finite norm"):
+                BlochDirection.from_vector(vec)
+            return
+        direction = BlochDirection.from_vector(vec)
+        got = np.array([direction.theta, direction.phi])
+        assert _scalar_bloch(vec) == (got.tobytes(), direction.unit_vector().tobytes())
+        assert direction.unit_vector().shape == (3,)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), unit=st.booleans())
+    def test_batched_rows_match_scalar_oracle(self, seed, rows, unit):
+        # The optimizer converts its four directions in one pass; each row comes
+        # out as the scalar formulas give it alone.
+        rng = np.random.default_rng(seed)
+        vectors = rng.normal(size=(rows, 3))
+        if unit:
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        else:
+            vectors *= 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
+        angles = np.array(_bloch_angles(vectors))
+        units = _bloch_units(*angles.T).T
+        got = [(a.tobytes(), u.tobytes()) for a, u in zip(angles, units)]
+        assert got == [_scalar_bloch(v) for v in vectors]
+
+
+def _scalar_bloch(vec: np.ndarray) -> tuple[bytes, bytes]:
+    """The bytes of (theta, phi) and of the unit vector, from the scalar formulas of one row."""
+    x, y, z = vec / float(np.linalg.norm(vec))
+    theta = min(max(float(np.arctan2(np.hypot(x, y), z)), 0.0), pi)
+    phi = float(np.arctan2(y, x)) % (2.0 * pi)
+    phi = 0.0 if phi >= 2.0 * pi else phi
+    sin_theta = np.sin(theta)
+    unit = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)])
+    return np.array([theta, phi]).tobytes(), unit.tobytes()
 
 
 class TestTensor:

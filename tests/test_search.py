@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import asin, cos, pi, sin, sqrt
+from math import asin, cos, nextafter, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_state
 from hardykit import (
     BlochDirection,
+    HardykitError,
     NoCrossing,
     QuantumState,
     Scenario,
@@ -29,9 +30,11 @@ from hardykit import (
     spin_observable,
     werner_state,
     werner_sweep,
+    witness_report,
 )
 from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
 from hardykit.search import _werner_ends
+from hardykit.witness import _NAMES, HARDY_VIOLATION
 from test_errors import ErrorRows
 
 # Frozen from the closed-form grid oracle over (theta, free angle): the family
@@ -123,6 +126,34 @@ class TestHardyObservables:
         assert max(q.q1, q.q2, q.q3) < 1e-15
         assert abs(q.q4 - exact_q4(theta)) < 1e-12
 
+    @settings(max_examples=100)
+    @given(
+        tol=st.floats(min_value=1e-12, max_value=0.08),
+        upper=st.booleans(),
+        ulps=st.integers(min_value=-4, max_value=4),
+    )
+    @example(tol=1e-9, upper=False, ulps=0)
+    @example(tol=1e-9, upper=True, ulps=0)
+    def test_verdict_agrees_with_classify_at_thresholds(self, tol, upper, ulps):
+        # A few ulps from where the closed-form q4 crosses tol, the construction
+        # either raises or gives settings the report calls a Hardy violation.
+        inside, outside = THETA_AT_GLOBAL_MAX, (pi / 4 if upper else 0.0)
+        while (middle := 0.5 * (inside + outside)) not in (inside, outside):
+            if exact_q4(middle) > tol:
+                inside = middle
+            else:
+                outside = middle
+        theta = inside
+        for _ in range(abs(ulps)):
+            theta = nextafter(theta, pi / 4 if ulps > 0 else 0.0)
+        schmidt = SchmidtState(theta)
+        try:
+            scenario = hardy_observables(schmidt, tol)
+        except HardykitError:
+            return
+        report = witness_report(schmidt.state(), scenario, tol)
+        assert report.classification == HARDY_VIOLATION, report
+
     test_product_state_rejected = ErrorRows()
     test_maximally_entangled_rejected = ErrorRows()
     test_tol_validated = ErrorRows()
@@ -188,6 +219,11 @@ class TestOptimizeViolation:
     test_input_validation = ErrorRows()
 
 
+def _projector_bytes(scenario: Scenario) -> list[bytes]:
+    sides = [side.tobytes() for side in scenario._sides]
+    return sides + [p.tobytes() for name in _NAMES for _, p in getattr(scenario, name).outcomes]
+
+
 class TestCorrelationObjective:
     @settings(max_examples=40)
     @given(
@@ -198,8 +234,11 @@ class TestCorrelationObjective:
     )
     @example(state=maximally_mixed(2, 2))
     @example(state=QuantumState.pure([1.0, 0.0, 0.0, 0.0], (2, 2)))
+    @example(state=singlet())
+    @example(state=werner_state(0.8))
     def test_never_passes_exact_qubit_bound(self, state):
-        # The optimizer reaches the bound exactly, and its angles rebuild its settings.
+        # The optimizer reaches the bound exactly, and its angles rebuild its
+        # settings bit for bit: the same projectors and the same value.
         for planar in (True, False):
             radius = exact_qubit_bound(state, planar)
             for objective, sign in (("maximize_upper", 1.0), ("minimize_lower", -1.0)):
@@ -210,8 +249,8 @@ class TestCorrelationObjective:
                 else:
                     pairs = zip(result.angles[0::2], result.angles[1::2])
                     rebuilt = Scenario(*(spin_observable(BlochDirection(*p)) for p in pairs))
-                value = generalized_expression(q_vector(state, rebuilt))
-                assert abs(value - result.value) < 1e-12
+                assert _projector_bytes(rebuilt) == _projector_bytes(result.scenario)
+                assert generalized_expression(q_vector(state, rebuilt)) == result.value
 
 
 class TestMaxHardyProbability:
