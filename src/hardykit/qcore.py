@@ -30,6 +30,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 def _number(value, field: str) -> float:
     """A number as a float; a boolean, a string or what ``float`` refuses raises ``ValueError``."""
+    if type(value) is float:
+        return value
     if not isinstance(value, (bool, str)):
         try:
             return float(value)
@@ -66,7 +68,7 @@ class BlochDirection(Value):
     _fields = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float) -> None:
-        self.__dict__.update(theta=theta, phi=phi)
+        self.__dict__.update(theta=_number(theta, "theta"), phi=_number(phi, "phi"))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -264,9 +266,7 @@ def _projective(stack: np.ndarray) -> bool:
     gram = stack.reshape(n, k * d, d) @ stack.transpose(0, 2, 1, 3).reshape(n, d, k * d)
     gram = gram.reshape(n, k, d, k, d)
     np.einsum("oaiaj->oaij", gram)[...] -= stack
-    # A NaN or infinite entry makes the Hermiticity difference NaN or infinite
-    # there. NaN from an overflowing product fails a maximum's ``<=`` too, as
-    # in ``_check_observable``, so the screen and the check agree on NaN.
+    # A NaN maximum fails its ``<=``, as in ``_check_observable``.
     return bool(
         np.abs(stack - stack.conj().swapaxes(2, 3)).max(initial=0.0) <= PROJECTOR_ATOL
         and np.abs(gram).max(initial=0.0) <= PROJECTOR_ATOL
@@ -297,7 +297,8 @@ def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
         mx, my = 0.0 - x, 0.0 - y
         plus += (up, 0.0, x, my, x, y, down, 0.0)
         minus += (down, 0.0, mx, y, mx, my, up, 0.0)
-    projectors = np.array(plus + minus).view(complex).reshape(2, -1, 2, 2)
+    plus += minus
+    projectors = np.array(plus, dtype=float).view(complex).reshape(2, -1, 2, 2)
     projectors.setflags(write=False)
     return projectors
 
@@ -403,7 +404,6 @@ def _werner_density(v) -> np.ndarray:
     """v |singlet><singlet| + (1 - v) I/4, with v unchecked.
 
     ``v`` is a visibility, or an array of them shaped (n, 1, 1) for a stack of n densities.
-    A new array on every call; ``search.werner_sweep`` keeps its end pairs (``_werner_ends``).
     """
     return v * _SINGLET_DENSITY + (1.0 - v) * _WHITE_NOISE
 
@@ -415,7 +415,7 @@ def maximally_mixed(d1: int, d2: int) -> QuantumState:
 
 def werner_state(visibility: float) -> QuantumState:
     """Singlet mixed with white noise: v |psi><psi| + (1 - v) I/4."""
-    v = float(visibility)
+    v = _number(visibility, "visibility")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
     mixed = _werner_density(v)

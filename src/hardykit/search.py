@@ -62,7 +62,7 @@ class SchmidtState(Value):
     _fields = ("angle",)
 
     def __init__(self, angle: float) -> None:
-        self.__dict__["angle"] = angle
+        self.__dict__["angle"] = _number(angle, "angle")
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -74,10 +74,7 @@ class SchmidtState(Value):
         return (cos(self.angle), sin(self.angle))
 
     def state(self) -> QuantumState:
-        """The pure ``QuantumState``, the same object on every call.
-
-        It is built on the first call and kept as ``_state``, not a field.
-        """
+        """The pure ``QuantumState``; every call returns the one kept as ``_state`` (not a field)."""
         state = self.__dict__.get("_state")
         if state is None:
             big, small = self.amplitudes
@@ -194,9 +191,7 @@ def optimize_violation(
     the xz plane, T is restricted to its xz block, and ``angles`` holds each
     direction's angle from the z axis, (sin a, 0, cos a); otherwise ``angles``
     holds a (theta, phi) Bloch pair per direction. Order: x1, y1, x2, y2. The
-    SVD is read into floats once, and full Bloch angles come from one batched
-    conversion shared with ``BlochDirection``. The returned value is the built
-    scenario's q-vector expression. ``config`` does not change the result.
+    returned value is the built scenario's q-vector expression.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -257,9 +252,8 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
 
     The expression is affine in v, so its values at v_lo and v_hi, both from one
     call of the joint kernel, give the crossing exactly by linear interpolation.
-    The two end densities come from ``_werner_ends``, which keeps those of the
-    last ``_WERNER_ENDS_KEPT`` pairs of ends, so repeated sweeps build them once.
     """
+    v_lo, v_hi = _number(v_lo, "v_lo"), _number(v_hi, "v_hi")
     if not 0.0 <= v_lo < v_hi <= 1.0:
         raise ValueError(f"need 0 <= v_lo < v_hi <= 1, got [{v_lo}, {v_hi}]")
     if scenario.trichotomic:
@@ -267,7 +261,7 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
 
-    densities = _werner_ends(float(v_lo), float(v_hi))
+    densities = _werner_ends(v_lo, v_hi)
     excess_lo, excess_hi = (
         generalized_expression(_q_from_table(table)) - 1.0
         for table in _joint_table(densities, *scenario._sides).tolist()
@@ -277,5 +271,5 @@ def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> fl
     if excess_lo > 0.0:
         raise NoCrossing(f"expression already exceeds the upper bound at v = {v_lo}")
     if excess_lo == excess_hi:
-        return float(v_hi)  # on the bound at both ends, so everywhere
-    return float(v_lo - excess_lo * (v_hi - v_lo) / (excess_hi - excess_lo))
+        return v_hi  # on the bound at both ends, so everywhere
+    return v_lo - excess_lo * (v_hi - v_lo) / (excess_hi - excess_lo)

@@ -25,6 +25,7 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _marginal,
+    _number,
     _projective,
     _spin_pair,
     _spin_projectors,
@@ -42,6 +43,7 @@ UPPER_BOUND_VIOLATION = "UpperBoundViolation"
 NO_VIOLATION = "NoViolation"
 
 _NAMES = ("x1", "y1", "x2", "y2")
+_ANGLE_NAMES = ("x1_angle", "y1_angle", "x2_angle", "y2_angle")
 _NUMBER = frozenset((int, float))  # the types a JSON number decodes to
 _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
@@ -126,20 +128,27 @@ def _side(x: Observable, y: Observable, trichotomic: bool) -> np.ndarray:
     return stack
 
 
-def _joint_probabilities(
-    state: QuantumState, scenario: Scenario
-) -> tuple[np.ndarray, list[list[float]]]:
-    """rho4 and every joint probability the witness reads, from one contraction.
+def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False) -> tuple:
+    """(state, rho4, table), then the q-vector when ``read_q``, from one contraction.
 
     ``table[a][b]`` pairs outcome ``a`` of side 1 with outcome ``b`` of side 2,
-    both in ``_side`` order, and is not yet clamped.
+    both in ``_side`` order, and is not yet clamped. The tuple is kept on the
+    scenario as ``_kept``, not a field, written whole once every check has
+    passed. A later call with the same state object (``is``) reads it back;
+    any other state replaces it.
     """
-    if scenario.dims != state.dims:
-        raise DimensionMismatch(
-            f"scenario dims {scenario.dims} do not match state dims {state.dims}"
-        )
-    rho4 = _density_tensor(state)
-    return rho4, _joint_table(rho4, *scenario._sides).tolist()
+    kept = scenario.__dict__.get("_kept")
+    if kept is None or kept[0] is not state:
+        if scenario.dims != state.dims:
+            raise DimensionMismatch(
+                f"scenario dims {scenario.dims} do not match state dims {state.dims}"
+            )
+        rho4 = _density_tensor(state)
+        kept = (state, rho4, _joint_table(rho4, *scenario._sides).tolist())
+    if read_q and len(kept) == 3:
+        kept += (_q_from_table(kept[2]),)
+    scenario.__dict__["_kept"] = kept
+    return kept
 
 
 def _q_from_table(table: list[list[float]]) -> QVector:
@@ -176,8 +185,7 @@ def _ch_from_table(rho4: np.ndarray, table: list[list[float]], scenario: Scenari
 
 def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
     """Extract (q1..q4) and, for trichotomic x-observables, (q5, q6)."""
-    _, table = _joint_probabilities(state, scenario)
-    return _q_from_table(table)
+    return _joint_probabilities(state, scenario, True)[3]
 
 
 def generalized_expression(q: QVector) -> float:
@@ -195,7 +203,7 @@ def ch_expression(state: QuantumState, scenario: Scenario) -> float:
     of the state, not from the q-vector by no-signalling, so agreement with
     ``generalized_expression`` stays an independent check.
     """
-    rho4, table = _joint_probabilities(state, scenario)
+    _, rho4, table = _joint_probabilities(state, scenario)[:3]
     return _ch_from_table(rho4, table, scenario)
 
 
@@ -230,8 +238,7 @@ def witness_report(
     state: QuantumState, scenario: Scenario, tol: float = DEFAULT_TOLERANCE
 ) -> WitnessReport:
     """Evaluate everything the witness has to say about a state and scenario, from one table."""
-    rho4, table = _joint_probabilities(state, scenario)
-    q = _q_from_table(table)
+    _, rho4, table, q = _joint_probabilities(state, scenario, True)
     gen = generalized_expression(q)
     return WitnessReport(q, gen, _ch_from_table(rho4, table, scenario), classify(q, gen, tol))
 
@@ -255,11 +262,7 @@ def scenario_from_dict(payload: dict) -> Scenario:
 
 
 def _screened_observables(payload: dict) -> list[Observable]:
-    """x1, y1, x2, y2 when all four are explicit JSON observables of one int dim and pass the screen.
-
-    All [re, im] pairs go through one ``np.array``, reshaped to the read-only (4, k_max, d, d) stack
-    that ``_projective`` screens (zero projectors pad it). Anything else raises.
-    """
+    """x1, y1, x2, y2 if all four are explicit observables of one int dim that pass the screen."""
     entries = [payload[name] for name in _NAMES]
     d, spectra, rows = entries[0]["dim"], [], []
     for entry in entries:
@@ -309,8 +312,8 @@ def planar_scenario(
     """
     if plane not in ("xy", "xz"):
         raise ValueError(f"plane must be 'xy' or 'xz', got {plane!r}")
-    angles = (x1_angle, y1_angle, x2_angle, y2_angle)
-    if not all(isfinite(a) for a in angles):
+    angles = tuple(map(_number, (x1_angle, y1_angle, x2_angle, y2_angle), _ANGLE_NAMES))
+    if not all(map(isfinite, angles)):
         raise ValueError(f"angles must be finite, got {angles}")
     if plane == "xy":
         units = [(cos(a), sin(a), 0.0) for a in angles]
@@ -329,14 +332,14 @@ def _spin_scenario(
     come first and their -1 projectors after, so each side's stack (x = +1,
     y = +1, x = -1) is a strided view of the same array, not a copy.
     """
-    plus, minus = projectors = _spin_projectors((x1, x2, y1, y2))
-    flat = projectors.reshape(8, 2, 2)
+    flat = _spin_projectors((x1, x2, y1, y2)).reshape(8, 2, 2)
+    px1, px2, py1, py2, mx1, mx2, my1, my2 = flat
     # Four qubit spin observables always form a valid dichotomic scenario.
     return _trusted(
         Scenario,
-        x1=_spin_pair(plus[0], minus[0]),
-        y1=_spin_pair(plus[2], minus[2]),
-        x2=_spin_pair(plus[1], minus[1]),
-        y2=_spin_pair(plus[3], minus[3]),
+        x1=_spin_pair(px1, mx1),
+        y1=_spin_pair(py1, my1),
+        x2=_spin_pair(px2, mx2),
+        y2=_spin_pair(py2, my2),
         _sides=(flat[0:6:2], flat[1:7:2]),
     )

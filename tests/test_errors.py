@@ -69,6 +69,7 @@ from hardykit import (
     spin_observable,
     state_from_dict,
     state_to_dict,
+    werner_state,
     werner_sweep,
     witness_report,
 )
@@ -226,6 +227,37 @@ LIBRARY = {
          NoSolution, r"^constructed q = .* is not a HardyViolation at tol 1e-09"),
         ("hardy-band-upper", hardy_observables, (SchmidtState(0.7853758027171096),),
          NoSolution, r"^constructed q = .* is not a HardyViolation at tol 1e-09"),
+        # Scalar arguments: a string, a boolean or None is not a number.
+        ("schmidt-angle-string", SchmidtState, ("0.3",), ValueError,
+         r"^angle must be a number, got '0\.3'$"),
+        ("schmidt-angle-bool", SchmidtState, (True,), ValueError,
+         "^angle must be a number, got True$"),
+        ("schmidt-angle-none", SchmidtState, (None,), ValueError,
+         "^angle must be a number, got None$"),
+        ("bloch-theta-string", BlochDirection, ("0", 1), ValueError,
+         "^theta must be a number, got '0'$"),
+        ("bloch-phi-bool", BlochDirection, (0.0, True), ValueError,
+         "^phi must be a number, got True$"),
+        ("bloch-theta-none", BlochDirection, (None, 0.0), ValueError,
+         "^theta must be a number, got None$"),
+        ("werner-visibility-bool", werner_state, (True,), ValueError,
+         "^visibility must be a number, got True$"),
+        ("werner-visibility-string", werner_state, ("0.5",), ValueError,
+         r"^visibility must be a number, got '0\.5'$"),
+        ("werner-visibility-none", werner_state, (None,), ValueError,
+         "^visibility must be a number, got None$"),
+        ("werner-sweep-string-end", werner_sweep, (REFERENCE, "0", 1), ValueError,
+         "^v_lo must be a number, got '0'$"),
+        ("werner-sweep-bool-end", werner_sweep, (REFERENCE, 0.0, True), ValueError,
+         "^v_hi must be a number, got True$"),
+        ("werner-sweep-none-end", werner_sweep, (REFERENCE, None, 1.0), ValueError,
+         "^v_lo must be a number, got None$"),
+        ("planar-angle-bool", planar_scenario, (True, 0.0, 0.0, 0.0), ValueError,
+         "^x1_angle must be a number, got True$"),
+        ("planar-angle-string", planar_scenario, (0.0, 0.0, "0.3", 0.0), ValueError,
+         r"^x2_angle must be a number, got '0\.3'$"),
+        ("planar-angle-none", partial(planar_scenario, plane="xz"), (0.0, 0.0, 0.0, None),
+         ValueError, "^y2_angle must be a number, got None$"),
     ],
     # -- qcore: directions, probabilities, states, observables ------------------------
     "TestBlochDirection.test_rejects_out_of_range_angles": [

@@ -15,6 +15,7 @@ import copy
 import pickle
 from collections import namedtuple
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 from math import pi
 
 import numpy as np
@@ -36,6 +37,7 @@ from hardykit import (
     planar_scenario,
     spin_observable,
     werner_state,
+    werner_sweep,
 )
 from hardykit.qcore import _trusted
 
@@ -222,3 +224,17 @@ def test_separately_built_arrays_compare_by_entries(name):
     assert value != build(other) and not value == build(other)
     with pytest.raises(TypeError):
         hash(value)
+
+
+def test_scalar_arguments_of_any_number_type_act_as_floats():
+    # One rule for scalars: any real number is read as a float (strings, booleans
+    # and None are refused; see the error table).
+    for number in (int, np.int64, np.float64, Fraction):
+        half, one = number(1) / number(2), number(1)
+        schmidt = SchmidtState(number(0))
+        assert type(schmidt.angle) is float and repr(schmidt) == "SchmidtState(angle=0.0)"
+        assert repr(BlochDirection(one, half)) == "BlochDirection(theta=1.0, phi=0.5)"
+        assert werner_state(half) == werner_state(0.5)
+        assert planar_scenario(number(0), one, half, number(2)) == planar_scenario(0.0, 1.0, 0.5, 2.0)
+        crossing = werner_sweep(_REFERENCE, number(0), one)
+        assert type(crossing) is float and crossing == werner_sweep(_REFERENCE, 0.0, 1.0)

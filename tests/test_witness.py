@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -21,6 +26,7 @@ from conftest import (
 )
 from hardykit import (
     BlochDirection,
+    DimensionMismatch,
     InvalidQVector,
     QVector,
     QuantumState,
@@ -28,6 +34,7 @@ from hardykit import (
     ch_expression,
     classify,
     generalized_expression,
+    hardy_observables,
     lhv_feasible,
     maximally_mixed,
     observable_to_dict,
@@ -40,7 +47,10 @@ from hardykit import (
     witness_report,
 )
 from hardykit import witness
+from hardykit.cli import main
 from hardykit.lhv import QVECTOR_ATOL
+from hardykit.qcore import _trusted
+from hardykit.search import SchmidtState
 from hardykit.witness import _q_from_table, _side
 from test_errors import ErrorRows
 
@@ -698,3 +708,173 @@ class TestWitnessReport:
         payload = report.to_dict()
         assert sorted(payload) == ["ch", "class", "generalized", "q"]
         assert len(payload["q"]) == 4
+
+
+def _evaluate(call: str, state: QuantumState, scenario: Scenario) -> str:
+    """One public evaluation, as its repr (which tells every bit of a float, -0.0 included)."""
+    if call == "q":
+        return repr(q_vector(state, scenario))
+    if call == "ch":
+        return repr(ch_expression(state, scenario))
+    return repr(witness_report(state, scenario))
+
+
+def _fresh(call: str, state: QuantumState, scenario: Scenario) -> str:
+    """The same evaluation on a newly built scenario with the same observables: no kept entry."""
+    twin = Scenario(scenario.x1, scenario.y1, scenario.x2, scenario.y2)
+    assert "_kept" not in vars(twin)
+    return _evaluate(call, state, twin)
+
+
+class TestKeptEvaluation:
+    """A scenario keeps (state, rho4, table[, q]) of its last state and reuses it for that object."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+        pure=st.booleans(),
+        trichotomic=st.booleans(),
+        calls=st.lists(st.sampled_from(("q", "ch", "report")), min_size=1, max_size=6),
+    )
+    def test_reused_results_equal_fresh_ones_bitwise(self, seed, dims, pure, trichotomic, calls):
+        rng = np.random.default_rng(seed)
+        state = (random_pure_state if pure else random_density_state)(rng, *dims)
+        scenario = random_scenario(rng, *dims, trichotomic)
+        for call in calls:
+            assert _evaluate(call, state, scenario) == _fresh(call, state, scenario)
+            assert scenario._kept[0] is state
+        assert len(scenario._kept) == (3 if set(calls) == {"ch"} else 4)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("trichotomic", [False, True])
+    def test_alternating_states_each_get_their_own_values(self, rng, dims, trichotomic):
+        scenario = random_scenario(rng, *dims, trichotomic)
+        a, b = random_pure_state(rng, *dims), random_density_state(rng, *dims)
+        # An equal state that is another object is evaluated anew.
+        a_twin = QuantumState(a.dims, a.kind, a.data)
+        for state in (a, b, a, a_twin, b, a):
+            for call in ("report", "q", "ch"):
+                assert _evaluate(call, state, scenario) == _fresh(call, state, scenario)
+            assert scenario._kept[0] is state
+        assert _evaluate("report", a, scenario) != _evaluate("report", b, scenario)
+
+    def test_results_stay_correct_after_states_are_freed(self, rng):
+        scenario = random_scenario(rng, 2, 2)
+        previous = None
+        for _ in range(10):
+            state = random_state(rng, 2, 2)
+            ref = weakref.ref(state)
+            assert _evaluate("report", state, scenario) == _fresh("report", state, scenario)
+            del state
+            gc.collect()
+            # The kept entry holds the last state alive, so its id is not reused
+            # while the entry names it; the state before it is free.
+            assert ref() is not None and scenario._kept[0] is ref()
+            assert previous is None or previous() is None
+            previous = ref
+
+    def test_ch_expression_never_forms_the_q_vector(self, rng, monkeypatch):
+        state, scenario = random_state(rng, 3, 3), random_scenario(rng, 3, 3, True)
+        expected = ch_expression(state, Scenario(scenario.x1, scenario.y1, scenario.x2, scenario.y2))
+
+        def forbidden(table):
+            raise AssertionError("ch_expression formed the q-vector")
+
+        monkeypatch.setattr(witness, "_q_from_table", forbidden)
+        assert ch_expression(state, scenario) == expected
+        assert ch_expression(state, scenario) == expected
+        assert len(scenario._kept) == 3
+
+    def test_nothing_is_kept_when_a_call_raises(self, rng):
+        scenario = reference_scenario()
+        with pytest.raises(DimensionMismatch):
+            q_vector(random_state(rng, 2, 3), scenario)
+        assert "_kept" not in vars(scenario)
+        # Not a state (eigenvalue -1/2), built unchecked: its q4 is about -0.28.
+        bad = _trusted(QuantumState, dims=(2, 2), kind="density",
+                       data=3.0 * singlet().density_matrix() - 0.5 * np.eye(4))
+        for call in (q_vector, witness_report):
+            with pytest.raises(InvalidQVector):
+                call(bad, scenario)
+            assert "_kept" not in vars(scenario)
+        ch = ch_expression(bad, scenario)  # reads no q-vector, so it cannot raise InvalidQVector
+        kept = scenario._kept
+        assert kept[0] is bad and len(kept) == 3
+        with pytest.raises(InvalidQVector):
+            q_vector(bad, scenario)
+        assert scenario._kept is kept
+        with pytest.raises(DimensionMismatch):
+            witness_report(random_state(rng, 3, 3), scenario)
+        assert scenario._kept is kept and ch_expression(bad, scenario) == ch
+
+    def test_copies_carry_the_entry_harmlessly(self, rng):
+        state, scenario = random_state(rng, 2, 3), random_scenario(rng, 2, 3)
+        expected = _evaluate("report", state, scenario)
+        other = random_state(rng, 2, 3)
+        for twin in (copy.copy(scenario), copy.deepcopy(scenario),
+                     pickle.loads(pickle.dumps(scenario))):
+            assert twin == scenario
+            assert _evaluate("report", state, twin) == expected
+            assert _evaluate("report", other, twin) == _fresh("report", other, scenario)
+        # Pickled together, state and scenario stay paired: the entry is reused and still right.
+        state_copy, scenario_copy = pickle.loads(pickle.dumps((state, scenario)))
+        assert scenario_copy._kept[0] is state_copy
+        assert _evaluate("report", state_copy, scenario_copy) == expected
+
+    def test_threads_sharing_a_scenario_each_get_their_own_values(self, rng):
+        scenario = random_scenario(rng, 2, 3, True)
+        states = [random_state(rng, 2, 3) for _ in range(6)]
+        expected = {(call, i): _fresh(call, state, scenario)
+                    for i, state in enumerate(states) for call in ("q", "ch", "report")}
+        errors = []
+
+        def work(index):
+            for step in range(180):
+                i, call = (index + step) % len(states), ("q", "ch", "report")[step % 3]
+                if _evaluate(call, states[i], scenario) != expected[call, i]:
+                    errors.append((index, step))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    @staticmethod
+    def _count_tables(monkeypatch) -> list:
+        calls = []
+        kernel = witness._joint_table
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(witness, "_joint_table", counted)
+        return calls
+
+    def test_construction_and_report_read_one_table(self, monkeypatch):
+        calls = self._count_tables(monkeypatch)
+        schmidt = SchmidtState(0.3)
+        scenario = hardy_observables(schmidt)
+        report = witness_report(schmidt.state(), scenario)
+        assert len(calls) == 1
+        assert report.qvec is q_vector(schmidt.state(), scenario)
+        assert len(calls) == 1
+        assert repr(report) == _fresh("report", schmidt.state(), scenario)
+
+    @pytest.mark.parametrize("argv, tables", [
+        (["hardy", "--theta", "0.3"], 1),
+        (["hardy", "--theta", "0.3", "--json"], 1),
+        (["sweep", "--family", "schmidt", "--lo", "0.1", "--hi", "0.7", "--steps", "7"], 7),
+    ])
+    def test_cli_reads_one_table_per_construction(self, monkeypatch, capsys, argv, tables):
+        calls = self._count_tables(monkeypatch)
+        assert main(argv) == 0
+        assert len(calls) == tables
