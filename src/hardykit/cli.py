@@ -2,8 +2,7 @@
 
 Machine output goes to stdout (9 significant digits by default, full precision
 under --json); diagnostics go to stderr. Exit codes: 0 on success, 2 on
-command-line parse errors, 3 on domain errors. Handlers import the numpy-backed
-modules they use, so lhv-check and vertices run without numpy.
+command-line parse errors, 3 on domain errors.
 """
 
 from __future__ import annotations

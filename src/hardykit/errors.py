@@ -18,10 +18,7 @@ class MalformedMeasure(HardykitError):
 
 
 class InvalidQVector(HardykitError, ValueError):
-    """Raised when a probability vector component lies outside [0, 1].
-
-    Also a ``ValueError``, so callers that catch bad values keep working.
-    """
+    """Raised when a probability vector component lies outside [0, 1]; also a ``ValueError``."""
 
 
 class NotEntangled(HardykitError):

@@ -1,8 +1,6 @@
 """States, projective observables, and Born-rule probabilities on small bipartite systems.
 
-Everything is dense complex double precision. Public constructors validate
-their input in full; values the package builds itself and knows to be valid
-skip that check through ``_trusted``.
+Everything is dense complex double precision.
 """
 
 from __future__ import annotations

@@ -87,11 +87,7 @@ class SchmidtState(Value):
 
 
 class SearchConfig(Value):
-    """Restart count and seed, kept for callers that pass them.
-
-    Both are validated, but the optimum is computed in closed form, so
-    neither changes the result.
-    """
+    """Restart count and seed: validated, but the closed-form optimum reads neither."""
 
     _fields = ("restarts", "seed")
 
@@ -145,10 +141,10 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     above ``tol``, the state is too close to a product state (``NotEntangled``)
     or to the maximally entangled one (``MaximallyEntangled``). The built
     settings are verified on the state's q-vector, and ``NoSolution`` is raised
-    unless ``classify`` names it a Hardy violation at the same ``tol``. A ``tol``
-    that is not positive, or not below the largest q4 over all Schmidt states,
-    (5 sqrt 5 - 11)/2, raises ``ValueError``.
+    unless ``classify`` names it a Hardy violation at the same ``tol``. A ``tol`` that
+    is not positive, or not below the largest q4 (``max_hardy_probability``), raises ``ValueError``.
     """
+    tol = _number(tol, "tol")
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if tol >= _Q4_MAX:

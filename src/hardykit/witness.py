@@ -49,6 +49,22 @@ _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
 
 
+class _SpinField:
+    """x1, y1, x2 or y2 of a spin scenario; the first read of any builds all four from ``_spin``."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, scenario, owner=None):
+        spin = None if scenario is None else scenario.__dict__.get("_spin")
+        if spin is None:
+            raise AttributeError(f"'Scenario' object has no attribute {self.name!r}")
+        # The units of _spin are x1, x2, y1, y2; setdefault keeps the first object stored.
+        for field, k in zip(_NAMES, (0, 2, 1, 3)):
+            scenario.__dict__.setdefault(field, _spin_pair(spin[k], spin[k + 4]))
+        return scenario.__dict__[self.name]
+
+
 class Scenario(Value):
     """Four local observables: x1, y1 on side 1 and x2, y2 on side 2.
 
@@ -58,7 +74,9 @@ class Scenario(Value):
     ``_sides`` that the joint kernel reads; ``_sides`` is not a field.
     """
 
-    _fields = ("x1", "y1", "x2", "y2")
+    _fields = _NAMES
+    # A validated scenario's fields sit in its __dict__, which shadows these.
+    x1, y1, x2, y2 = map(_SpinField, _NAMES)
 
     def __init__(self, x1: Observable, y1: Observable, x2: Observable, y2: Observable) -> None:
         self.__dict__.update(x1=x1, y1=y1, x2=x2, y2=y2)
@@ -93,7 +111,7 @@ class Scenario(Value):
 
     @property
     def dims(self) -> tuple[int, int]:
-        return (self.x1.dim, self.x2.dim)
+        return (self._sides[0].shape[-1], self._sides[1].shape[-1])
 
 
 class WitnessReport(Value):
@@ -217,8 +235,10 @@ def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> st
     non-finite ``gen_value`` or a ``tol`` that is not finite and positive
     raises ``ValueError``.
     """
+    tol = _number(tol, "tol")
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    gen_value = _number(gen_value, "gen_value")
     if not isfinite(gen_value):
         raise ValueError(f"gen_value must be finite, got {gen_value}")
     if gen_value < -tol:
@@ -327,19 +347,9 @@ def _spin_scenario(
 ) -> Scenario:
     """Scenario of four qubit spin observables along the given unit 3-vectors.
 
-    All eight projectors are written in one call, with the units in the order
-    x1, x2, y1, y2. Flattened to (8, 2, 2), the +1 projectors of x1, x2, y1, y2
-    come first and their -1 projectors after, so each side's stack (x = +1,
-    y = +1, x = -1) is a strided view of the same array, not a copy.
+    ``_spin`` holds the +1 projectors of x1, x2, y1, y2, then their -1 projectors,
+    so each side's stack (x = +1, y = +1, x = -1) is a strided view of it.
     """
     flat = _spin_projectors((x1, x2, y1, y2)).reshape(8, 2, 2)
-    px1, px2, py1, py2, mx1, mx2, my1, my2 = flat
     # Four qubit spin observables always form a valid dichotomic scenario.
-    return _trusted(
-        Scenario,
-        x1=_spin_pair(px1, mx1),
-        y1=_spin_pair(py1, my1),
-        x2=_spin_pair(px2, mx2),
-        y2=_spin_pair(py2, my2),
-        _sides=(flat[0:6:2], flat[1:7:2]),
-    )
+    return _trusted(Scenario, _spin=flat, _sides=(flat[0:6:2], flat[1:7:2]))

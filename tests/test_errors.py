@@ -551,6 +551,22 @@ LIBRARY = {
         (f"gen_value={value}", classify, (q, value, 1e-9), ValueError, "gen_value must be finite")
         for value in (NAN, INF, -INF)
         for q in (HARDY_Q, FLAT_Q)
+    ] + [
+        # One rule for scalars: a boolean, a string or None is not a number.
+        (f"tol={tol!r}", call, (*args, tol), ValueError,
+         f"^tol must be a number, got {re.escape(repr(tol))}$")
+        for tol in (True, "1e-9", None)
+        for call, args in (
+            (classify, (HARDY_Q, generalized_expression(HARDY_Q))),
+            (classify, (FLAT_Q, generalized_expression(FLAT_Q))),
+            (witness_report, (singlet(), REFERENCE)),
+            (hardy_observables, (SchmidtState(0.3),)),
+        )
+    ] + [
+        (f"gen_value={value!r}", classify, (q, value, 1e-9), ValueError,
+         f"^gen_value must be a number, got {re.escape(repr(value))}$")
+        for value in (True, "-0.3", None)
+        for q in (HARDY_Q, FLAT_Q)
     ],
     # -- lhv: measures, strategies, feasibility --------------------------------------------
     "TestSetExpression.test_malformed_measures_rejected": [

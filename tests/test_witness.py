@@ -8,6 +8,7 @@ import pickle
 import sys
 import threading
 import weakref
+from functools import partial
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -38,18 +39,20 @@ from hardykit import (
     lhv_feasible,
     maximally_mixed,
     observable_to_dict,
+    optimize_violation,
     planar_scenario,
     q_vector,
     scenario_from_dict,
     scenario_to_dict,
     singlet,
     spin_observable,
+    werner_sweep,
     witness_report,
 )
-from hardykit import witness
+from hardykit import qcore, witness
 from hardykit.cli import main
 from hardykit.lhv import QVECTOR_ATOL
-from hardykit.qcore import _trusted
+from hardykit.qcore import _spin_pair, _trusted
 from hardykit.search import SchmidtState
 from hardykit.witness import _q_from_table, _side
 from test_errors import ErrorRows
@@ -878,3 +881,200 @@ class TestKeptEvaluation:
         calls = self._count_tables(monkeypatch)
         assert main(argv) == 0
         assert len(calls) == tables
+
+
+_ANGLES = st.floats(-2.0 * pi, 2.0 * pi, allow_nan=False)
+
+
+def _bloch_optimum(seed: int, objective: str) -> Scenario:
+    state = random_state(np.random.default_rng(seed), 2, 2)
+    return optimize_violation(state, objective, planar=False).scenario
+
+
+def _hardy(theta: float) -> Scenario:
+    return hardy_observables(SchmidtState(theta))
+
+
+@st.composite
+def _spin_scenarios(draw) -> partial:
+    """A builder of a planar scenario (either plane), a full-Bloch optimum or a Hardy construction.
+
+    The scenario is built inside the test, so that nothing has read its fields before.
+    """
+    kind = draw(st.sampled_from(("planar", "bloch", "hardy")))
+    if kind == "planar":
+        return partial(planar_scenario, *draw(st.lists(_ANGLES, min_size=4, max_size=4)),
+                       plane=draw(st.sampled_from(("xy", "xz"))))
+    if kind == "bloch":
+        return partial(_bloch_optimum, draw(st.integers(0, 2**32 - 1)),
+                       draw(st.sampled_from(("maximize_upper", "minimize_lower"))))
+    return partial(_hardy, draw(st.floats(0.01, 0.77)))
+
+
+def _eager(scenario: Scenario) -> dict:
+    """The four observables as built eagerly from the (8, 2, 2) projector array."""
+    px1, px2, py1, py2, mx1, mx2, my1, my2 = scenario._spin
+    return dict(x1=_spin_pair(px1, mx1), y1=_spin_pair(py1, my1),
+                x2=_spin_pair(px2, mx2), y2=_spin_pair(py2, my2))
+
+
+def _assert_fields_match_eager(scenario: Scenario, eager: dict) -> None:
+    for name in _NAMES:
+        built, expected = getattr(scenario, name), eager[name]
+        assert built == expected and built.dim == 2
+        assert built.labels == expected.labels == (1.0, -1.0)
+        for (_, mine), (_, theirs) in zip(built.outcomes, expected.outcomes):
+            assert mine.tobytes() == theirs.tobytes() and mine.shape == theirs.shape
+            assert mine.flags.writeable == theirs.flags.writeable
+
+
+class TestSpinFieldsOnFirstRead:
+    """A spin scenario keeps one (8, 2, 2) array and builds x1, y1, x2, y2 the first time one is read."""
+
+    @settings(max_examples=60)
+    @given(build=_spin_scenarios())
+    def test_lazy_fields_equal_an_eager_build(self, build):
+        scenario = build()
+        assert not set(_NAMES) & set(vars(scenario))
+        spin = scenario._spin
+        assert spin.shape == (8, 2, 2) and not spin.flags.writeable
+        assert all(np.shares_memory(side, spin) for side in scenario._sides)
+        eager = _eager(scenario)
+        assert scenario.y2 is scenario.y2  # one read builds all four
+        assert set(_NAMES) <= set(vars(scenario))
+        _assert_fields_match_eager(scenario, eager)
+        for name in _NAMES:
+            assert getattr(scenario, name) is getattr(scenario, name)
+            assert not any(p.flags.writeable for _, p in getattr(scenario, name).outcomes)
+        TestStoredSides.assert_sides_are_fresh_stacks(scenario)
+
+    @settings(max_examples=30)
+    @given(build=_spin_scenarios())
+    def test_copies_before_and_after_the_first_read(self, build):
+        scenario = build()
+        methods = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+        # A copy of the eagerly built scenario: deepcopy and pickle give writeable arrays.
+        eager = _trusted(Scenario, **_eager(scenario), _sides=scenario._sides)
+        before = [method(scenario) for method in methods]
+        for twin, method in zip(before, methods):
+            assert not set(_NAMES) & set(vars(twin))
+            _assert_fields_match_eager(twin, vars(method(eager)))
+        # Reading a shallow copy builds its own fields, not the original's.
+        assert not set(_NAMES) & set(vars(scenario))
+        _assert_fields_match_eager(scenario, vars(eager))
+        after = [method(scenario) for method in methods]
+        for twin in before + after:
+            assert twin == scenario and repr(twin) == repr(scenario)
+            assert twin.dims == (2, 2) and not twin.trichotomic
+        assert all(after[0].__dict__[name] is scenario.__dict__[name] for name in _NAMES)
+
+    @pytest.mark.parametrize("read", [
+        lambda s: s == planar_scenario(0.1, 0.2, 0.3, 0.4),
+        lambda s: repr(s),
+        lambda s: scenario_to_dict(s),
+    ], ids=["eq", "repr", "to_dict"])
+    def test_field_readers_build_the_fields(self, read):
+        scenario = planar_scenario(0.1, 0.2, 0.3, 0.4)
+        read(scenario)
+        _assert_fields_match_eager(scenario, _eager(planar_scenario(0.1, 0.2, 0.3, 0.4)))
+
+    def test_hash_builds_the_fields_then_refuses_the_arrays(self):
+        scenario = planar_scenario(0.1, 0.2, 0.3, 0.4)
+        with pytest.raises(TypeError):
+            hash(scenario)
+        assert set(_NAMES) <= set(vars(scenario))
+
+    def test_other_names_are_missing(self):
+        for scenario in (planar_scenario(0.1, 0.2, 0.3, 0.4), reference_scenario(),
+                         random_scenario(np.random.default_rng(3))):
+            for name in ("x3", "_kept", "__setstate__", "dim"):
+                with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+                    getattr(scenario, name)
+        with pytest.raises(AttributeError, match="no attribute 'x1'"):
+            _trusted(Scenario).x1
+
+    def test_threads_racing_on_the_first_read_get_the_same_objects(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                scenario = planar_scenario(0.1 * round_, 0.2, 0.3, 0.4, plane="xz")
+                barrier, seen = threading.Barrier(6), []
+
+                def read(index):
+                    barrier.wait(timeout=30)
+                    first = _NAMES[index % 4]
+                    fields = {first: getattr(scenario, first)}
+                    fields.update((name, getattr(scenario, name)) for name in _NAMES)
+                    seen.append(fields)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 6
+                for name in _NAMES:
+                    assert all(fields[name] is scenario.__dict__[name] for fields in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @settings(max_examples=30)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))),
+        trichotomic=st.booleans(),
+    )
+    def test_dims_read_the_side_stacks(self, seed, dims, trichotomic):
+        validated = random_scenario(np.random.default_rng(seed), *dims, trichotomic)
+        decoded = scenario_from_dict(scenario_to_dict(validated))
+        spin = planar_scenario(*np.random.default_rng(seed).uniform(-pi, pi, 4))
+        for scenario in (validated, decoded, spin):
+            assert scenario.dims == (scenario.x1.dim, scenario.x2.dim)
+            assert all(type(d) is int for d in scenario.dims)
+        assert validated.dims == decoded.dims == dims
+
+
+class TestSpinPairCalls:
+    """Only a read of the fields builds spin observables; the evaluations read the side stacks."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        calls = []
+
+        def counted(plus, minus):
+            calls.append(1)
+            return _spin_pair(plus, minus)
+
+        monkeypatch.setattr(qcore, "_spin_pair", counted)
+        monkeypatch.setattr(witness, "_spin_pair", counted)
+        return calls
+
+    @pytest.mark.parametrize("theta, phi", [(0.05, 0.0), (0.3, 1.0), (0.7, 4.0)])
+    def test_construct_item_builds_none(self, built, theta, phi):
+        schmidt = SchmidtState(theta)
+        scenario = hardy_observables(schmidt)
+        report = witness_report(schmidt.state(), scenario)
+        assert not lhv_feasible(report.qvec).feasible
+        rotated = planar_scenario(*(a + phi for a in REFERENCE_ANGLES), plane="xy")
+        assert abs(werner_sweep(rotated) - 1.0 / sqrt(2.0)) < 1e-12
+        assert built == []
+
+    @pytest.mark.parametrize("planar", [True, False])
+    @pytest.mark.parametrize("objective", ["maximize_upper", "minimize_lower"])
+    def test_optimizer_builds_none(self, built, rng, planar, objective):
+        for state in (singlet(), random_state(rng, 2, 2)):
+            optimize_violation(state, objective, planar=planar)
+        assert built == []
+
+    @pytest.mark.parametrize("argv, count", [
+        (["hardy", "--theta", "0.3"], 4),
+        (["hardy", "--theta", "0.3", "--json"], 4),
+        (["sweep", "--family", "schmidt", "--lo", "0.1", "--hi", "0.7", "--steps", "7"], 0),
+        (["sweep", "--family", "werner", "--lo", "0", "--hi", "1", "--steps", "7"], 0),
+        (["demo", "singlet"], 0),
+    ])
+    def test_cli_builds_only_what_it_prints(self, built, capsys, argv, count):
+        assert main(argv) == 0
+        assert len(built) == count
