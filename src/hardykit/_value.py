@@ -1,4 +1,4 @@
-"""The base of the package's immutable value classes; it imports nothing."""
+"""The base of the immutable value classes, their trusted builds and copies; it imports nothing."""
 
 
 class Value:
@@ -34,6 +34,45 @@ class Value:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_restored, (self.__class__, self.__dict__))
+
+
+def _trusted(cls, **fields):
+    """A value built without ``__init__`` or validation, for values valid by construction.
+
+    Every field must be given in the form ``__post_init__`` would have stored.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _restored(cls, entries: dict):
+    """The value that ``copy``, ``deepcopy`` and ``pickle`` make: ``entries``, arrays read-only.
+
+    A copied array views nothing, so ``_rho4`` is left to be rebuilt on first
+    use, and a spin scenario's ``_sides`` are cut from its ``_spin`` again.
+    """
+    value = _trusted(cls, **{name: _frozen(entry)
+                             for name, entry in entries.items() if name != "_rho4"})
+    if "_spin" in entries:
+        value.__dict__["_sides"] = (value._spin[0:6:2], value._spin[1:7:2])
+    return value
+
+
+def _read_only(array):
+    """``array``, set read-only."""
+    array.setflags(write=False)
+    return array
+
+
+def _frozen(entry):
+    """``entry`` with every array in it, or in its tuples, set read-only."""
+    if type(entry) is tuple:
+        return tuple(map(_frozen, entry))
+    return _read_only(entry) if hasattr(entry, "setflags") else entry
 
 
 def _equal(a, b) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from itertools import product
 
-from ._value import Value
+from ._value import Value, _read_only
 from .errors import InvalidQVector, MalformedMeasure
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -103,12 +103,8 @@ class FiniteMeasure(Value):
             mask = np.asarray(getattr(self, name), dtype=bool)
             if mask.shape != weights.shape:
                 raise MalformedMeasure(f"subset {name} has shape {mask.shape}, expected {weights.shape}")
-            mask = mask.copy()
-            mask.setflags(write=False)
-            masks[name] = mask
-        weights = weights.copy()
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+            masks[name] = _read_only(mask.copy())
+        object.__setattr__(self, "weights", _read_only(weights.copy()))
         for name, mask in masks.items():
             object.__setattr__(self, name, mask)
 

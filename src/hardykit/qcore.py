@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._value import Value
+from ._value import Value, _read_only, _trusted
 from .errors import DimensionMismatch, UnknownLabel
 
 # Absolute tolerances. Projector checks are looser than state normalization
@@ -47,17 +47,6 @@ def _dimension(value) -> int:
     except ValueError:
         pass
     raise ValueError(f"dimensions must be integers, got {value!r}")
-
-
-def _trusted(cls, **fields):
-    """Instance of a value class built without running its ``__init__`` or validation.
-
-    Only for values that are valid by construction; every field must be
-    given in the form ``__post_init__`` would have stored.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 class BlochDirection(Value):
@@ -157,8 +146,7 @@ class QuantumState(Value):
                 raise ValueError(f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
         else:
             raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _read_only(data))
 
     @classmethod
     def pure(cls, amplitudes: Iterable[complex], dims: tuple[int, int]) -> "QuantumState":
@@ -250,9 +238,7 @@ def _check_observable(dim, outcomes) -> tuple[int, list[float], np.ndarray]:
             )
     if not np.max(np.abs(sum(projectors) - np.eye(d))) <= PROJECTOR_ATOL:
         raise ValueError("projectors do not sum to the identity")
-    stack = np.array(projectors)
-    stack.setflags(write=False)
-    return d, labels, stack
+    return d, labels, _read_only(np.array(projectors))
 
 
 def _projective(stack: np.ndarray) -> bool:
@@ -282,11 +268,9 @@ def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
     """Spin projectors (1 +- n.sigma)/2 of n unit 3-vectors, as one read-only (2, n, 2, 2) array.
 
     ``[0, k]`` is the +1 projector of unit k and ``[1, k]`` its -1 projector,
-    1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]]. Every entry is
-    written into one flat list of floats (real and imaginary parts in turn)
-    that is then viewed as complex. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into
-    0.0, so zero entries (such as the imaginary parts of an xz-plane setting)
-    print without a sign.
+    1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]], written as a flat
+    list of floats viewed as complex. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into
+    0.0, so zero entries (such as an xz-plane setting's imaginary parts) print without a sign.
     """
     plus, minus = [], []
     for nx, ny, nz in units:
@@ -296,9 +280,7 @@ def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
         plus += (up, 0.0, x, my, x, y, down, 0.0)
         minus += (down, 0.0, mx, y, mx, my, up, 0.0)
     plus += minus
-    projectors = np.array(plus, dtype=float).view(complex).reshape(2, -1, 2, 2)
-    projectors.setflags(write=False)
-    return projectors
+    return _read_only(np.array(plus, dtype=float).view(complex).reshape(2, -1, 2, 2))
 
 
 def _spin_pair(plus: np.ndarray, minus: np.ndarray) -> Observable:
@@ -330,8 +312,7 @@ def _density_tensor(state: QuantumState) -> np.ndarray:
         d1, d2 = state.dims
         if state.kind == "pure":
             psi = state.data.reshape(d1, d2)
-            rho4 = psi[:, :, None, None] * psi.conj()
-            rho4.setflags(write=False)
+            rho4 = _read_only(psi[:, :, None, None] * psi.conj())
         else:
             rho4 = state.data.reshape(d1, d2, d1, d2)  # a view of the read-only data
         object.__setattr__(state, "_rho4", rho4)
@@ -393,8 +374,7 @@ def singlet() -> QuantumState:
 
 
 # The singlet's density matrix, built and validated once; _werner_density mixes it.
-_SINGLET_DENSITY = singlet().density_matrix()
-_SINGLET_DENSITY.setflags(write=False)
+_SINGLET_DENSITY = _read_only(singlet().density_matrix())
 _WHITE_NOISE = np.eye(4) / 4.0
 
 
@@ -416,10 +396,8 @@ def werner_state(visibility: float) -> QuantumState:
     v = _number(visibility, "visibility")
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {v}")
-    mixed = _werner_density(v)
-    mixed.setflags(write=False)
     # A convex mix of two states is a state.
-    return _trusted(QuantumState, dims=(2, 2), kind="density", data=mixed)
+    return _trusted(QuantumState, dims=(2, 2), kind="density", data=_read_only(_werner_density(v)))
 
 
 # ---------------------------------------------------------------------------

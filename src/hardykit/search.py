@@ -9,11 +9,11 @@ Lett. A 200, 340 (1995)).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import asin, atan, atan2, cos, isfinite, pi, sin, sqrt
+from math import asin, atan, atan2, cos, hypot, isfinite, pi, sin, sqrt, tau
 
 import numpy as np
 
-from ._value import Value
+from ._value import Value, _read_only, _trusted
 from .errors import (
     DimensionMismatch,
     MaximallyEntangled,
@@ -31,7 +31,6 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _number,
-    _trusted,
     _werner_density,
 )
 from .witness import (
@@ -78,8 +77,7 @@ class SchmidtState(Value):
         state = self.__dict__.get("_state")
         if state is None:
             big, small = self.amplitudes
-            amplitudes = np.array([big, 0.0, 0.0, small], dtype=complex)
-            amplitudes.setflags(write=False)
+            amplitudes = _read_only(np.array([big, 0.0, 0.0, small], dtype=complex))
             # The angle is validated and (cos, sin) has unit norm.
             state = _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
             object.__setattr__(self, "_state", state)
@@ -179,47 +177,58 @@ def optimize_violation(
     """Spin settings at which q1 + q2 + q3 - q4 takes its extreme value.
 
     For spin observables with +1 directions x1, y1, x2, y2 the expression is
-    1/2 + (x1.T(x2 - y2) - y1.T(x2 + y2))/4. With T = U diag(t) V^T, sign
-    s = +1 to maximize and -1 to minimize, and tan(phi) = t2/t1, the settings
-    x1 = s u1, y1 = -s u2, x2 = cos(phi) v1 + sin(phi) v2 and
-    y2 = -cos(phi) v1 + sin(phi) v2 reach (1 + s sqrt(t1^2 + t2^2))/2, the
-    extreme value over all settings. With ``planar=True`` the directions lie in
-    the xz plane, T is restricted to its xz block, and ``angles`` holds each
-    direction's angle from the z axis, (sin a, 0, cos a); otherwise ``angles``
-    holds a (theta, phi) Bloch pair per direction. Order: x1, y1, x2, y2. The
-    returned value is the built scenario's q-vector expression.
+    1/2 + (x1.T(x2 - y2) - y1.T(x2 + y2))/4. With T = U diag(t) V^T, s = +1 to
+    maximize and -1 to minimize, and tan(phi) = t2/t1, the settings x1 = s u1,
+    y1 = -s u2, x2 = cos(phi) v1 + sin(phi) v2 and y2 = -cos(phi) v1 + sin(phi) v2
+    reach the extreme value (1 + s sqrt(t1^2 + t2^2))/2. ``planar=True`` factors
+    T's xz block in closed form (``_xz_factors``) and gives each direction's angle
+    a from the z axis, (sin a, 0, cos a), in (-pi, pi]; otherwise numpy's SVD of T
+    gives a (theta, phi) Bloch pair per direction. Order: x1, y1, x2, y2. The
+    value is the built scenario's q-vector expression.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if state.dims != (2, 2):
         raise DimensionMismatch(f"optimizer handles qubit pairs only, got dims {state.dims}")
-    # T[a][b] = Tr[rho (sigma_a x sigma_b)]
-    correlations = _joint_table(_density_tensor(state), _PAULIS, _PAULIS)
-    if planar:
-        correlations = correlations[::2, ::2]
-    u, t, vt = (m.tolist() for m in np.linalg.svd(correlations))
     sign = 1.0 if objective == "maximize_upper" else -1.0
-    phi = atan2(t[1], t[0])
-    c, s = cos(phi), sin(phi)
-    # Python float arithmetic rounds as numpy's elementwise operations would.
-    v12 = list(zip(vt[0], vt[1]))
-    directions = [[sign * row[0] for row in u], [-sign * row[1] for row in u],
-                  [c * a + s * b for a, b in v12], [-c * a + s * b for a, b in v12]]
+    paulis = _PAULIS[::2] if planar else _PAULIS
+    # T[a][b] = Tr[rho (sigma_a x sigma_b)]
+    correlations = _joint_table(_density_tensor(state), paulis, paulis)
     if planar:
-        angles = tuple(atan2(x, z) for x, z in directions)
-        scenario = planar_scenario(*angles, plane="xz")
+        p, q, t1, t2 = _xz_factors(correlations.tolist())
+        phi, half = atan2(t2, t1), 0.0 if sign > 0.0 else pi
+        # u1, u2, v1 and v2 lie at pi/2 - p, -p, pi/2 + q and q from the z axis, and
+        # x2 and y2 are v1 and -v1 turned by phi toward v2.
+        angles = tuple(a - tau if a > pi else a + tau if a <= -pi else a for a in (
+            pi / 2 - p + half, pi - half - p, pi / 2 + q - phi, q - pi / 2 + phi))
+        units = [(sin(a), 0.0, cos(a)) for a in angles]
     else:
+        u, t, vt = (m.tolist() for m in np.linalg.svd(correlations))
+        phi = atan2(t[1], t[0])
+        c, s = cos(phi), sin(phi)
+        # Python float arithmetic rounds as numpy's elementwise operations would.
+        v12 = list(zip(vt[0], vt[1]))
+        directions = [[sign * row[0] for row in u], [-sign * row[1] for row in u],
+                      [c * a + s * b for a, b in v12], [-c * a + s * b for a, b in v12]]
         bloch = _bloch_angles(np.array(directions))
         angles = tuple(a for pair in bloch for a in pair)
         # The settings are rebuilt from the reported angles, so that they match them exactly.
-        scenario = _spin_scenario(*_bloch_units(*np.array(bloch).T).T.tolist())
-    return SearchResult(
-        objective=objective,
-        value=generalized_expression(q_vector(state, scenario)),
-        angles=angles,
-        scenario=scenario,
-        planar=planar,
-    )
+        units = _bloch_units(*np.array(bloch).T).T.tolist()
+    scenario = _spin_scenario(*units)
+    value = generalized_expression(q_vector(state, scenario))
+    return SearchResult(objective, value, angles, scenario, planar)
+
+
+def _xz_factors(block: list[list[float]]) -> tuple[float, float, float, float]:
+    """(p, q, t1, t2), t1 >= |t2|, with block = R(p) diag(t1, t2) R(q), R a rotation.
+
+    The block [[a, b], [c, d]] is e I + h J (J the quarter turn) plus the reflection
+    [[f, g], [g, -f]]. ``+ 0.0`` turns -0.0 into 0.0: a zero part takes atan2(0, 0) = 0.
+    """
+    (a, b), (c, d) = block
+    e, f, g, h = [x / 2 + 0.0 for x in (a + d, a - d, c + b, c - b)]
+    turn, mirror, big, small = atan2(h, e), atan2(g, f), hypot(e, h), hypot(f, g)
+    return ((turn + mirror) / 2, (turn - mirror) / 2, big + small, big - small)
 
 
 def max_hardy_probability() -> tuple[float, float]:
@@ -238,9 +247,7 @@ def max_hardy_probability() -> tuple[float, float]:
 def _werner_ends(v_lo: float, v_hi: float) -> np.ndarray:
     """The Werner densities at v_lo and v_hi as one read-only (2, 2, 2, 2, 2) stack."""
     visibilities = np.array((v_lo, v_hi), dtype=float).reshape(2, 1, 1)
-    densities = _werner_density(visibilities).reshape(2, 2, 2, 2, 2)
-    densities.setflags(write=False)
-    return densities
+    return _read_only(_werner_density(visibilities).reshape(2, 2, 2, 2, 2))
 
 
 def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> float:

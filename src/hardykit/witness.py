@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._value import Value
+from ._value import Value, _read_only, _trusted
 from .errors import DimensionMismatch
 from .lhv import QVECTOR_ATOL, QVector, _component
 from .qcore import (
@@ -29,7 +29,6 @@ from .qcore import (
     _projective,
     _spin_pair,
     _spin_projectors,
-    _trusted,
     observable_from_dict,
     observable_to_dict,
 )
@@ -141,9 +140,7 @@ def _side(x: Observable, y: Observable, trichotomic: bool) -> np.ndarray:
     projectors = [x.projector(1.0), y.projector(1.0), x.projector(-1.0)]
     if trichotomic:
         projectors.append(x.projector(0.0))
-    stack = np.array(projectors)
-    stack.setflags(write=False)
-    return stack
+    return _read_only(np.array(projectors))
 
 
 def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False) -> tuple:
@@ -309,8 +306,7 @@ def _screened_observables(payload: dict) -> list[Observable]:
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
             and set(map(type, flat)) <= _NUMBER):
         raise ValueError("projector entries are not [re, im] pairs of numbers")
-    stack = np.array(flat, dtype=float).view(complex).reshape(4, k, d, d)
-    stack.setflags(write=False)
+    stack = _read_only(np.array(flat, dtype=float).view(complex).reshape(4, k, d, d))
     with np.errstate(over="ignore", invalid="ignore"):
         if not _projective(stack):
             raise ValueError("not projective")

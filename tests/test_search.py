@@ -32,8 +32,9 @@ from hardykit import (
     werner_sweep,
     witness_report,
 )
+from hardykit import qcore, search, witness
 from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
-from hardykit.search import _werner_ends
+from hardykit.search import _werner_ends, _xz_factors
 from hardykit.witness import _NAMES, HARDY_VIOLATION
 from test_errors import ErrorRows
 
@@ -63,18 +64,19 @@ def test_frozen_values_match_closed_forms():
     assert abs(THETA_AT_GLOBAL_MAX - 0.5 * asin(3.0 - sqrt(5.0))) < 1e-12
 
 
-def exact_qubit_bound(state: QuantumState, planar: bool) -> float:
-    """sqrt(t1^2 + t2^2) from the top singular values of the correlation matrix.
+def kron_correlations(state: QuantumState, planar: bool) -> np.ndarray:
+    """T[a][b] = Tr[rho (sigma_a x sigma_b)], from Kronecker products.
 
-    T is built here from Kronecker products, independently of the search
-    module; planar searches (xz plane) see only T's xz block.
+    Built independently of the search module; planar searches (xz plane) see only T's xz block.
     """
     rho = state.density_matrix()
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    T = np.array([[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis])
-    if planar:
-        T = T[np.ix_((0, 2), (0, 2))]
-    t1, t2 = np.linalg.svd(T, compute_uv=False)[:2]
+    paulis = (PAULI_X, PAULI_Z) if planar else (PAULI_X, PAULI_Y, PAULI_Z)
+    return np.array([[np.trace(rho @ np.kron(a, b)).real for b in paulis] for a in paulis])
+
+
+def exact_qubit_bound(state: QuantumState, planar: bool) -> float:
+    """sqrt(t1^2 + t2^2) from the top singular values of the correlation matrix."""
+    t1, t2 = np.linalg.svd(kron_correlations(state, planar), compute_uv=False)[:2]
     return sqrt(t1 * t1 + t2 * t2)
 
 
@@ -251,6 +253,69 @@ class TestCorrelationObjective:
                     rebuilt = Scenario(*(spin_observable(BlochDirection(*p)) for p in pairs))
                 assert _projector_bytes(rebuilt) == _projector_bytes(result.scenario)
                 assert generalized_expression(q_vector(state, rebuilt)) == result.value
+
+
+def rotation(angle: float) -> np.ndarray:
+    return np.array([[cos(angle), -sin(angle)], [sin(angle), cos(angle)]])
+
+
+_PRODUCT = QuantumState.pure([1.0, 0.0, 0.0, 0.0], (2, 2))  # |00>: T_xz = diag(0, 1), rank 1
+
+
+class TestPlanarClosedForm:
+    @settings(max_examples=100)
+    @given(
+        state=st.builds(
+            lambda seed: random_state(np.random.default_rng(seed), 2, 2),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        )
+    )
+    @example(state=singlet())
+    @example(state=werner_state(0.8))
+    @example(state=_PRODUCT)
+    @example(state=maximally_mixed(2, 2))
+    def test_value_is_the_exact_bound(self, state):
+        # The planar extremes are (1 +- |T_xz|_F)/2; the oracle's T_xz comes from np.kron.
+        radius = exact_qubit_bound(state, planar=True)
+        for objective, sign in (("maximize_upper", 1.0), ("minimize_lower", -1.0)):
+            value = optimize_violation(state, objective).value
+            assert abs(value - 0.5 * (1.0 + sign * radius)) <= 1e-15
+        block = kron_correlations(state, planar=True)
+        p, q, t1, t2 = _xz_factors(block.tolist())
+        assert t1 >= abs(t2)
+        rebuilt = rotation(p) @ np.diag([t1, t2]) @ rotation(q)
+        assert np.abs(rebuilt - block).max() <= 1e-15 * np.linalg.norm(block)
+
+    @pytest.mark.parametrize("state, objective, angles", [
+        (singlet(), "maximize_upper", (0.0, pi / 2, 3 * pi / 4, pi / 4)),
+        (singlet(), "minimize_lower", (pi, -pi / 2, 3 * pi / 4, pi / 4)),
+        (maximally_mixed(2, 2), "maximize_upper", (pi / 2, pi, pi / 2, -pi / 2)),
+        (maximally_mixed(2, 2), "minimize_lower", (-pi / 2, 0.0, pi / 2, -pi / 2)),
+        (_PRODUCT, "maximize_upper", (0.0, pi / 2, 0.0, pi)),
+        (_PRODUCT, "minimize_lower", (pi, -pi / 2, 0.0, pi)),
+    ], ids=["singlet-upper", "singlet-lower", "mixed-upper", "mixed-lower", "product-upper",
+            "product-lower"])
+    def test_degenerate_blocks_take_one_branch(self, state, objective, angles):
+        # T_xz = -I, 0 and diag(0, 1) have many singular vectors; the closed form
+        # picks one. The singlet's upper angles are the reference configuration.
+        result = optimize_violation(state, objective)
+        assert list(map(repr, result.angles)) == list(map(repr, angles))
+        sign = 1.0 if objective == "maximize_upper" else -1.0
+        assert abs(result.value - 0.5 * (1.0 + sign * exact_qubit_bound(state, True))) <= 1e-15
+
+    def test_planar_mode_calls_no_svd_and_reads_no_number(self, monkeypatch):
+        state = werner_state(0.8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for module in (qcore, witness, search):
+            monkeypatch.setattr(module, "_number", refuse)
+        for objective in ("maximize_upper", "minimize_lower"):
+            optimize_violation(state, objective)
+        with pytest.raises(AssertionError, match="called"):  # the spy is in place
+            optimize_violation(state, "maximize_upper", planar=False)
 
 
 class TestMaxHardyProbability:

@@ -20,7 +20,10 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_scenario, random_state
 from hardykit import (
     BlochDirection,
     DeterministicStrategy,
@@ -34,10 +37,19 @@ from hardykit import (
     SearchConfig,
     SearchResult,
     WitnessReport,
+    hardy_observables,
+    lhv_feasible,
+    observable_from_dict,
+    optimize_violation,
     planar_scenario,
+    q_vector,
+    scenario_from_dict,
+    scenario_to_dict,
+    singlet,
     spin_observable,
     werner_state,
     werner_sweep,
+    witness_report,
 )
 from hardykit.qcore import _trusted
 
@@ -238,3 +250,99 @@ def test_scalar_arguments_of_any_number_type_act_as_floats():
         assert planar_scenario(number(0), one, half, number(2)) == planar_scenario(0.0, 1.0, 0.5, 2.0)
         crossing = werner_sweep(_REFERENCE, number(0), one)
         assert type(crossing) is float and crossing == werner_sweep(_REFERENCE, 0.0, 1.0)
+
+
+def _evaluated(state: QuantumState, scenario: Scenario) -> Scenario:
+    q_vector(state, scenario)  # keeps (state, rho4, table, q) on the scenario as _kept
+    return scenario
+
+
+def _read(scenario: Scenario) -> Scenario:
+    scenario.x1  # builds all four fields of a spin scenario
+    return scenario
+
+
+def _with_state(schmidt: SchmidtState) -> SchmidtState:
+    schmidt.state()  # kept on the SchmidtState as _state
+    return schmidt
+
+
+def _angles(count: int):
+    return st.lists(st.floats(-7.0, 7.0), min_size=count, max_size=count)
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+# Every value class, built every way the package builds it: validated, trusted,
+# spin (before and after the first read of its fields), decoded and evaluated.
+_VALUES = st.one_of(
+    st.sampled_from(SPECS).map(lambda spec: spec.cls(*spec.args)),
+    st.floats(0.0, 1.0).map(werner_state),
+    st.floats(0.0, pi / 4).map(lambda angle: SchmidtState(angle).state()),
+    st.floats(0.0, pi / 4).map(lambda angle: _with_state(SchmidtState(angle))),
+    st.builds(lambda angles, plane: planar_scenario(*angles, plane=plane), _angles(4),
+              st.sampled_from(("xy", "xz"))),
+    _angles(4).map(lambda angles: _read(planar_scenario(*angles))),
+    st.floats(0.0, 1.0).map(
+        lambda v: _evaluated(werner_state(v), planar_scenario(0.1, 0.2, 0.3, 0.4))),
+    st.builds(lambda: _evaluated(singlet(), planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4))),
+    _SEEDS.map(lambda seed: random_scenario(np.random.default_rng(seed), 2, 3, seed % 2 == 1)),
+    _SEEDS.map(lambda seed: scenario_from_dict(scenario_to_dict(
+        random_scenario(np.random.default_rng(seed), 3, 3, seed % 2 == 1)))),
+    st.builds(lambda theta, phi: observable_from_dict({"bloch": {"theta": theta, "phi": phi}}),
+              st.floats(0.0, pi), st.floats(0.0, 6.28)),
+    st.floats(0.05, 0.7).map(lambda angle: hardy_observables(SchmidtState(angle))),
+    st.builds(lambda seed, planar: optimize_violation(
+        random_state(np.random.default_rng(seed), 2, 2), "maximize_upper", planar=planar),
+        _SEEDS, st.booleans()),
+    _SEEDS.map(lambda seed: witness_report(random_state(np.random.default_rng(seed), 2, 2),
+                                           random_scenario(np.random.default_rng(seed)))),
+    st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4).map(lhv_feasible),
+)
+_COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+def _arrays(entry):
+    """Every numpy array that ``entry`` holds, through values, tuples and lists."""
+    if isinstance(entry, np.ndarray):
+        yield entry
+    elif isinstance(entry, (tuple, list)):
+        for item in entry:
+            yield from _arrays(item)
+    elif hasattr(entry, "_fields"):
+        yield from _arrays(list(vars(entry).values()))
+
+
+class TestCopiesKeepInvariants:
+    @settings(max_examples=150)
+    @given(value=_VALUES, how=st.sampled_from(sorted(_COPIES)))
+    def test_copies_are_equal_and_read_only(self, value, how):
+        twin = _COPIES[how](value)
+        # What is kept travels along (a density view is rebuilt on first use);
+        # what is built on first read stays unbuilt.
+        assert set(vars(twin)) == set(vars(value)) - {"_rho4"}
+        if "_spin" in vars(twin):
+            assert all(np.shares_memory(side, twin._spin) for side in twin._sides)
+        arrays = list(_arrays(twin))
+        assert all(not array.flags.writeable for array in arrays)
+        for array in arrays:
+            if array.size:
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = array[(0,) * array.ndim]
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+    def test_a_copied_scenario_refuses_writes_and_keeps_its_q_vector(self):
+        scenario = planar_scenario(0.1, 0.2, 0.3, 0.4)
+        state = werner_state(0.5)
+        for twin in (copy.deepcopy(scenario), pickle.loads(pickle.dumps(scenario))):
+            with pytest.raises(ValueError):
+                twin._sides[0][0, 0, 0] = 5.0
+            assert q_vector(state, twin) == q_vector(state, scenario)
+
+    def test_a_copied_state_rebuilds_its_density_as_a_view(self):
+        state, scenario = werner_state(0.5), planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4)
+        q = q_vector(state, scenario)
+        twin = copy.deepcopy(state)
+        assert "_rho4" in vars(state) and "_rho4" not in vars(twin)
+        assert q_vector(twin, planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4)) == q
+        assert np.shares_memory(twin._rho4, twin.data) and not twin._rho4.flags.writeable
