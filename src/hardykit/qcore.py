@@ -5,9 +5,10 @@ Everything is dense complex double precision.
 
 from __future__ import annotations
 
+from contextlib import closing
 from itertools import combinations
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ PROJECTOR_ATOL = 1e-10
 STATE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PROB_CLAMP_ATOL = 1e-10
+_GRAM_ROWS = 3  # outcomes per Gram product, so none is over three times its stack
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -179,83 +181,89 @@ class Observable(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow silently
-            d, labels, stack = _check_observable(self.dim, self.outcomes)
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "outcomes", tuple(zip(labels, stack)))
+        d = _dimension(self.dim)
+        if d < 1:
+            raise ValueError("dimension must be positive")
+        labels, projectors, fault = [], [], None
+        try:  # a fault in reading waits until the outcomes read before it pass their checks
+            for i, outcome in enumerate(self.outcomes):
+                try:
+                    raw_label, projector = outcome
+                except (TypeError, ValueError):
+                    raise ValueError(f"outcome {i} must be a (label, projector) pair") from None
+                label = _number(raw_label, "outcome label")
+                if not isfinite(label):
+                    raise ValueError(f"outcome label {label} must be finite")
+                try:
+                    proj = np.asarray(projector, dtype=complex)
+                except (TypeError, ValueError, OverflowError):
+                    proj = None  # ragged, not numbers, or ints too large for a float
+                if proj is None or proj.shape != (d, d):
+                    raise ValueError(f"projector for label {label} must be {d}x{d}")
+                labels.append(label)
+                projectors.append(proj)
+        except ValueError as exc:
+            fault = exc
+        if not labels:  # nothing read, so nothing d x d is made
+            raise fault or ValueError("observable needs at least one outcome")
+        stack = _read_only(np.array(projectors, dtype=complex))
+        with closing(_projective_residuals(stack[None])) as residuals:
+            hermitian, passed = next(residuals)[0].max(axis=(1, 2)) <= PROJECTOR_ATOL, []
+            for a, label in enumerate(labels):
+                if not hermitian[a]:  # where a non-finite entry also lands
+                    problem = ("is not Hermitian" if np.isfinite(stack[a]).all()
+                               else "has non-finite entries")
+                    raise ValueError(f"projector for label {label} {problem}")
+                if a % _GRAM_ROWS == 0:  # passed[a][b]: P_a P_b - [a=b] P_a vanishes
+                    passed.extend(next(residuals)[0].max(axis=(1, 3)) <= PROJECTOR_ATOL)
+                if not passed[a][a]:
+                    raise ValueError(f"projector for label {label} is not idempotent")
+            if fault is not None:
+                raise fault
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"outcome labels must be distinct, got {labels}")
+            for (a, first), (b, second) in combinations(enumerate(labels), 2):
+                if not (passed[a][b] and passed[b][a]):
+                    raise ValueError(f"projectors for labels {first} and {second} are not orthogonal")
+            if not next(residuals).max() <= PROJECTOR_ATOL:
+                raise ValueError("projectors do not sum to the identity")
+        self.__dict__.update(dim=d, outcomes=tuple(zip(labels, stack)))
 
     @property
     def labels(self) -> tuple[float, ...]:
         return tuple(label for label, _ in self.outcomes)
 
     def projector(self, label: float) -> np.ndarray:
-        target = float(label)
+        target = _number(label, "label")
         for known, proj in self.outcomes:
             if known == target:
                 return proj
         raise UnknownLabel(f"label {label} not in spectrum {self.labels}")
 
 
-def _check_observable(dim, outcomes) -> tuple[int, list[float], np.ndarray]:
-    """Check one observable outcome by outcome and raise its first fault.
+def _projective_residuals(stack: np.ndarray) -> Iterator[np.ndarray]:
+    """The residuals of an (n, k, d, d) stack in the rule's order, each made when read.
 
-    Returns the dimension, the labels and the projectors as one read-only stack.
+    |P - P^dagger|; |P_a P_b - [a=b] P_a| at [o, a, :, b, :], one array per ``_GRAM_ROWS``
+    outcomes a; |sum_a P_a - I|. Huge or non-finite entries leave inf or NaN, which fail a
+    ``<=``. Numpy's error state is held while paused, so read to the end or close it.
     """
-    d = _dimension(dim)
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    labels, projectors = [], []
-    for index, outcome in enumerate(outcomes):
-        try:
-            raw_label, projector = outcome
-        except (TypeError, ValueError):
-            raise ValueError(f"outcome {index} must be a (label, projector) pair") from None
-        label = _number(raw_label, "outcome label")
-        if not isfinite(label):
-            raise ValueError(f"outcome label {label} must be finite")
-        try:
-            proj = np.asarray(projector, dtype=complex)
-        except (TypeError, ValueError, OverflowError):
-            proj = None  # ragged, entries that are not numbers, or ints too large for a float
-        if proj is None or proj.shape != (d, d):
-            raise ValueError(f"projector for label {label} must be {d}x{d}")
-        if not np.isfinite(proj).all():
-            raise ValueError(f"projector for label {label} has non-finite entries")
-        if not np.max(np.abs(proj - proj.conj().T)) <= PROJECTOR_ATOL:
-            raise ValueError(f"projector for label {label} is not Hermitian")
-        if not np.max(np.abs(proj @ proj - proj)) <= PROJECTOR_ATOL:
-            raise ValueError(f"projector for label {label} is not idempotent")
-        labels.append(label)
-        projectors.append(proj)
-    if not labels:
-        raise ValueError("observable needs at least one outcome")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"outcome labels must be distinct, got {labels}")
-    for a, b in combinations(range(len(labels)), 2):
-        if not np.max(np.abs(projectors[a] @ projectors[b])) <= PROJECTOR_ATOL:
-            raise ValueError(
-                f"projectors for labels {labels[a]} and {labels[b]} are not orthogonal"
-            )
-    if not np.max(np.abs(sum(projectors) - np.eye(d))) <= PROJECTOR_ATOL:
-        raise ValueError("projectors do not sum to the identity")
-    return d, labels, _read_only(np.array(projectors))
+    n, k, d, _ = stack.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield np.abs(stack - stack.conj().swapaxes(2, 3))
+        side_by_side = stack.transpose(0, 2, 1, 3).reshape(n, d, k * d)  # [P_0 P_1 ...]
+        for a in range(0, k, _GRAM_ROWS):
+            rows = stack[:, a:a + _GRAM_ROWS]
+            gram = (rows.reshape(n, -1, d) @ side_by_side).reshape(n, -1, d, k, d)
+            np.einsum("oaiaj->oaij", gram[:, :, :, a:a + _GRAM_ROWS])[...] -= rows  # a writeable view
+            yield np.abs(gram)
+        yield np.abs(stack.sum(axis=1) - np.eye(d))
 
 
 def _projective(stack: np.ndarray) -> bool:
-    """Whether every observable of an (n, k, d, d) stack is projective, one maximum per test."""
-    n, k, d, _ = stack.shape
-    # Every Gram block P_a P_b of an observable from one (k d) x (k d)
-    # product, at [o, a, :, b, :]. Less P_a on the diagonal blocks (through
-    # einsum's writeable view of them), all vanish for a projective measurement.
-    gram = stack.reshape(n, k * d, d) @ stack.transpose(0, 2, 1, 3).reshape(n, d, k * d)
-    gram = gram.reshape(n, k, d, k, d)
-    np.einsum("oaiaj->oaij", gram)[...] -= stack
-    # A NaN maximum fails its ``<=``, as in ``_check_observable``.
-    return bool(
-        np.abs(stack - stack.conj().swapaxes(2, 3)).max(initial=0.0) <= PROJECTOR_ATOL
-        and np.abs(gram).max(initial=0.0) <= PROJECTOR_ATOL
-        and np.abs(stack.sum(axis=1) - np.eye(d)).max(initial=0.0) <= PROJECTOR_ATOL
-    )
+    """Whether each observable of an (n, k, d, d) stack is projective, up to the first failed test."""
+    # ``all`` drops the residuals where it stops, and dropping them closes them.
+    return all(r.max(initial=0.0) <= PROJECTOR_ATOL for r in _projective_residuals(stack))
 
 
 def spin_observable(direction: BlochDirection) -> Observable:

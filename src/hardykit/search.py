@@ -38,9 +38,9 @@ from .witness import (
     Scenario,
     _q_from_table,
     _spin_scenario,
+    _xz_scenario,
     classify,
     generalized_expression,
-    planar_scenario,
     q_vector,
 )
 
@@ -118,18 +118,18 @@ class SearchResult(Value):
 
 
 def _hardy_angles(alpha: float, beta: float) -> tuple[float, float, float, float]:
-    """Planar ket angles (x1, x2, y1, y2) forcing q1 = q2 = q3 = 0 with maximal q4.
+    """Bloch angles (x1, y1, x2, y2) in the xz plane forcing q1 = q2 = q3 = 0 with maximal q4.
 
-    The zero constraints fix one angle each: tan x2 = -(alpha/beta) cot x1,
-    tan y1 = (alpha/beta) tan x2 and tan y2 = (alpha/beta) tan x1. Along this
-    family, with u = tan^2 x1 and r = alpha/beta, q4 is proportional to
-    u / ((u + r^4)(1 + r^2 u)), which peaks at u = r.
+    Each is twice its ket angle. The zero constraints fix one ket angle each:
+    tan x2 = -(alpha/beta) cot x1, tan y1 = (alpha/beta) tan x2 and
+    tan y2 = (alpha/beta) tan x1. Along this family, with u = tan^2 x1 and r = alpha/beta,
+    q4 is proportional to u / ((u + r^4)(1 + r^2 u)), which peaks at u = r.
     """
     x1 = atan(sqrt(alpha / beta))
     x2 = atan2(-alpha * cos(x1), beta * sin(x1))
     y1 = atan2(alpha * sin(x2), beta * cos(x2))
     y2 = atan2(alpha * sin(x1), beta * cos(x1))
-    return (x1, x2, y1, y2)
+    return (2.0 * x1, 2.0 * y1, 2.0 * x2, 2.0 * y2)
 
 
 def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
@@ -157,8 +157,7 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
         if schmidt.angle < _THETA_STAR:
             raise NotEntangled(f"too little entanglement: {detail}")
         raise MaximallyEntangled(f"too close to maximal entanglement: {detail}")
-    x1, x2, y1, y2 = _hardy_angles(alpha, beta)
-    scenario = planar_scenario(2.0 * x1, 2.0 * y1, 2.0 * x2, 2.0 * y2, plane="xz")
+    scenario = _xz_scenario(_hardy_angles(alpha, beta))
     q = q_vector(schmidt.state(), scenario)
     if classify(q, generalized_expression(q), tol) != HARDY_VIOLATION:
         raise NoSolution(
@@ -201,7 +200,7 @@ def optimize_violation(
         # x2 and y2 are v1 and -v1 turned by phi toward v2.
         angles = tuple(a - tau if a > pi else a + tau if a <= -pi else a for a in (
             pi / 2 - p + half, pi - half - p, pi / 2 + q - phi, q - pi / 2 + phi))
-        units = [(sin(a), 0.0, cos(a)) for a in angles]
+        scenario = _xz_scenario(angles)
     else:
         u, t, vt = (m.tolist() for m in np.linalg.svd(correlations))
         phi = atan2(t[1], t[0])
@@ -213,8 +212,7 @@ def optimize_violation(
         bloch = _bloch_angles(np.array(directions))
         angles = tuple(a for pair in bloch for a in pair)
         # The settings are rebuilt from the reported angles, so that they match them exactly.
-        units = _bloch_units(*np.array(bloch).T).T.tolist()
-    scenario = _spin_scenario(*units)
+        scenario = _spin_scenario(*_bloch_units(*np.array(bloch).T).T.tolist())
     value = generalized_expression(q_vector(state, scenario))
     return SearchResult(objective, value, angles, scenario, planar)
 

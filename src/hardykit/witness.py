@@ -307,9 +307,8 @@ def _screened_observables(payload: dict) -> list[Observable]:
             and set(map(type, flat)) <= _NUMBER):
         raise ValueError("projector entries are not [re, im] pairs of numbers")
     stack = _read_only(np.array(flat, dtype=float).view(complex).reshape(4, k, d, d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not _projective(stack):
-            raise ValueError("not projective")
+    if not _projective(stack):
+        raise ValueError("not projective")
     return [_trusted(Observable, dim=d, outcomes=tuple(zip(labels, block)))
             for labels, block in zip(spectra, stack)]
 
@@ -332,10 +331,12 @@ def planar_scenario(
     if not all(map(isfinite, angles)):
         raise ValueError(f"angles must be finite, got {angles}")
     if plane == "xy":
-        units = [(cos(a), sin(a), 0.0) for a in angles]
-    else:
-        units = [(sin(a), 0.0, cos(a)) for a in angles]
-    return _spin_scenario(*units)
+        return _spin_scenario(*[(cos(a), sin(a), 0.0) for a in angles])
+    return _xz_scenario(angles)
+
+
+def _xz_scenario(angles: Sequence[float]) -> Scenario:
+    return _spin_scenario(*[(sin(a), 0.0, cos(a)) for a in angles])  # a from the z axis
 
 
 def _spin_scenario(

@@ -30,7 +30,8 @@ def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndar
     """Outcome-by-outcome validation of a projective measurement, as ``Observable`` once did it.
 
     The oracle for ``Observable``'s check: the same checks, tolerances and
-    messages, in the same order, with NaN failing each comparison. Returns the
+    messages, in the same order, with NaN failing each comparison, and every
+    ordered pair of distinct projectors tested for orthogonality. Returns the
     dimension and the cleaned outcomes, or raises the first fault found.
     """
     number = float(dim)
@@ -61,8 +62,11 @@ def reference_observable(dim, outcomes) -> tuple[int, tuple[tuple[float, np.ndar
         raise ValueError(f"outcome labels must be distinct, got {labels}")
     for i in range(len(cleaned)):
         for j in range(i + 1, len(cleaned)):
+            # Both orders: P_b P_a is (P_a P_b)^dagger only for exactly Hermitian projectors.
             cross = cleaned[i][1] @ cleaned[j][1]
-            if not np.max(np.abs(cross)) <= PROJECTOR_ATOL:
+            reverse = cleaned[j][1] @ cleaned[i][1]
+            if not (np.max(np.abs(cross)) <= PROJECTOR_ATOL
+                    and np.max(np.abs(reverse)) <= PROJECTOR_ATOL):
                 raise ValueError(
                     f"projectors for labels {labels[i]} and {labels[j]} are not orthogonal"
                 )

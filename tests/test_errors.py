@@ -200,6 +200,16 @@ LIBRARY = {
          ValueError, r"^dim must be a positive integer, got -2$"),
         ("observable-dim-zero", observable_from_dict, (_observable_payload(dim=0),),
          ValueError, r"^dim must be a positive integer, got 0$"),
+        # A huge dim with no d x d projector read allocates nothing of that size.
+        ("observable-huge-dim-no-outcomes", Observable, (10**6, ()), ValueError,
+         "^observable needs at least one outcome$"),
+        ("observable-huge-dim-small-projector", Observable, (10**6, ((1.0, np.eye(2)),)),
+         ValueError, "^projector for label 1.0 must be 1000000x1000000$"),
+        ("observable-dict-huge-dim-no-outcomes", observable_from_dict,
+         ({"dim": 10**6, "outcomes": []},), ValueError, "^observable needs at least one outcome$"),
+        ("scenario-huge-dim-no-outcomes", scenario_from_dict,
+         ({**_REFERENCE_SCENARIO, "x1": {"dim": 10**6, "outcomes": []}},), ValueError,
+         "^observable needs at least one outcome$"),
         ("qvector-string", QVector, ("a", 0, 0, 0), InvalidQVector, "^q1 must be a number"),
         ("lhv-feasible-string", lhv_feasible, (["a", 0, 0, 0],), InvalidQVector,
          "^q1 must be a number"),
@@ -258,6 +268,15 @@ LIBRARY = {
          r"^x2_angle must be a number, got '0\.3'$"),
         ("planar-angle-none", partial(planar_scenario, plane="xz"), (0.0, 0.0, 0.0, None),
          ValueError, "^y2_angle must be a number, got None$"),
+        # An outcome label read back from an observable follows the same rule.
+        *((f"{name}-label-{kind}", call, args, ValueError,
+           f"^label must be a number, got {re.escape(repr(bad))}$")
+          for kind, bad in (("string", " -1 "), ("bool", True), ("none", None))
+          for name, call, args in (
+              ("projector", Z_SPIN.projector, (bad,)),
+              ("joint-probability", joint_probability, (singlet(), Z_SPIN, bad, Z_SPIN, 1.0)),
+              ("marginal-probability", marginal_probability, (singlet(), 2, Z_SPIN, bad)),
+          )),
     ],
     # -- qcore: directions, probabilities, states, observables ------------------------
     "TestBlochDirection.test_rejects_out_of_range_angles": [
@@ -632,6 +651,9 @@ CLI = {
          3, r"^ValueError: werner sweep needs lo, hi in \[0, 1\]"),
         ("eval-huge-projector", ("eval", "--state", _PRODUCT, "--scenario", _huge_y2_scenario()),
          3, "^ValueError: .* is not idempotent"),
+        ("eval-huge-dim-no-outcomes", ("eval", "--state", _PRODUCT, "--scenario",
+                                       {**_REFERENCE_SCENARIO, "x1": {"dim": 10**6, "outcomes": []}}),
+         3, "^ValueError: observable needs at least one outcome$"),
         ("eval-huge-amplitude",
          ("eval", "--state", {**_PRODUCT, "data": [[1e200, 0]] + _PRODUCT["data"][1:]},
           "--scenario", _BLOCH_SCENARIO),

@@ -3,6 +3,7 @@ probabilities, JSON codecs."""
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 from math import cos, pi, sin
@@ -36,6 +37,7 @@ from hardykit import (
     observable_to_dict,
     planar_scenario,
     q_vector,
+    scenario_from_dict,
     singlet,
     spin_observable,
     state_from_dict,
@@ -47,13 +49,16 @@ from hardykit.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PROJECTOR_ATOL,
     _bloch_angles,
     _bloch_units,
     _density_tensor,
+    _pairs_from_complex,
     _projective,
     _spin_projectors,
     _trusted,
 )
+from hardykit import qcore
 from hardykit.witness import QVector
 from test_errors import GRAM_NAN, ErrorRows
 
@@ -702,6 +707,137 @@ class TestProjectiveScreen:
             else:
                 accepted = True
             assert _projective(stack[None]) == accepted
+
+
+class TestResidualsMadeWhenRead:
+    """``_projective_residuals`` makes each residual when it is read: the screen and
+    ``Observable`` stop at the first failed test, the Gram products stay a few stacks
+    in size, and numpy's error state is back as it was once a fault is raised."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch) -> list:
+        """The number of dimensions of each residual read, in order."""
+        made, residuals = [], qcore._projective_residuals
+
+        def counted(stack):
+            for residual in residuals(stack):
+                made.append(residual.ndim)
+                yield residual
+
+        monkeypatch.setattr(qcore, "_projective_residuals", counted)
+        return made
+
+    @staticmethod
+    def _rank_one(d: int) -> list[tuple[float, np.ndarray]]:
+        return [(float(i), np.outer(e, e).astype(complex)) for i, e in enumerate(np.eye(d))]
+
+    def test_a_projective_measurement_reads_every_residual(self, reads):
+        Observable(2, tuple(self._rank_one(2)))
+        assert reads == [4, 5, 3]  # Hermiticity, one Gram product, the sum
+        reads.clear()
+        Observable(7, tuple(self._rank_one(7)))
+        assert reads == [4, 5, 5, 5, 3]  # a Gram product per three outcomes
+        reads.clear()
+        assert _projective(np.array([[p for _, p in self._rank_one(2)]] * 4))
+        assert reads == [4, 5, 3]
+
+    def test_a_fault_stops_the_reading(self, reads):
+        outcomes = self._rank_one(7)
+        not_hermitian = [(0.0, np.pad([[1.0, 1.0], [0.0, 0.0]], ((0, 5), (0, 5))))] + outcomes[1:]
+        with pytest.raises(ValueError, match="^projector for label 0.0 is not Hermitian$"):
+            Observable(7, tuple(not_hermitian))
+        assert reads == [4]
+        reads.clear()
+        assert not _projective(np.array([p for _, p in not_hermitian])[None])
+        assert reads == [4]
+        reads.clear()
+        not_idempotent = [(0.0, 2.0 * outcomes[0][1])] + outcomes[1:]
+        with pytest.raises(ValueError, match="^projector for label 0.0 is not idempotent$"):
+            Observable(7, tuple(not_idempotent))
+        assert reads == [4, 5]
+
+    def test_error_state_restored_while_the_fault_is_held(self):
+        before = np.geterr()
+        with pytest.raises(ValueError, match="is not idempotent") as info:
+            Observable(2, ((1.0, np.diag([2.0, 0.0])), (-1.0, np.diag([0.0, 1.0]))))
+        assert info.value.__traceback__ is not None
+        assert np.geterr() == before
+        assert not _projective(np.array([[np.diag([2.0, 0.0]), np.diag([0.0, 1.0])]]))
+        assert np.geterr() == before
+
+    def test_memory_stays_a_few_stacks(self):
+        """At d = k = 32 one (k d) x (k d) Gram product alone would be 32 stacks."""
+        d = 32
+        outcomes = tuple(self._rank_one(d))
+        tracemalloc.start()
+        try:
+            Observable(d, outcomes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * d**3 * np.dtype(complex).itemsize
+
+
+def _measurement(basis: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
+    """Labels -1, (0,) +1 on projectors onto consecutive columns of ``basis``, split evenly."""
+    d, outcomes, start = len(basis), [], 0
+    for i, label in enumerate((-1.0, 1.0) if k == 2 else (-1.0, 0.0, 1.0)):
+        columns = basis[:, start:start + d // k + (i < d % k)]
+        outcomes.append((label, columns @ columns.conj().T))
+        start += columns.shape[1]
+    return outcomes
+
+
+def _edge_outcomes(seed: int, d: int, k: int, scale: float) -> list[tuple[float, np.ndarray]]:
+    """A random projective measurement, each projector shifted by a complex Gaussian
+    matrix whose largest entry is ``scale`` * PROJECTOR_ATOL."""
+    rng = np.random.default_rng(seed)
+    unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    outcomes = []
+    for label, proj in _measurement(unitary, k):
+        shift = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        outcomes.append((label, proj + shift * (scale * PROJECTOR_ATOL / np.abs(shift).max())))
+    return outcomes
+
+
+def _wire(d: int, outcomes) -> dict:
+    return {"dim": d, "outcomes": [{"label": label, "projector": _pairs_from_complex(proj)}
+                                   for label, proj in outcomes]}
+
+
+class TestOneVerdictAtTheEdge:
+    """Projectors within about PROJECTOR_ATOL of a projective measurement get one verdict
+    and one message from ``Observable``, its decoder, the screen and the scenario decoder."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from((2, 3)),
+        k=st.sampled_from((2, 3)),
+        scale=st.floats(0.3, 1.5),
+    )
+    # Only P_b P_a fails: |P_1 P_0| reaches 1.10 PROJECTOR_ATOL, |P_0 P_1| 0.86.
+    @example(seed=2169, d=2, k=2, scale=0.7627219843226404)
+    # One product, two roundings: |P_0 P_1| is 1.0000001 PROJECTOR_ATOL from a 2x2 ``@``
+    # and 0.99999999 from the batched Gram product.
+    @example(seed=57, d=2, k=2, scale=0.5350385368693678)
+    def test_one_verdict_and_message(self, seed, d, k, scale):
+        outcomes = _edge_outcomes(seed, d, k, scale)
+        wire = _wire(d, outcomes)
+        exact = _wire(d, _measurement(np.eye(d, dtype=complex), k))
+        payload = {"x1": wire, "y1": exact, "x2": exact, "y2": exact}
+        messages = []
+        for decode in (lambda: Observable(d, tuple(outcomes)), lambda: observable_from_dict(wire),
+                       lambda: scenario_from_dict(payload)):
+            try:
+                decode()
+            except ValueError as exc:
+                messages.append(str(exc))
+            else:
+                messages.append(None)
+        assert messages[1:] == messages[:1] * 2
+        stack = np.array([proj for _, proj in outcomes])
+        assert _projective(stack[None]) == (messages[0] is None)
 
 
 class TestJsonCodecs:

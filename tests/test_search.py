@@ -167,6 +167,25 @@ class TestHardyObservables:
         # Just below the bound the best angle still succeeds.
         assert hardy_observables(SchmidtState(theta_star), 0.0901) is not None
 
+    def test_settings_skip_the_angle_reads(self, monkeypatch):
+        # The four computed angles go straight to the spin projectors: none is read
+        # again as an argument, while tol and the expression value still are.
+        schmidt, fields = SchmidtState(0.3), []
+
+        def spy(value, field):
+            fields.append(field)
+            return float(value)
+
+        for module in (qcore, witness, search):
+            monkeypatch.setattr(module, "_number", spy)
+        scenario = hardy_observables(schmidt)
+        assert "tol" in fields and not set(fields) & set(witness._ANGLE_NAMES)
+        monkeypatch.undo()
+        # The same bytes as the settings that planar_scenario builds from those angles.
+        rebuilt = planar_scenario(*search._hardy_angles(*schmidt.amplitudes), plane="xz")
+        assert [side.tobytes() for side in scenario._sides] == [
+            side.tobytes() for side in rebuilt._sides]
+
     def test_constructed_point_is_lhv_infeasible(self):
         # Closing the loop between modules: the construction's q-vector must
         # be certified nonlocal by the LP.

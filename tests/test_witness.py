@@ -953,7 +953,7 @@ class TestSpinFieldsOnFirstRead:
     def test_copies_before_and_after_the_first_read(self, build):
         scenario = build()
         methods = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
-        # A copy of the eagerly built scenario: deepcopy and pickle give writeable arrays.
+        # Each copy is compared with the same copy of the eagerly built scenario, flags included.
         eager = _trusted(Scenario, **_eager(scenario), _sides=scenario._sides)
         before = [method(scenario) for method in methods]
         for twin, method in zip(before, methods):
