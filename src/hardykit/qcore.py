@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from itertools import combinations
-from math import isfinite
+from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt, tau
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -72,32 +72,28 @@ class BlochDirection(Value):
         vec = np.asarray(direction, dtype=float)
         if vec.shape != (3,):
             raise ValueError("direction must be a nonzero 3-vector of finite norm")
-        return cls(*_bloch_angles(vec[None])[0])
+        return cls(*_bloch_angles((vec.tolist(),))[0])
 
     def unit_vector(self) -> np.ndarray:
-        return _bloch_units(self.theta, self.phi)
+        return np.array(_bloch_units(((self.theta, self.phi),))[0])
 
 
-def _bloch_angles(vectors: np.ndarray) -> list[tuple[float, float]]:
-    """(theta, phi) of each row of an (n, 3) float array; a zero, infinite or NaN norm raises.
-
-    diag(v v^T) rounds as ``np.linalg.norm`` of each row. phi lies in [0, 2 pi).
-    """
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        norms = np.sqrt(np.diagonal(vectors @ vectors.T))
-    if not all(0.0 < norm < np.inf for norm in norms.tolist()):
-        raise ValueError("direction must be a nonzero 3-vector of finite norm")
-    x, y, z = (vectors / norms[:, None]).T
-    thetas = np.arctan2(np.hypot(x, y), z).tolist()
-    phis = (np.arctan2(y, x) % (2.0 * np.pi)).tolist()  # a tiny negative phi wraps to 2 pi
-    return [(min(max(t, 0.0), np.pi), 0.0 if p >= 2.0 * np.pi else p)
-            for t, p in zip(thetas, phis)]
+def _bloch_angles(vectors: Iterable[Sequence[float]]) -> list[tuple[float, float]]:
+    """(theta, phi) of each 3-vector in ``math``, phi in [0, 2 pi); a zero, inf or NaN norm raises."""
+    angles = []
+    for x, y, z in vectors:
+        norm = sqrt(x * x + y * y + z * z)  # infinite when it overflows
+        if not 0.0 < norm < inf:
+            raise ValueError("direction must be a nonzero 3-vector of finite norm")
+        x, y, z = x / norm, y / norm, z / norm
+        phi = atan2(y, x) % tau  # a tiny negative phi wraps to 2 pi
+        angles.append((min(max(atan2(hypot(x, y), z), 0.0), pi), 0.0 if phi >= tau else phi))
+    return angles
 
 
-def _bloch_units(theta, phi) -> np.ndarray:
-    """Unit vectors at polar angles ``theta`` and azimuths ``phi``, one per column."""
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+def _bloch_units(angles: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
+    """The unit 3-vector at each (theta, phi), in ``math``."""
+    return [(sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)) for theta, phi in angles]
 
 
 class QuantumState(Value):
@@ -121,33 +117,34 @@ class QuantumState(Value):
         object.__setattr__(self, "dims", (d1, d2))
         n = d1 * d2
         data = np.array(self.data, dtype=complex)
-        if not np.isfinite(data).all():
-            raise ValueError("state data has non-finite entries")
         if self.kind == "pure":
             if data.shape != (n,):
-                raise ValueError(f"pure state needs {n} amplitudes, got shape {data.shape}")
+                raise _state_fault(data, f"pure state needs {n} amplitudes, got shape {data.shape}")
             with np.errstate(over="ignore"):
                 norm_sq = float(np.sum(np.abs(data) ** 2))
-            if abs(norm_sq - 1.0) > STATE_ATOL:
-                raise ValueError(f"pure state squared norm {norm_sq} is not 1 within {STATE_ATOL}")
+            if not abs(norm_sq - 1.0) <= STATE_ATOL:
+                raise _state_fault(
+                    data, f"pure state squared norm {norm_sq} is not 1 within {STATE_ATOL}")
         elif self.kind == "density":
             if data.shape != (n, n):
-                raise ValueError(f"density matrix must be {n}x{n}, got shape {data.shape}")
+                raise _state_fault(data, f"density matrix must be {n}x{n}, got shape {data.shape}")
             adjoint = data.conj().T
-            # Huge entries overflow to inf or NaN here, and fail the tests below.
+            # A non-finite entry leaves an inf or NaN residual, and huge entries overflow to one.
             with np.errstate(over="ignore", invalid="ignore"):
                 asymmetry = np.abs(data - adjoint).max()
                 trace = complex(data.trace())
             if not asymmetry <= STATE_ATOL:
-                raise ValueError("density matrix is not Hermitian within tolerance")
+                raise _state_fault(data, "density matrix is not Hermitian within tolerance")
             if not abs(trace - 1.0) <= STATE_ATOL:
-                raise ValueError(f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
-            hermitian_part = 0.5 * data + 0.5 * adjoint  # 0.5 * (data + adjoint) may overflow
+                raise _state_fault(data, f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
+            # data is its own Hermitian part when exact; 0.5 * (data + adjoint) may overflow.
+            hermitian_part = data if asymmetry == 0.0 else 0.5 * data + 0.5 * adjoint
             smallest = float(np.linalg.eigvalsh(hermitian_part)[0])
             if smallest < EIGENVALUE_FLOOR:
-                raise ValueError(f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
+                raise _state_fault(
+                    data, f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
         else:
-            raise ValueError(f"kind must be 'pure' or 'density', got {self.kind!r}")
+            raise _state_fault(data, f"kind must be 'pure' or 'density', got {self.kind!r}")
         object.__setattr__(self, "data", _read_only(data))
 
     @classmethod
@@ -163,6 +160,11 @@ class QuantumState(Value):
         if self.kind == "pure":
             return np.outer(self.data, self.data.conj())
         return np.array(self.data)
+
+
+def _state_fault(data: np.ndarray, message: str) -> ValueError:
+    """The error for state data that fails a check; a non-finite entry is named before any fault."""
+    return ValueError("state data has non-finite entries" if not np.isfinite(data).all() else message)
 
 
 class Observable(Value):

@@ -182,8 +182,8 @@ def optimize_violation(
     reach the extreme value (1 + s sqrt(t1^2 + t2^2))/2. ``planar=True`` factors
     T's xz block in closed form (``_xz_factors``) and gives each direction's angle
     a from the z axis, (sin a, 0, cos a), in (-pi, pi]; otherwise numpy's SVD of T
-    gives a (theta, phi) Bloch pair per direction. Order: x1, y1, x2, y2. The
-    value is the built scenario's q-vector expression.
+    gives the directions and ``math`` their (theta, phi) Bloch pairs. Order: x1, y1,
+    x2, y2. The value is the built scenario's q-vector expression.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
@@ -205,14 +205,12 @@ def optimize_violation(
         u, t, vt = (m.tolist() for m in np.linalg.svd(correlations))
         phi = atan2(t[1], t[0])
         c, s = cos(phi), sin(phi)
-        # Python float arithmetic rounds as numpy's elementwise operations would.
         v12 = list(zip(vt[0], vt[1]))
-        directions = [[sign * row[0] for row in u], [-sign * row[1] for row in u],
-                      [c * a + s * b for a, b in v12], [-c * a + s * b for a, b in v12]]
-        bloch = _bloch_angles(np.array(directions))
+        bloch = _bloch_angles(([sign * row[0] for row in u], [-sign * row[1] for row in u],
+                               [c * a + s * b for a, b in v12], [-c * a + s * b for a, b in v12]))
         angles = tuple(a for pair in bloch for a in pair)
         # The settings are rebuilt from the reported angles, so that they match them exactly.
-        scenario = _spin_scenario(*_bloch_units(*np.array(bloch).T).T.tolist())
+        scenario = _spin_scenario(*_bloch_units(bloch))
     value = generalized_expression(q_vector(state, scenario))
     return SearchResult(objective, value, angles, scenario, planar)
 

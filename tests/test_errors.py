@@ -237,6 +237,20 @@ LIBRARY = {
          NoSolution, r"^constructed q = .* is not a HardyViolation at tol 1e-09"),
         ("hardy-band-upper", hardy_observables, (SchmidtState(0.7853758027171096),),
          NoSolution, r"^constructed q = .* is not a HardyViolation at tol 1e-09"),
+        # A non-finite entry is named before any other fault the state has.
+        ("state-density-nan-wrong-shape", _DENSITY, (np.full((3, 3), NAN), (2, 2)), ValueError,
+         "^state data has non-finite entries$"),
+        ("state-density-inf-diagonal", _DENSITY, (_density((0, 0, INF)), (2, 2)), ValueError,
+         "^state data has non-finite entries$"),
+        ("state-density-inf-opposite-finite", _DENSITY, (_density((0, 1, INF)), (2, 2)),
+         ValueError, "^state data has non-finite entries$"),
+        ("state-density-nan-imaginary-part", _DENSITY,
+         (_density((0, 1, complex(0.0, NAN)), (1, 0, 0.0)), (2, 2)), ValueError,
+         "^state data has non-finite entries$"),
+        ("state-nan-unknown-kind", QuantumState, ((2, 2), "mixed", np.full((4, 4), NAN)),
+         ValueError, "^state data has non-finite entries$"),
+        ("state-pure-norm-nan", _PURE, ([0.6, 0.8, NAN, 0.0], (2, 2)), ValueError,
+         "^state data has non-finite entries$"),
         # Scalar arguments: a string, a boolean or None is not a number.
         ("schmidt-angle-string", SchmidtState, ("0.3",), ValueError,
          r"^angle must be a number, got '0\.3'$"),

@@ -6,7 +6,9 @@ maps the correlation matrix T to O1 T O2^T with O1, O2 rotations, and an
 exchange of the parties maps T to T^T. Neither changes T's singular values,
 so neither changes the extreme values (1 +- sqrt(t1^2 + t2^2))/2. Local
 rotations about y turn the xz plane into itself, so they keep the planar
-optimum too.
+optimum too. For the q-vector: exchanging the parties with the scenario
+(x2, y2, x1, y1) swaps q2 with q3 and q5 with q6 and keeps the rest, and
+q is affine in the state, so a mixture's q is the mixture of the q's.
 """
 
 from __future__ import annotations
@@ -17,14 +19,26 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_state
-from hardykit import QuantumState, maximally_mixed, optimize_violation, singlet, werner_state
+from conftest import random_scenario, random_state
+from hardykit import (
+    QuantumState,
+    Scenario,
+    ch_expression,
+    generalized_expression,
+    maximally_mixed,
+    optimize_violation,
+    q_vector,
+    singlet,
+    werner_state,
+)
 
 OBJECTIVES = st.sampled_from(("maximize_upper", "minimize_lower"))
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 STATES = st.builds(lambda seed: random_state(np.random.default_rng(seed), 2, 2), SEEDS)
 ANGLES = st.floats(min_value=-pi, max_value=pi)
 SWAP = np.eye(4)[[0, 2, 1, 3]]
+DIMS = st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3)))
+Q_FIELDS = ("q1", "q2", "q3", "q4", "q5", "q6")
 
 
 def transformed(state: QuantumState, unitary: np.ndarray) -> QuantumState:
@@ -76,3 +90,53 @@ def test_exchanging_the_parties_keeps_both_optima(state, objective):
     for planar in (True, False):
         difference = optimum(exchanged, objective, planar) - optimum(state, objective, planar)
         assert abs(difference) <= 1e-15
+
+
+def exchange(d1: int, d2: int) -> np.ndarray:
+    """The permutation |i j> -> |j i> from C^d1 x C^d2 to C^d2 x C^d1."""
+    return np.eye(d1 * d2)[[i * d2 + j for j in range(d2) for i in range(d1)]]
+
+
+def witness_values(state: QuantumState, scenario: Scenario) -> dict[str, float | None]:
+    q = q_vector(state, scenario)
+    return {**{name: getattr(q, name) for name in Q_FIELDS},
+            "generalized": generalized_expression(q), "ch": ch_expression(state, scenario)}
+
+
+def assert_close(got: dict, want: dict, bound: float = 1e-12) -> None:
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if value is None:
+            assert got[name] is None, name
+        else:
+            assert abs(got[name] - value) <= bound, (name, got[name], value)
+
+
+@settings(max_examples=60)
+@given(seed=SEEDS, dims=DIMS, trichotomic=st.booleans())
+@example(seed=0, dims=(2, 3), trichotomic=True)
+def test_exchanging_the_parties_swaps_q2_q3_and_q5_q6(seed, dims, trichotomic):
+    rng = np.random.default_rng(seed)
+    state, scenario = random_state(rng, *dims), random_scenario(rng, *dims, trichotomic)
+    swap = exchange(*dims)
+    exchanged = QuantumState.density(swap @ state.density_matrix() @ swap.T, dims[::-1])
+    got = witness_values(exchanged, Scenario(scenario.x2, scenario.y2, scenario.x1, scenario.y1))
+    want = witness_values(state, scenario)
+    want.update(q2=want["q3"], q3=want["q2"], q5=want["q6"], q6=want["q5"])
+    assert_close(got, want)
+
+
+@settings(max_examples=60)
+@given(seed=SEEDS, dims=DIMS, trichotomic=st.booleans(), p=st.floats(0.0, 1.0))
+@example(seed=1, dims=(2, 2), trichotomic=False, p=0.5)
+def test_a_mixture_has_the_mixed_q_vector(seed, dims, trichotomic, p):
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_state(rng, *dims), random_state(rng, *dims)
+    scenario = random_scenario(rng, *dims, trichotomic)
+    mixture = QuantumState.density(
+        p * rho.density_matrix() + (1.0 - p) * sigma.density_matrix(), dims)
+    got = witness_values(mixture, scenario)
+    ends = witness_values(rho, scenario), witness_values(sigma, scenario)
+    want = {name: None if value is None else p * value + (1.0 - p) * ends[1][name]
+            for name, value in ends[0].items()}
+    assert_close(got, want)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
-from math import cos, pi, sin
+from math import atan2, cos, hypot, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -49,6 +49,7 @@ from hardykit.qcore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    EIGENVALUE_FLOOR,
     PROJECTOR_ATOL,
     _bloch_angles,
     _bloch_units,
@@ -127,7 +128,7 @@ class TestBlochDirection:
     @example(components=(-0.0, -1e-20, 1.0), scale=3.0)
     def test_matches_scalar_oracle(self, components, scale):
         vec = np.array(components) * scale
-        if not 0.0 < np.linalg.norm(vec) < np.inf:
+        if not 0.0 < _norm(vec) < np.inf:
             with pytest.raises(ValueError, match="nonzero 3-vector of finite norm"):
                 BlochDirection.from_vector(vec)
             return
@@ -147,20 +148,39 @@ class TestBlochDirection:
             vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
         else:
             vectors *= 10.0 ** rng.uniform(-150, 150, size=(rows, 1))
-        angles = np.array(_bloch_angles(vectors))
-        units = _bloch_units(*angles.T).T
-        got = [(a.tobytes(), u.tobytes()) for a, u in zip(angles, units)]
+        angles = _bloch_angles(vectors.tolist())
+        units = _bloch_units(angles)
+        got = [(np.array(a).tobytes(), np.array(u).tobytes()) for a, u in zip(angles, units)]
         assert got == [_scalar_bloch(v) for v in vectors]
+
+    def test_angles_within_two_ulp_of_numpy(self):
+        # The math formulas against numpy's ufuncs, which may be vectorized
+        # differently: the same angles up to rounding in the last bits.
+        rng = np.random.default_rng(28)
+        vectors = rng.normal(size=(10_000, 3)) * 10.0 ** rng.uniform(-100, 100, size=(10_000, 1))
+        x, y, z = (vectors / np.linalg.norm(vectors, axis=1, keepdims=True)).T
+        thetas = np.clip(np.arctan2(np.hypot(x, y), z), 0.0, pi)
+        phis = np.arctan2(y, x) % (2.0 * pi)
+        phis[phis >= 2.0 * pi] = 0.0
+        for got, want in zip(np.array(_bloch_angles(vectors.tolist())).T, (thetas, phis)):
+            ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+            assert (np.abs(got - want) <= 2.0 * ulp).all()
+
+
+def _norm(vec: np.ndarray) -> float:
+    x, y, z = vec.tolist()
+    return sqrt(x * x + y * y + z * z)
 
 
 def _scalar_bloch(vec: np.ndarray) -> tuple[bytes, bytes]:
-    """The bytes of (theta, phi) and of the unit vector, from the scalar formulas of one row."""
-    x, y, z = vec / float(np.linalg.norm(vec))
-    theta = min(max(float(np.arctan2(np.hypot(x, y), z)), 0.0), pi)
-    phi = float(np.arctan2(y, x)) % (2.0 * pi)
+    """The bytes of (theta, phi) and of the unit vector, from the scalar math formulas of one row."""
+    norm = _norm(vec)
+    x, y, z = (c / norm for c in vec.tolist())
+    theta = min(max(atan2(hypot(x, y), z), 0.0), pi)
+    phi = atan2(y, x) % (2.0 * pi)
     phi = 0.0 if phi >= 2.0 * pi else phi
-    sin_theta = np.sin(theta)
-    unit = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)])
+    sin_theta = sin(theta)
+    unit = np.array([sin_theta * cos(phi), sin_theta * sin(phi), cos(theta)])
     return np.array([theta, phi]).tobytes(), unit.tobytes()
 
 
@@ -481,6 +501,45 @@ class TestStateValidation:
         matrix = matrix / np.trace(matrix)
         state = QuantumState.density(matrix, (2, 2))
         assert state.kind == "density"
+
+    @settings(max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+        tiny=st.lists(st.one_of(
+            st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -2.5e-323, 2.2250738585072e-308)),
+            st.floats(min_value=-2.2e-308, max_value=2.2e-308),
+        ), min_size=2, max_size=2 * 81),
+    )
+    @example(seed=0, dims=(2, 2), tiny=[1.5e-323, -0.0])
+    def test_eigenvalue_message_reads_the_hermitian_part(self, seed, dims, tiny):
+        # An exactly Hermitian, unit-trace density that is not positive: a random
+        # block with a negative eigenvalue, then a positive diagonal, and subnormal
+        # or signed-zero entries (each mirrored as its conjugate) everywhere else.
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        m = int(rng.integers(2, n + 1))
+        spectrum = np.concatenate(([-rng.uniform(1e-3, 0.5)], rng.uniform(0.0, 1.0, n - 1)))
+        spectrum[1:] *= (1.0 - spectrum[0]) / spectrum[1:].sum()
+        basis, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        rho = np.zeros((n, n), dtype=complex)
+        rho[:m, :m] = (basis * spectrum[:m]) @ basis.conj().T
+        rho[m:, m:] = np.diag(spectrum[m:])
+        values = iter(tiny * n * n)
+        for i in range(n):
+            for j in range(i):
+                if i >= m or j >= m:
+                    rho[i, j] = complex(next(values), next(values))
+                rho[j, i] = rho[i, j].conjugate()
+            rho[i, i] = complex(rho[i, i].real, next(values) * 0.0)  # +-0.0 imaginary part
+        assert np.abs(rho - rho.conj().T).max() == 0.0
+        expected = float(np.linalg.eigvalsh(0.5 * rho + 0.5 * rho.conj().T)[0])
+        assert expected < EIGENVALUE_FLOOR
+        with pytest.raises(ValueError) as raised:
+            QuantumState.density(rho, dims)
+        # repr round-trips, so equal text is the same float, bit for bit.
+        assert str(raised.value) == (
+            f"density matrix has eigenvalue {expected!r} below {EIGENVALUE_FLOOR}")
 
     test_non_finite_pure_amplitude_rejected = ErrorRows()
     test_non_finite_density_entry_rejected = ErrorRows()
