@@ -52,11 +52,9 @@ def _trusted(cls, **fields):
 def _restored(cls, entries: dict):
     """The value that ``copy``, ``deepcopy`` and ``pickle`` make: ``entries``, arrays read-only.
 
-    A copied array views nothing, so ``_rho4`` is left to be rebuilt on first
-    use, and a spin scenario's ``_sides`` are cut from its ``_spin`` again.
+    A copied array views nothing, so a spin scenario's ``_sides`` are cut from its ``_spin`` again.
     """
-    value = _trusted(cls, **{name: _frozen(entry)
-                             for name, entry in entries.items() if name != "_rho4"})
+    value = _trusted(cls, **{name: _frozen(entry) for name, entry in entries.items()})
     if "_spin" in entries:
         value.__dict__["_sides"] = (value._spin[0:6:2], value._spin[1:7:2])
     return value

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from itertools import combinations
-from math import atan2, cos, hypot, inf, isfinite, pi, sin, sqrt, tau
+from math import atan2, cos, hypot, inf, isfinite, isqrt, pi, sin, sqrt, tau
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -111,7 +111,10 @@ class QuantumState(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        d1, d2 = (_dimension(d) for d in self.dims)
+        try:
+            d1, d2 = map(_dimension, self.dims)
+        except (TypeError, ValueError):
+            raise ValueError(f"dims must be a pair of integers, got {self.dims!r}") from None
         if d1 < 2 or d2 < 2:
             raise ValueError("subsystem dimensions must be at least 2")
         object.__setattr__(self, "dims", (d1, d2))
@@ -149,11 +152,11 @@ class QuantumState(Value):
 
     @classmethod
     def pure(cls, amplitudes: Iterable[complex], dims: tuple[int, int]) -> "QuantumState":
-        return cls(tuple(dims), "pure", np.asarray(list(amplitudes), dtype=complex))
+        return cls(dims, "pure", np.asarray(list(amplitudes), dtype=complex))
 
     @classmethod
     def density(cls, matrix: np.ndarray, dims: tuple[int, int]) -> "QuantumState":
-        return cls(tuple(dims), "density", np.asarray(matrix, dtype=complex))
+        return cls(dims, "density", np.asarray(matrix, dtype=complex))
 
     def density_matrix(self) -> np.ndarray:
         """Density operator; pure states are lifted to their rank-1 projector."""
@@ -313,20 +316,12 @@ def _clamp_probability(p: float) -> float:
 
 
 def _density_tensor(state: QuantumState) -> np.ndarray:
-    """rho as a read-only (d1, d2, d1, d2) array, rho4[i, j, k, l] = <ij|rho|kl>.
-
-    Built on first use and kept on the state as ``_rho4``, which is not a field.
-    """
-    rho4 = state.__dict__.get("_rho4")
-    if rho4 is None:
-        d1, d2 = state.dims
-        if state.kind == "pure":
-            psi = state.data.reshape(d1, d2)
-            rho4 = _read_only(psi[:, :, None, None] * psi.conj())
-        else:
-            rho4 = state.data.reshape(d1, d2, d1, d2)  # a view of the read-only data
-        object.__setattr__(state, "_rho4", rho4)
-    return rho4
+    """rho as a read-only (d1, d2, d1, d2) array, rho4[i, j, k, l] = <ij|rho|kl>."""
+    d1, d2 = state.dims
+    if state.kind == "pure":
+        psi = state.data.reshape(d1, d2)
+        return _read_only(psi[:, :, None, None] * psi.conj())
+    return state.data.reshape(d1, d2, d1, d2)  # a view of the read-only data
 
 
 def _joint_table(rho4: np.ndarray, side1: np.ndarray, side2: np.ndarray) -> np.ndarray:
@@ -436,12 +431,10 @@ def _complex_from_pairs(pairs: Sequence[Sequence[float]], field: str) -> np.ndar
     return np.array(values, dtype=complex)
 
 
-def _matrix_from_pairs(pairs, field: str, d: int) -> np.ndarray:
-    """A d x d matrix from its d*d row-major [re, im] pairs."""
-    flat = _complex_from_pairs(pairs, field)
-    if flat.size != d * d:
-        raise ValueError(f"{field} must hold {d * d} [re, im] pairs, got {flat.size}")
-    return flat.reshape(d, d)
+def _square(flat: np.ndarray) -> np.ndarray:
+    """``flat`` as a row-major square matrix if its length is a square; otherwise as it is."""
+    side = isqrt(flat.size)
+    return flat.reshape(side, side) if side * side == flat.size else flat
 
 
 def state_to_dict(state: QuantumState) -> dict:
@@ -453,20 +446,12 @@ def state_to_dict(state: QuantumState) -> dict:
 
 
 def state_from_dict(payload: dict) -> QuantumState:
+    """A state from its wire form, read as it is and checked by ``QuantumState``."""
     if not isinstance(payload, dict):
         raise ValueError(f"state must be an object, got {payload!r}")
-    try:
-        d1, d2 = payload["dims"]
-        dims = (_dimension(d1), _dimension(d2))
-    except (TypeError, ValueError):
-        raise ValueError(f"dims must be a pair of integers, got {payload['dims']!r}") from None
-    kind = payload["kind"]
-    if kind not in ("pure", "density"):
-        raise ValueError(f"kind must be 'pure' or 'density', got {kind!r}")
-    if kind == "density":
-        n = dims[0] * dims[1]
-        return QuantumState.density(_matrix_from_pairs(payload["data"], "data", n), dims)
-    return QuantumState.pure(_complex_from_pairs(payload["data"], "data"), dims)
+    dims, kind = payload["dims"], payload["kind"]
+    data = _complex_from_pairs(payload["data"], "data")
+    return QuantumState(dims, kind, _square(data) if kind == "density" else data)
 
 
 def observable_to_dict(obs: Observable) -> dict:
@@ -480,7 +465,7 @@ def observable_to_dict(obs: Observable) -> dict:
 
 
 def observable_from_dict(payload: dict) -> Observable:
-    """An observable from its wire form: the ``bloch`` shorthand or explicit outcomes."""
+    """An observable from its wire form: the ``bloch`` shorthand, or outcomes for ``Observable``."""
     if not isinstance(payload, dict):
         raise ValueError(f"observable must be an object, got {payload!r}")
     if "bloch" in payload:
@@ -489,17 +474,10 @@ def observable_from_dict(payload: dict) -> Observable:
             raise ValueError(f"bloch must be an object with theta and phi, got {angles!r}")
         theta = _number(angles["theta"], "bloch theta")
         return spin_observable(BlochDirection(theta, _number(angles["phi"], "bloch phi")))
-    try:
-        d = _dimension(payload["dim"])
-    except ValueError:
-        raise ValueError(f"dim {payload['dim']!r} is not valid: dimensions must be integers") from None
-    if d < 1:
-        raise ValueError(f"dim must be a positive integer, got {d}")
-    entries = payload["outcomes"]
+    d, entries = payload["dim"], payload["outcomes"]
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError(f"outcomes must be a list of objects, got {entries!r}")
-    outcomes = tuple(
-        (_number(entry["label"], "label"), _matrix_from_pairs(entry["projector"], "projector", d))
+    return Observable(d, tuple(
+        (entry["label"], _square(_complex_from_pairs(entry["projector"], "projector")))
         for entry in entries
-    )
-    return Observable(d, outcomes)
+    ))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from hardykit import BlochDirection, Observable, QuantumState, Scenario, spin_observable
-from hardykit.qcore import PROJECTOR_ATOL, _dimension, _matrix_from_pairs, _number
+from hardykit.qcore import PROJECTOR_ATOL, _complex_from_pairs, _number, _square
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -85,21 +85,13 @@ def _reference_observable_from_dict(payload: dict) -> Observable:
             raise ValueError(f"bloch must be an object with theta and phi, got {angles!r}")
         theta = _number(angles["theta"], "bloch theta")
         return spin_observable(BlochDirection(theta, _number(angles["phi"], "bloch phi")))
-    try:
-        d = _dimension(_number(payload["dim"], "dim"))
-    except ValueError:
-        raise ValueError(
-            f"dim {payload['dim']!r} is not valid: dimensions must be integers"
-        ) from None
-    if d < 1:
-        raise ValueError(f"dim must be a positive integer, got {d}")
-    entries = payload["outcomes"]
+    d, entries = payload["dim"], payload["outcomes"]
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         raise ValueError(f"outcomes must be a list of objects, got {entries!r}")
     outcomes = tuple(
         (
-            _number(entry["label"], "label"),
-            _matrix_from_pairs(entry["projector"], "projector", d),
+            entry["label"],
+            _square(_complex_from_pairs(entry["projector"], "projector")),
         )
         for entry in entries
     )

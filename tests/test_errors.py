@@ -74,6 +74,7 @@ from hardykit import (
     witness_report,
 )
 from hardykit.cli import main
+from hardykit.qcore import _pairs_from_complex
 
 PLUS, MINUS = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 Z_SPIN = spin_observable(BlochDirection(0.0, 0.0))
@@ -175,7 +176,7 @@ LIBRARY = {
     "TestErrorContract.test_library": [
         ("state-density-data-count", state_from_dict,
          ({"dims": [2, 2], "kind": "density", "data": [[0.25, 0.0]] * 5},), ValueError,
-         r"^data must hold 16 \[re, im\] pairs, got 5$"),
+         r"^density matrix must be 4x4, got shape \(5,\)$"),
         ("observable-outcome-triple", _observable((1.0, PLUS, 3)), (), ValueError,
          r"^outcome 0 must be a \(label, projector\) pair$"),
         ("observable-outcome-number", _observable(5), (), ValueError,
@@ -197,9 +198,9 @@ LIBRARY = {
         ("bloch-vector-norm-overflow", BlochDirection.from_vector, ((1e200, 1e200, 0.0),),
          ValueError, "nonzero 3-vector of finite norm"),
         ("observable-dim-negative", observable_from_dict, (_observable_payload(dim=-2),),
-         ValueError, r"^dim must be a positive integer, got -2$"),
+         ValueError, "^dimension must be positive$"),
         ("observable-dim-zero", observable_from_dict, (_observable_payload(dim=0),),
-         ValueError, r"^dim must be a positive integer, got 0$"),
+         ValueError, "^dimension must be positive$"),
         # A huge dim with no d x d projector read allocates nothing of that size.
         ("observable-huge-dim-no-outcomes", Observable, (10**6, ()), ValueError,
          "^observable needs at least one outcome$"),
@@ -469,9 +470,9 @@ LIBRARY = {
         ("observable-label-boolean", observable_from_dict,
          (_observable_payload(label=True),), ValueError, "label"),
         ("observable-dim-numeric-string", observable_from_dict, (_observable_payload(dim="2"),),
-         ValueError, "dim '2'"),
+         ValueError, "integers, got '2'"),
         ("observable-dim-boolean", observable_from_dict, (_observable_payload(dim=True),),
-         ValueError, "dim True"),
+         ValueError, "integers, got True"),
         ("observable-projector-numeric-string", observable_from_dict,
          (_observable_payload(projector=[["1", 0.0], [0, 0], [0, 0], [0, 0]]),),
          ValueError, "projector"),
@@ -498,7 +499,7 @@ LIBRARY = {
          (_observable_payload(projector=[[None, 0.0]] * 4),), ValueError, "projector"),
         ("observable-projector-count", observable_from_dict,
          (_observable_payload(projector=[[1.0, 0.0]] * 3),), ValueError,
-         r"^projector must hold 4 \[re, im\] pairs, got 3$"),
+         r"^projector for label 1.0 must be 2x2$"),
         ("observable-projector-not-idempotent", observable_from_dict,
          (_observable_payload(projector=[[0.5, 0.0], [0, 0], [0, 0], [0.5, 0.0]]),),
          ValueError, "idempotent"),
@@ -745,7 +746,7 @@ for _rows in (LIBRARY["TestErrorContract.test_library"], CLI["TestErrorContract.
     assert len({row[0] for row in _rows}) == len(_rows), "two rows share an id"
 
 
-def raises_one_error(call, args, error, message) -> None:
+def raises_one_error(call, args, error, message) -> Exception:
     """``call(*args)`` raises exactly ``error``, with a message ``message`` finds, unwarned."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -753,6 +754,7 @@ def raises_one_error(call, args, error, message) -> None:
             call(*args)
     assert type(info.value) is error, repr(info.value)
     assert re.search(message, str(info.value)), str(info.value)
+    return info.value
 
 
 def fails_cleanly(argv, code, stderr, tmp_path, capsys, monkeypatch) -> None:
@@ -819,6 +821,65 @@ class ErrorRows:
 class TestErrorContract:
     test_library = ErrorRows()
     test_cli = ErrorRows()
+
+
+_AMPLITUDES = singlet().data
+# Malformed states and observables, each as the arguments of its constructor and the
+# message it raises. The decoders read the same values off the wire form and must raise
+# the same error: their only checks of their own are the reading faults.
+ONE_ERROR = [
+    # The input that once named another fault from each entry point.
+    ("found-mixed-nan", QuantumState, ([2, 2], "mixed", np.full((4, 4), NAN)),
+     "^state data has non-finite entries$"),
+    ("dims-5", QuantumState, (5, "pure", _AMPLITUDES), "^dims must be a pair of integers, got 5$"),
+    ("dims-2-2-2", QuantumState, ([2, 2, 2], "pure", _AMPLITUDES),
+     r"^dims must be a pair of integers, got \[2, 2, 2\]$"),
+    ("dims-1-4", QuantumState, ([1, 4], "pure", _AMPLITUDES),
+     "^subsystem dimensions must be at least 2$"),
+    ("dims-2.5-2", QuantumState, ([2.5, 2], "pure", _AMPLITUDES),
+     r"^dims must be a pair of integers, got \[2.5, 2\]$"),
+    ("kind-mixed-finite", QuantumState, ([2, 2], "mixed", _AMPLITUDES),
+     "^kind must be 'pure' or 'density', got 'mixed'$"),
+    ("kind-mixed-nan", QuantumState, ([2, 2], "mixed", [0.6, 0.8, NAN, 0.0]),
+     "^state data has non-finite entries$"),
+    ("density-15-pairs", QuantumState, ([2, 2], "density", np.full(15, 0.25)),
+     r"^density matrix must be 4x4, got shape \(15,\)$"),
+    *((f"dim-{dim_id}", Observable, (dim, ((1.0, PLUS), (-1.0, MINUS))), message)
+      for dim_id, dim, message in (("zero", 0, "^dimension must be positive$"),
+                                   ("negative", -1, "^dimension must be positive$"),
+                                   ("string", "2", "^dimensions must be integers, got '2'$"),
+                                   ("boolean", True, "^dimensions must be integers, got True$"),
+                                   ("fraction", 2.5, "^dimensions must be integers, got 2.5$"))),
+    ("dim-2-3-pairs", Observable, (2, ((1.0, np.array([1.0, 0.0, 0.0])), (-1.0, MINUS))),
+     "^projector for label 1.0 must be 2x2$"),
+    ("dim-2-9-pairs", Observable, (2, ((1.0, np.diag([1.0, 0.0, 0.0])), (-1.0, MINUS))),
+     "^projector for label 1.0 must be 2x2$"),
+    ("label-null", Observable, (2, ((None, PLUS), (-1.0, MINUS))),
+     "^outcome label must be a number, got None$"),
+]
+
+
+def _wire_form(build, args) -> dict:
+    """The wire form of ``build(*args)``, through a JSON round trip as a file gives it."""
+    if build is QuantumState:
+        dims, kind, data = args
+        payload = {"dims": dims, "kind": kind, "data": _pairs_from_complex(data)}
+    else:
+        dim, outcomes = args
+        payload = {"dim": dim, "outcomes": [
+            {"label": label, "projector": _pairs_from_complex(projector)}
+            for label, projector in outcomes]}
+    return json.loads(json.dumps(payload))
+
+
+class TestOneErrorPerInput:
+    @pytest.mark.parametrize("build, args, message",
+                             [pytest.param(*row[1:], id=row[0]) for row in ONE_ERROR])
+    def test_decoder_raises_the_constructors_error(self, build, args, message):
+        decode = state_from_dict if build is QuantumState else observable_from_dict
+        built = raises_one_error(build, args, ValueError, message)
+        decoded = raises_one_error(decode, (_wire_form(build, args),), ValueError, message)
+        assert (type(decoded), str(decoded)) == (type(built), str(built))
 
 
 # -- CLI fuzz: argv drawn from the parser's grammar, numbers and JSON payloads mutated ----

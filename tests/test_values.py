@@ -51,7 +51,7 @@ from hardykit import (
     werner_sweep,
     witness_report,
 )
-from hardykit.qcore import _trusted
+from hardykit.qcore import _density_tensor, _trusted
 
 _Q = QVector(0.1, 0.2, 0.3, 0.4)
 _REFERENCE = planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4)
@@ -318,9 +318,8 @@ class TestCopiesKeepInvariants:
     @given(value=_VALUES, how=st.sampled_from(sorted(_COPIES)))
     def test_copies_are_equal_and_read_only(self, value, how):
         twin = _COPIES[how](value)
-        # What is kept travels along (a density view is rebuilt on first use);
-        # what is built on first read stays unbuilt.
-        assert set(vars(twin)) == set(vars(value)) - {"_rho4"}
+        # What is kept travels along; what is built on first read stays unbuilt.
+        assert set(vars(twin)) == set(vars(value))
         if "_spin" in vars(twin):
             assert all(np.shares_memory(side, twin._spin) for side in twin._sides)
         arrays = list(_arrays(twin))
@@ -343,6 +342,6 @@ class TestCopiesKeepInvariants:
         state, scenario = werner_state(0.5), planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4)
         q = q_vector(state, scenario)
         twin = copy.deepcopy(state)
-        assert "_rho4" in vars(state) and "_rho4" not in vars(twin)
         assert q_vector(twin, planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4)) == q
-        assert np.shares_memory(twin._rho4, twin.data) and not twin._rho4.flags.writeable
+        rho4 = _density_tensor(twin)
+        assert np.shares_memory(rho4, twin.data) and not rho4.flags.writeable
