@@ -1,4 +1,4 @@
-"""The base of the immutable value classes, their trusted builds and copies; it imports nothing."""
+"""Immutable values: base class, trusted builds, copies and the scalar rule; imports nothing."""
 
 
 class Value:
@@ -58,6 +58,23 @@ def _restored(cls, entries: dict):
     if "_spin" in entries:
         value.__dict__["_sides"] = (value._spin[0:6:2], value._spin[1:7:2])
     return value
+
+
+def _number(value, field: str) -> float:
+    """A number as a float; a boolean, a string or what ``float`` refuses raises ``ValueError``.
+
+    A number too large for a float is named without its digits, from ``float``'s ``OverflowError``.
+    """
+    if type(value) is float:
+        return value
+    if not isinstance(value, (bool, str)):
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{field} must be a number, got one too large for a float") from exc
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _read_only(array):

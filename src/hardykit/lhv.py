@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from itertools import product
 
-from ._value import Value, _read_only
+from ._value import Value, _number, _read_only
 from .errors import InvalidQVector, MalformedMeasure
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -32,13 +32,13 @@ _Y_EVENTS = (False, True)  # ordered (other, +1)
 
 
 def _component(name: str, value) -> float:
-    """``value`` clamped to [0, 1]; more than ``QVECTOR_ATOL`` outside raises ``InvalidQVector``."""
+    """``value`` read by ``_number`` and clamped to [0, 1]; a fault raises ``InvalidQVector``."""
     try:
-        number = float(value)
-    except OverflowError:
-        raise InvalidQVector(f"{name} is too large for a float and lies outside [0, 1]") from None
-    except (TypeError, ValueError):
-        raise InvalidQVector(f"{name} must be a number, got {value!r}") from None
+        number = _number(value, name)
+    except ValueError as exc:
+        huge = isinstance(exc.__cause__, OverflowError)
+        message = f"{name} is too large for a float and lies outside [0, 1]" if huge else str(exc)
+        raise InvalidQVector(message) from None
     if not -QVECTOR_ATOL <= number <= 1.0 + QVECTOR_ATOL:
         raise InvalidQVector(f"{name} = {number} lies outside [0, 1] beyond tolerance")
     return min(max(number, 0.0), 1.0)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._value import Value, _read_only, _trusted
+from ._value import Value, _number, _read_only, _trusted
 from .errors import DimensionMismatch, UnknownLabel
 
 # Absolute tolerances. Projector checks are looser than state normalization
@@ -26,18 +26,6 @@ _GRAM_ROWS = 3  # outcomes per Gram product, so none is over three times its sta
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _number(value, field: str) -> float:
-    """A number as a float; a boolean, a string or what ``float`` refuses raises ``ValueError``."""
-    if type(value) is float:
-        return value
-    if not isinstance(value, (bool, str)):
-        try:
-            return float(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{field} must be a number, got {value!r}")
 
 
 def _dimension(value) -> int:
@@ -119,7 +107,10 @@ class QuantumState(Value):
             raise ValueError("subsystem dimensions must be at least 2")
         object.__setattr__(self, "dims", (d1, d2))
         n = d1 * d2
-        data = np.array(self.data, dtype=complex)
+        try:
+            data = np.array(self.data, dtype=complex)
+        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or ints too large
+            raise ValueError("state data must be an array of complex numbers") from None
         if self.kind == "pure":
             if data.shape != (n,):
                 raise _state_fault(data, f"pure state needs {n} amplitudes, got shape {data.shape}")
@@ -152,11 +143,11 @@ class QuantumState(Value):
 
     @classmethod
     def pure(cls, amplitudes: Iterable[complex], dims: tuple[int, int]) -> "QuantumState":
-        return cls(dims, "pure", np.asarray(list(amplitudes), dtype=complex))
+        return cls(dims, "pure", list(amplitudes))
 
     @classmethod
     def density(cls, matrix: np.ndarray, dims: tuple[int, int]) -> "QuantumState":
-        return cls(dims, "density", np.asarray(matrix, dtype=complex))
+        return cls(dims, "density", matrix)
 
     def density_matrix(self) -> np.ndarray:
         """Density operator; pure states are lifted to their rank-1 projector."""

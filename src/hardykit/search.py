@@ -8,12 +8,11 @@ Lett. A 200, 340 (1995)).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import asin, atan, atan2, cos, hypot, isfinite, pi, sin, sqrt, tau
 
 import numpy as np
 
-from ._value import Value, _read_only, _trusted
+from ._value import Value, _number, _read_only, _trusted
 from .errors import (
     DimensionMismatch,
     MaximallyEntangled,
@@ -30,7 +29,6 @@ from .qcore import (
     _bloch_units,
     _density_tensor,
     _joint_table,
-    _number,
     _werner_density,
 )
 from .witness import (
@@ -51,8 +49,8 @@ _THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
 # That largest q4; no Schmidt angle's construction clears a tol at or above it.
 _Q4_MAX = (5.0 * sqrt(5.0) - 11.0) / 2.0
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
-# Distinct (v_lo, v_hi) pairs whose Werner end densities werner_sweep keeps.
-_WERNER_ENDS_KEPT = 8
+# The Werner densities at v = 0 and v = 1, as one read-only (2, 2, 2, 2, 2) stack.
+_WERNER_ENDS = _read_only(_werner_density(np.array((0.0, 1.0))[:, None, None]).reshape((2,) * 5))
 
 
 class SchmidtState(Value):
@@ -159,7 +157,7 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
         raise MaximallyEntangled(f"too close to maximal entanglement: {detail}")
     scenario = _xz_scenario(_hardy_angles(alpha, beta))
     q = q_vector(schmidt.state(), scenario)
-    if classify(q, generalized_expression(q), tol) != HARDY_VIOLATION:
+    if classify(q, tol=tol) != HARDY_VIOLATION:
         raise NoSolution(
             f"constructed q = {q.q1, q.q2, q.q3, q.q4} is not a {HARDY_VIOLATION} at tol {tol}: "
             f"classify needs q1, q2, q3 < tol < q4 and q1 + q2 + q3 - q4 < -tol"
@@ -239,36 +237,24 @@ def max_hardy_probability() -> tuple[float, float]:
     return (_THETA_STAR, q_vector(schmidt.state(), hardy_observables(schmidt)).q4)
 
 
-@lru_cache(maxsize=_WERNER_ENDS_KEPT)
-def _werner_ends(v_lo: float, v_hi: float) -> np.ndarray:
-    """The Werner densities at v_lo and v_hi as one read-only (2, 2, 2, 2, 2) stack."""
-    visibilities = np.array((v_lo, v_hi), dtype=float).reshape(2, 1, 1)
-    return _read_only(_werner_density(visibilities).reshape(2, 2, 2, 2, 2))
+def werner_sweep(scenario: Scenario) -> float:
+    """Visibility v in [0, 1] where the expression crosses 1 on v |singlet><singlet| + (1 - v) I/4.
 
-
-def werner_sweep(scenario: Scenario, v_lo: float = 0.0, v_hi: float = 1.0) -> float:
-    """Visibility v at which the expression crosses 1 on v |singlet><singlet| + (1 - v) I/4.
-
-    The expression is affine in v, so its values at v_lo and v_hi, both from one
+    The expression is affine in v, so its values at v = 0 and v = 1, both from one
     call of the joint kernel, give the crossing exactly by linear interpolation.
     """
-    v_lo, v_hi = _number(v_lo, "v_lo"), _number(v_hi, "v_hi")
-    if not 0.0 <= v_lo < v_hi <= 1.0:
-        raise ValueError(f"need 0 <= v_lo < v_hi <= 1, got [{v_lo}, {v_hi}]")
     if scenario.trichotomic:
         raise ValueError("visibility sweep expects a dichotomic scenario")
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
-
-    densities = _werner_ends(v_lo, v_hi)
     excess_lo, excess_hi = (
         generalized_expression(_q_from_table(table)) - 1.0
-        for table in _joint_table(densities, *scenario._sides).tolist()
+        for table in _joint_table(_WERNER_ENDS, *scenario._sides).tolist()
     )
     if excess_hi < 0.0:
-        raise NoCrossing(f"expression never exceeds the upper bound on [{v_lo}, {v_hi}]")
+        raise NoCrossing("expression never exceeds the upper bound on [0.0, 1.0]")
     if excess_lo > 0.0:
-        raise NoCrossing(f"expression already exceeds the upper bound at v = {v_lo}")
+        raise NoCrossing("expression already exceeds the upper bound at v = 0.0")
     if excess_lo == excess_hi:
-        return v_hi  # on the bound at both ends, so everywhere
-    return v_lo - excess_lo * (v_hi - v_lo) / (excess_hi - excess_lo)
+        return 1.0  # on the bound at both ends, so everywhere
+    return 0.0 - excess_lo / (excess_hi - excess_lo)

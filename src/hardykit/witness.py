@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._value import Value, _read_only, _trusted
+from ._value import Value, _number, _read_only, _trusted
 from .errors import DimensionMismatch
 from .lhv import QVECTOR_ATOL, QVector, _component
 from .qcore import (
@@ -25,7 +25,6 @@ from .qcore import (
     _density_tensor,
     _joint_table,
     _marginal,
-    _number,
     _projective,
     _spin_pair,
     _spin_projectors,
@@ -222,22 +221,19 @@ def ch_expression(state: QuantumState, scenario: Scenario) -> float:
     return _ch_from_table(rho4, table, scenario)
 
 
-def classify(q: QVector, gen_value: float, tol: float = DEFAULT_TOLERANCE) -> str:
+def classify(q: QVector, *, tol: float = DEFAULT_TOLERANCE) -> str:
     """Name the violation pattern of a probability vector.
 
     Precedence: the all-zeros pattern with q4 > 0, then the relaxed pattern
     with 0 < q1 < q4, then the plain bound labels, then no violation. Both
-    patterns refine the lower-bound violation and need ``gen_value < -tol``
-    too, so a pattern label always names a q outside the local polytope. A
-    non-finite ``gen_value`` or a ``tol`` that is not finite and positive
-    raises ``ValueError``.
+    patterns refine the lower-bound violation, so they need
+    ``generalized_expression(q) < -tol`` too and always name a q outside the
+    local polytope. A ``tol`` that is not finite and positive raises ``ValueError``.
     """
     tol = _number(tol, "tol")
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    gen_value = _number(gen_value, "gen_value")
-    if not isfinite(gen_value):
-        raise ValueError(f"gen_value must be finite, got {gen_value}")
+    gen_value = generalized_expression(q)
     if gen_value < -tol:
         extra_zero = (q.q5 < tol and q.q6 < tol) if q.trichotomic else True
         if q.q2 < tol and q.q3 < tol and extra_zero:
@@ -257,7 +253,7 @@ def witness_report(
     """Evaluate everything the witness has to say about a state and scenario, from one table."""
     _, rho4, table, q = _joint_probabilities(state, scenario, True)
     gen = generalized_expression(q)
-    return WitnessReport(q, gen, _ch_from_table(rho4, table, scenario), classify(q, gen, tol))
+    return WitnessReport(q, gen, _ch_from_table(rho4, table, scenario), classify(q, tol=tol))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

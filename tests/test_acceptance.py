@@ -74,7 +74,7 @@ def test_criterion_2_hardy_regime():
     schmidt = SchmidtState(pi / 8)
     scenario = hardy_observables(schmidt, 1e-9)
     q = q_vector(schmidt.state(), scenario)
-    verdict = classify(q, generalized_expression(q))
+    verdict = classify(q)
     feasibility = lhv_feasible(q)
     passed = (
         q.q1 < 1e-9
@@ -199,7 +199,7 @@ def test_criterion_6_ch_identity_over_randomized_pairs():
 
 def test_criterion_7_werner_visibility_threshold():
     check = _Criterion(7, "visibility threshold 0.7071068 within 1e-6", 5.0)
-    threshold = werner_sweep(reference_scenario(), 0.0, 1.0)
+    threshold = werner_sweep(reference_scenario())
     check.finish(abs(threshold - 0.7071068) <= 1e-6)
 
 

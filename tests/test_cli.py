@@ -122,6 +122,15 @@ class TestLhvCheck:
         assert len(payload["witness"]) == 16
         assert payload["residual"] == 0.0
 
+    def test_feasible_point_plain(self, capsys):
+        code, out, _ = run_cli(capsys, "lhv-check", "--q", "0.1,0.1,0.1,0.2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["feasible = true", "residual = 0"]
+        assert lines[2].startswith("witness = (") and lines[2].endswith(")")
+        weights = [float(w) for w in lines[2][len("witness = ("):-1].split(", ")]
+        assert len(weights) == 16 and abs(sum(weights) - 1.0) < 1e-8
+
     def test_six_components(self, capsys):
         code, out, _ = run_cli(capsys, "lhv-check", "--q", "0.1,0.1,0.1,0.1,0.1,0.1", "--json")
         assert code == 0

@@ -53,7 +53,6 @@ from hardykit import (
     SearchConfig,
     UnknownLabel,
     classify,
-    generalized_expression,
     hardy_observables,
     joint_probability,
     lhv_feasible,
@@ -80,6 +79,7 @@ PLUS, MINUS = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 Z_SPIN = spin_observable(BlochDirection(0.0, 0.0))
 QUTRIT = Observable(3, ((1.0, np.diag([1.0, 0.0, 0.0])), (-1.0, np.diag([0.0, 1.0, 1.0]))))
 QUTRIT_Y = Observable(3, ((1.0, np.diag([1.0, 0.0, 0.0])), (2.0, np.diag([0.0, 1.0, 1.0]))))
+TRICHOTOMIC_QUBIT = Observable(2, ((-1.0, PLUS), (0.0, MINUS), (1.0, 0 * PLUS)))
 REFERENCE = planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4)
 HARDY_Q, FLAT_Q = QVector(0.0, 0.0, 0.0, 0.3), QVector(0.4, 0.4, 0.4, 0.05)
 NAN, INF = float("nan"), float("inf")
@@ -197,6 +197,23 @@ LIBRARY = {
          "nonzero 3-vector of finite norm"),
         ("bloch-vector-norm-overflow", BlochDirection.from_vector, ((1e200, 1e200, 0.0),),
          ValueError, "nonzero 3-vector of finite norm"),
+        ("bloch-vector-two-entries", BlochDirection.from_vector, ((1.0, 0.0),), ValueError,
+         "^direction must be a nonzero 3-vector of finite norm$"),
+        ("planar-plane-yz", partial(planar_scenario, plane="yz"), (0.0, 0.0, 0.0, 0.0),
+         ValueError, "^plane must be 'xy' or 'xz', got 'yz'$"),
+        ("werner-sweep-trichotomic", werner_sweep, (Scenario(*[TRICHOTOMIC_QUBIT, Z_SPIN] * 2),),
+         ValueError, "^visibility sweep expects a dichotomic scenario$"),
+        ("werner-sweep-qutrits", werner_sweep, (Scenario(QUTRIT, QUTRIT_Y, QUTRIT, QUTRIT_Y),),
+         DimensionMismatch, r"^visibility sweep needs qubit pairs, got dims \(3, 3\)$"),
+        # State data numpy cannot read as one complex array, whichever way it comes in.
+        *((f"state-{entry}-{kind}", build, args, ValueError,
+           "^state data must be an array of complex numbers$")
+          for kind, data in (("int-overflow", [10**400, 0, 0, 0]),
+                             ("ragged", [[0.25, 0.0, 0.0, 0.0]] * 3 + [[0.25]]),
+                             ("string", ["abc", 0, 0, 0]))
+          for entry, build, args in (
+              ("data", QuantumState, ((2, 2), "density" if kind == "ragged" else "pure", data)),
+              ("classmethod", _DENSITY if kind == "ragged" else _PURE, (data, (2, 2))))),
         ("observable-dim-negative", observable_from_dict, (_observable_payload(dim=-2),),
          ValueError, "^dimension must be positive$"),
         ("observable-dim-zero", observable_from_dict, (_observable_payload(dim=0),),
@@ -259,6 +276,8 @@ LIBRARY = {
          "^angle must be a number, got True$"),
         ("schmidt-angle-none", SchmidtState, (None,), ValueError,
          "^angle must be a number, got None$"),
+        ("schmidt-angle-huge", SchmidtState, (10**5000,), ValueError,
+         "^angle must be a number, got one too large for a float$"),
         ("bloch-theta-string", BlochDirection, ("0", 1), ValueError,
          "^theta must be a number, got '0'$"),
         ("bloch-phi-bool", BlochDirection, (0.0, True), ValueError,
@@ -271,12 +290,10 @@ LIBRARY = {
          r"^visibility must be a number, got '0\.5'$"),
         ("werner-visibility-none", werner_state, (None,), ValueError,
          "^visibility must be a number, got None$"),
-        ("werner-sweep-string-end", werner_sweep, (REFERENCE, "0", 1), ValueError,
-         "^v_lo must be a number, got '0'$"),
-        ("werner-sweep-bool-end", werner_sweep, (REFERENCE, 0.0, True), ValueError,
-         "^v_hi must be a number, got True$"),
-        ("werner-sweep-none-end", werner_sweep, (REFERENCE, None, 1.0), ValueError,
-         "^v_lo must be a number, got None$"),
+        # werner_sweep reads all of [0, 1]: a window end of any kind is refused.
+        *((f"werner-sweep-{end_id}-end", werner_sweep, (REFERENCE, *ends), TypeError,
+           r"^werner_sweep\(\) takes 1 positional argument but 3 were given$")
+          for end_id, ends in (("string", ("0", 1)), ("bool", (0.0, True)), ("none", (None, 1.0)))),
         ("planar-angle-bool", planar_scenario, (True, 0.0, 0.0, 0.0), ValueError,
          "^x1_angle must be a number, got True$"),
         ("planar-angle-string", planar_scenario, (0.0, 0.0, "0.3", 0.0), ValueError,
@@ -544,6 +561,12 @@ LIBRARY = {
                 ((0.1, 0.1, 0.1, 0.1, -0.2, 0.0), "q5 = -0.2 lies outside"),
                 # Too large for a float: float() raised OverflowError.
                 ((10**400, 0, 0, 0), "q1 is too large for a float"),
+                # Past Python's 4,300-digit limit on int-to-str: the message shows no digits.
+                ((10**5000, 0, 0, 0), "^q1 is too large for a float and lies outside"),
+                # The one rule for scalars: a string, a boolean or None is not a number.
+                (("0.5", 0, 0, 0), r"^q1 must be a number, got '0\.5'$"),
+                ((True, 0, 0, 0), "^q1 must be a number, got True$"),
+                ((None, 0, 0, 0), "^q1 must be a number, got None$"),
             ]
         )
         for name, build in (("QVector", lambda q: QVector(*q)), ("lhv_feasible", lhv_feasible))
@@ -574,31 +597,33 @@ LIBRARY = {
         row
         for tol_id, tol in (("0.0", 0.0), ("nan", NAN), ("inf", INF))
         for row in [
-            (tol_id, classify, (HARDY_Q, generalized_expression(HARDY_Q), tol), ValueError,
+            (tol_id, partial(classify, tol=tol), (HARDY_Q,), ValueError,
              "tol must be finite and positive"),
-            (tol_id, classify, (FLAT_Q, generalized_expression(FLAT_Q), tol), ValueError,
+            (tol_id, partial(classify, tol=tol), (FLAT_Q,), ValueError,
              "tol must be finite and positive"),
             (tol_id, witness_report, (singlet(), REFERENCE, tol), ValueError,
              "tol must be finite and positive"),
         ]
     ] + [
-        (f"gen_value={value}", classify, (q, value, 1e-9), ValueError, "gen_value must be finite")
+        # classify reads the expression off q: a value passed with it is refused, not read as tol.
+        (f"gen_value={value}", classify, (q, value, 1e-9), TypeError,
+         r"^classify\(\) takes 1 positional argument but 3 were given$")
         for value in (NAN, INF, -INF)
         for q in (HARDY_Q, FLAT_Q)
     ] + [
         # One rule for scalars: a boolean, a string or None is not a number.
-        (f"tol={tol!r}", call, (*args, tol), ValueError,
+        (f"tol={tol!r}", partial(call, tol=tol), args, ValueError,
          f"^tol must be a number, got {re.escape(repr(tol))}$")
         for tol in (True, "1e-9", None)
         for call, args in (
-            (classify, (HARDY_Q, generalized_expression(HARDY_Q))),
-            (classify, (FLAT_Q, generalized_expression(FLAT_Q))),
+            (classify, (HARDY_Q,)),
+            (classify, (FLAT_Q,)),
             (witness_report, (singlet(), REFERENCE)),
             (hardy_observables, (SchmidtState(0.3),)),
         )
     ] + [
-        (f"gen_value={value!r}", classify, (q, value, 1e-9), ValueError,
-         f"^gen_value must be a number, got {re.escape(repr(value))}$")
+        (f"gen_value={value!r}", classify, (q, value), TypeError,
+         r"^classify\(\) takes 1 positional argument but 2 were given$")
         for value in (True, "-0.3", None)
         for q in (HARDY_Q, FLAT_Q)
     ],
@@ -609,6 +634,9 @@ LIBRARY = {
         (None, _measure, ([0.5, 0.4], [1, 0], [0, 1], [0, 0], [0, 0]), MalformedMeasure, "sum to"),
         (None, _measure, ([1.0], [1, 0], [1], [1], [1]), MalformedMeasure, "subset a has shape"),
         (None, _measure, ([NAN, 1.0], [1, 0], [0, 1], [0, 0], [0, 0]), MalformedMeasure, "finite"),
+        *((None, _measure, (weights, *[weights] * 4), MalformedMeasure,
+           "^weights must be a nonempty 1-d array$")
+          for weights in ([], [[0.5, 0.5]])),
     ],
     "TestEnumeration.test_outcome_validation": [
         (None, DeterministicStrategy, (2, 1, False, False), ValueError,
@@ -649,12 +677,16 @@ LIBRARY = {
            r"^restarts must be positive and integral, got (nan|2\.5|inf)$")
           for bad in (NAN, 2.5, INF)),
     ],
+    # x2 and y2 opposite x1 and y1: the expression falls from 1/2 at v = 0 to 0 at v = 1.
     "TestWernerSweep.test_no_crossing_below_half_visibility": [
-        (None, werner_sweep, (REFERENCE, 0.0, 0.5), NoCrossing, "never exceeds"),
+        (None, werner_sweep, (planar_scenario(0.0, 0.0, pi, pi),), NoCrossing,
+         r"^expression never exceeds the upper bound on \[0\.0, 1\.0\]$"),
     ],
+    # The sweep reads all of [0, 1]; a window, [0, 1] itself included, is refused.
     "TestWernerSweep.test_interval_validation": [
-        (None, werner_sweep, (REFERENCE, 0.9, 0.2), ValueError, "need 0 <= v_lo < v_hi <= 1"),
-        (None, werner_sweep, (REFERENCE, 0.0, 1.5), ValueError, "need 0 <= v_lo < v_hi <= 1"),
+        (None, werner_sweep, (REFERENCE, *ends), TypeError,
+         r"^werner_sweep\(\) takes 1 positional argument but 3 were given$")
+        for ends in ((0.9, 0.2), (0.0, 1.5), (0.0, 1.0))
     ],
 }
 

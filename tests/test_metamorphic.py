@@ -233,7 +233,7 @@ def verdicts(state: QuantumState, scenario: Scenario) -> tuple[tuple[str, bool],
     facet = max(q4 - total, total - q4 - 1.0, q1 + q2 + q5 - 1.0, q1 + q3 + q6 - 1.0)
     margin = min(abs(gen + tol), abs(gen - 1.0 - tol), abs(q1 - q4 + tol),
                  abs(facet - FEASIBILITY_TOL), *(abs(value - tol) for value in values))
-    return (classify(q, gen), lhv_feasible(q).feasible), margin
+    return (classify(q), lhv_feasible(q).feasible), margin
 
 
 RELATIONS = ("local unitaries", "exchange", "split y", "relabel y")

@@ -444,6 +444,15 @@ class TestJointProbability:
             flipped = joint_probability(conjugated, obs1, 1.0, obs2, -1.0)
             assert abs(original - flipped) < 1e-12
 
+    def test_roundoff_is_clamped_into_the_unit_interval(self):
+        # Within PROB_CLAMP_ATOL of [0, 1] a probability is clamped; farther out it is left
+        # for the q-vector's range check to refuse.
+        atol = qcore.PROB_CLAMP_ATOL
+        for p, clamped in ((-atol, 0.0), (-atol / 2, 0.0), (-0.0, -0.0), (0.3, 0.3),
+                           (1.0 + atol / 2, 1.0), (1.0 + atol, 1.0),
+                           (-2 * atol, -2 * atol), (1.0 + 2 * atol, 1.0 + 2 * atol)):
+            assert repr(qcore._clamp_probability(p)) == repr(clamped), p
+
     test_dimension_mismatch = ErrorRows()
     test_unknown_label = ErrorRows()
 

@@ -34,7 +34,7 @@ from hardykit import (
 )
 from hardykit import qcore, search, witness
 from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
-from hardykit.search import _werner_ends, _xz_factors
+from hardykit.search import _WERNER_ENDS, _xz_factors
 from hardykit.witness import _NAMES, HARDY_VIOLATION
 from test_errors import ErrorRows
 
@@ -358,14 +358,14 @@ class TestMaxHardyProbability:
 
 class TestWernerSweep:
     def test_threshold_at_inverse_sqrt_two(self):
-        threshold = werner_sweep(reference_scenario(), 0.0, 1.0)
+        threshold = werner_sweep(reference_scenario())
         assert threshold == pytest.approx(1.0 / sqrt(2.0), abs=1e-12)
 
     @settings(max_examples=50)
     @given(phi=st.floats(min_value=0.0, max_value=2.0 * pi))
     def test_threshold_invariant_under_in_plane_rotation(self, phi):
         # The singlet is rotation invariant, so rotating every setting keeps the crossing.
-        threshold = werner_sweep(reference_scenario(phi), 0.0, 1.0)
+        threshold = werner_sweep(reference_scenario(phi))
         assert abs(threshold - 1.0 / sqrt(2.0)) < 1e-12
 
     def test_equals_interpolation_of_separate_evaluations(self, rng):
@@ -380,52 +380,24 @@ class TestWernerSweep:
             else:
                 angles = rng.uniform(-2.0 * pi, 2.0 * pi, size=4)
             scenario = planar_scenario(*angles, plane=("xy", "xz")[i % 4 // 2])
-            lo, hi = (0.0, 1.0) if i % 3 else sorted(rng.uniform(0.0, 1.0, size=2))
             excess_lo, excess_hi = (
                 generalized_expression(q_vector(werner_state(v), scenario)) - 1.0
-                for v in (lo, hi)
+                for v in (0.0, 1.0)
             )
             if excess_hi < 0.0 or excess_lo > 0.0:
                 with pytest.raises(NoCrossing):
-                    werner_sweep(scenario, lo, hi)
+                    werner_sweep(scenario)
                 continue
             crossings += 1
-            expected = lo - excess_lo * (hi - lo) / (excess_hi - excess_lo)
-            assert werner_sweep(scenario, lo, hi) == expected
+            assert werner_sweep(scenario) == 0.0 - excess_lo / (excess_hi - excess_lo)
         assert crossings >= 100
 
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [
-            (0, 1),
-            (-0.0, 1.0),
-            (np.float64(0.0), np.float64(1.0)),
-            (np.array(0.0), np.array(1.0)),
-            (np.float64(0.125), np.array(0.875)),
-            (0.25, 1),
-        ],
-    )
-    def test_repeated_sweeps_keep_the_crossing(self, lo, hi):
-        # The end densities are kept per (float(v_lo), float(v_hi)): whatever
-        # form the ends take, and however often a sweep repeats, the crossing
-        # is the one that freshly built densities give.
-        for phi in (0.0, 0.3, 2.0):
-            scenario = reference_scenario(phi)
-            excess_lo, excess_hi = (
-                generalized_expression(q_vector(werner_state(float(v)), scenario)) - 1.0
-                for v in (lo, hi)
-            )
-            expected = float(lo - excess_lo * (hi - lo) / (excess_hi - excess_lo))
-            crossings = [werner_sweep(scenario, lo, hi) for _ in range(3)]
-            assert [repr(c) for c in crossings] == [repr(expected)] * 3
-
     def test_kept_ends_are_read_only(self):
-        ends = _werner_ends(0.0, 1.0)
-        assert ends.shape == (2, 2, 2, 2, 2)
-        assert _werner_ends(0.0, 1.0) is ends
+        assert _WERNER_ENDS.shape == (2, 2, 2, 2, 2)
         with pytest.raises(ValueError):
-            ends[0, 0, 0, 0, 0] = 1.0
-        assert np.array_equal(ends[1].reshape(4, 4), werner_state(1.0).data)
+            _WERNER_ENDS[0, 0, 0, 0, 0] = 1.0
+        for v, end in zip((0.0, 1.0), _WERNER_ENDS):
+            assert np.array_equal(end.reshape(4, 4), werner_state(v).data)
 
     test_no_crossing_below_half_visibility = ErrorRows()
 

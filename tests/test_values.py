@@ -48,7 +48,6 @@ from hardykit import (
     singlet,
     spin_observable,
     werner_state,
-    werner_sweep,
     witness_report,
 )
 from hardykit.qcore import _density_tensor, _trusted
@@ -248,8 +247,6 @@ def test_scalar_arguments_of_any_number_type_act_as_floats():
         assert repr(BlochDirection(one, half)) == "BlochDirection(theta=1.0, phi=0.5)"
         assert werner_state(half) == werner_state(0.5)
         assert planar_scenario(number(0), one, half, number(2)) == planar_scenario(0.0, 1.0, 0.5, 2.0)
-        crossing = werner_sweep(_REFERENCE, number(0), one)
-        assert type(crossing) is float and crossing == werner_sweep(_REFERENCE, 0.0, 1.0)
 
 
 def _evaluated(state: QuantumState, scenario: Scenario) -> Scenario:

@@ -586,21 +586,21 @@ class TestChExpression:
 class TestClassify:
     def test_hardy_pattern(self):
         q = QVector(0.0, 0.0, 0.0, 0.09)
-        assert classify(q, -0.09, 1e-9) == "HardyViolation"
+        assert classify(q, tol=1e-9) == "HardyViolation"
 
     def test_kunkri_pattern(self):
         q = QVector(0.01, 0.0, 0.0, 0.05)
-        assert classify(q, -0.04, 1e-9) == "KunkriViolation"
+        assert classify(q, tol=1e-9) == "KunkriViolation"
 
     def test_flat_vector_is_local(self):
         q = QVector(0.25, 0.25, 0.25, 0.25)
-        assert classify(q, 0.5, 1e-9) == "NoViolation"
+        assert classify(q, tol=1e-9) == "NoViolation"
 
     def test_bound_labels(self):
         q = QVector(0.4, 0.4, 0.4, 0.05)
-        assert classify(q, generalized_expression(q), 1e-9) == "UpperBoundViolation"
+        assert classify(q, tol=1e-9) == "UpperBoundViolation"
         q = QVector(0.0, 0.1, 0.0, 0.3)
-        assert classify(q, generalized_expression(q), 1e-9) == "LowerBoundViolation"
+        assert classify(q, tol=1e-9) == "LowerBoundViolation"
 
     @pytest.mark.parametrize(
         "components",
@@ -612,14 +612,14 @@ class TestClassify:
         q = QVector(*components)
         gen = generalized_expression(q)
         assert gen >= -1e-9
-        assert classify(q, gen, 1e-9) == "NoViolation"
+        assert classify(q, tol=1e-9) == "NoViolation"
         assert lhv_feasible(q).feasible
 
     def test_trichotomic_zeros_must_vanish_for_hardy(self):
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.02, 0.0)
-        assert classify(q, generalized_expression(q), 1e-9) != "HardyViolation"
+        assert classify(q, tol=1e-9) != "HardyViolation"
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.0, 0.0)
-        assert classify(q, generalized_expression(q), 1e-9) == "HardyViolation"
+        assert classify(q, tol=1e-9) == "HardyViolation"
 
     test_tolerance_must_be_positive = ErrorRows()
 
@@ -627,7 +627,7 @@ class TestClassify:
     def test_hardy_condition_violates_lower_bound(self, q4):
         q = QVector(0.0, 0.0, 0.0, q4)
         gen = generalized_expression(q)
-        assert classify(q, gen, 1e-9) == "HardyViolation"
+        assert classify(q, tol=1e-9) == "HardyViolation"
         assert gen < 0.0
 
     @given(
@@ -640,7 +640,7 @@ class TestClassify:
             return
         q = QVector(q1, 0.0, 0.0, q4)
         gen = generalized_expression(q)
-        assert classify(q, gen, 1e-9) == "KunkriViolation"
+        assert classify(q, tol=1e-9) == "KunkriViolation"
         assert gen < 0.0
 
     @settings(max_examples=200)
@@ -657,7 +657,7 @@ class TestClassify:
         gen = generalized_expression(q)
         if not 2 * tol < gen < 1.0 - 2 * tol:
             return
-        assert classify(q, gen, tol) == "NoViolation"
+        assert classify(q, tol=tol) == "NoViolation"
         deltas = [
             data.draw(st.floats(min_value=-tol / 10, max_value=tol / 10)) for _ in range(4)
         ]
@@ -667,8 +667,7 @@ class TestClassify:
             min(max(q.q3 + deltas[2], 0.0), 1.0),
             min(max(q.q4 + deltas[3], 0.0), 1.0),
         )
-        gen_perturbed = generalized_expression(perturbed)
-        assert classify(perturbed, gen_perturbed, tol) == "NoViolation"
+        assert classify(perturbed, tol=tol) == "NoViolation"
 
 
 class TestWitnessReport:
