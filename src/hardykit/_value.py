@@ -1,4 +1,4 @@
-"""Immutable values: base class, trusted builds, copies and the scalar rule; imports nothing."""
+"""Immutable values: base class, trusted builds, copies and element rules; no import at load."""
 
 
 class Value:
@@ -75,6 +75,27 @@ def _number(value, field: str) -> float:
         except (TypeError, ValueError):
             pass
     raise ValueError(f"{field} must be a number, got {value!r}")
+
+
+def _array(data, dtype):
+    """``data`` as a new array of ``dtype``; None if numpy refuses it or it holds a bool or string."""
+    import numpy as np
+    try:
+        array = np.array(data, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or ints too large
+        return None
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iufc":  # its dtype rules both out
+        return array
+    elements = np.array(data, dtype=object).flat  # the rest one by one: Fractions pass, as in lists
+    return None if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in elements) else array
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or words for it if it holds an int past Python's int-to-str digit limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value too large to print"
 
 
 def _read_only(array):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from itertools import product
 
-from ._value import Value, _number, _read_only
+from ._value import Value, _array, _number, _read_only
 from .errors import InvalidQVector, MalformedMeasure
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -88,8 +88,8 @@ class FiniteMeasure(Value):
 
     def __post_init__(self) -> None:
         import numpy as np
-        weights = np.asarray(self.weights, dtype=float)
-        if weights.ndim != 1 or weights.size < 1:
+        weights = _array(self.weights, float)
+        if weights is None or weights.ndim != 1 or weights.size < 1:
             raise MalformedMeasure("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(weights)):
             raise MalformedMeasure("weights must be finite")
@@ -104,9 +104,7 @@ class FiniteMeasure(Value):
             if mask.shape != weights.shape:
                 raise MalformedMeasure(f"subset {name} has shape {mask.shape}, expected {weights.shape}")
             masks[name] = _read_only(mask.copy())
-        object.__setattr__(self, "weights", _read_only(weights.copy()))
-        for name, mask in masks.items():
-            object.__setattr__(self, name, mask)
+        self.__dict__.update(weights=_read_only(weights), **masks)
 
     def mu(self, mask: np.ndarray) -> float:
         """Measure of the subset given by a boolean mask."""

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._value import Value, _number, _read_only, _trusted
+from ._value import Value, _array, _number, _read_only, _shown, _trusted
 from .errors import DimensionMismatch, UnknownLabel
 
 # Absolute tolerances. Projector checks are looser than state normalization
@@ -36,7 +36,7 @@ def _dimension(value) -> int:
             return int(number)
     except ValueError:
         pass
-    raise ValueError(f"dimensions must be integers, got {value!r}")
+    raise ValueError(f"dimensions must be integers, got {_shown(value)}")
 
 
 class BlochDirection(Value):
@@ -102,15 +102,14 @@ class QuantumState(Value):
         try:
             d1, d2 = map(_dimension, self.dims)
         except (TypeError, ValueError):
-            raise ValueError(f"dims must be a pair of integers, got {self.dims!r}") from None
+            raise ValueError(f"dims must be a pair of integers, got {_shown(self.dims)}") from None
         if d1 < 2 or d2 < 2:
             raise ValueError("subsystem dimensions must be at least 2")
         object.__setattr__(self, "dims", (d1, d2))
         n = d1 * d2
-        try:
-            data = np.array(self.data, dtype=complex)
-        except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or ints too large
-            raise ValueError("state data must be an array of complex numbers") from None
+        data = _array(self.data, complex)
+        if data is None:
+            raise ValueError("state data must be an array of complex numbers")
         if self.kind == "pure":
             if data.shape != (n,):
                 raise _state_fault(data, f"pure state needs {n} amplitudes, got shape {data.shape}")
@@ -190,10 +189,7 @@ class Observable(Value):
                 label = _number(raw_label, "outcome label")
                 if not isfinite(label):
                     raise ValueError(f"outcome label {label} must be finite")
-                try:
-                    proj = np.asarray(projector, dtype=complex)
-                except (TypeError, ValueError, OverflowError):
-                    proj = None  # ragged, not numbers, or ints too large for a float
+                proj = _array(projector, complex)
                 if proj is None or proj.shape != (d, d):
                     raise ValueError(f"projector for label {label} must be {d}x{d}")
                 labels.append(label)

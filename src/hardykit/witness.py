@@ -47,20 +47,24 @@ _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
 
 
-class _SpinField:
-    """x1, y1, x2 or y2 of a spin scenario; the first read of any builds all four from ``_spin``."""
+class _LazyField:
+    """x1, y1, x2 or y2 of a spin (``_spin``) or decoded (``_stack``) scenario; built on read."""
 
     def __init__(self, name: str) -> None:
         self.name = name
 
     def __get__(self, scenario, owner=None):
-        spin = None if scenario is None else scenario.__dict__.get("_spin")
-        if spin is None:
+        kept = {} if scenario is None else scenario.__dict__
+        if "_spin" in kept:
+            built = [_spin_pair(kept["_spin"][k], kept["_spin"][k + 4]) for k in (0, 2, 1, 3)]
+        elif "_stack" in kept:
+            built = [_trusted(Observable, dim=block.shape[-1], outcomes=tuple(zip(labels, block)))
+                     for labels, block in zip(kept["_spectra"], kept["_stack"])]
+        else:
             raise AttributeError(f"'Scenario' object has no attribute {self.name!r}")
-        # The units of _spin are x1, x2, y1, y2; setdefault keeps the first object stored.
-        for field, k in zip(_NAMES, (0, 2, 1, 3)):
-            scenario.__dict__.setdefault(field, _spin_pair(spin[k], spin[k + 4]))
-        return scenario.__dict__[self.name]
+        for field, observable in zip(_NAMES, built):  # setdefault keeps the first object stored
+            kept.setdefault(field, observable)
+        return kept[self.name]
 
 
 class Scenario(Value):
@@ -74,34 +78,19 @@ class Scenario(Value):
 
     _fields = _NAMES
     # A validated scenario's fields sit in its __dict__, which shadows these.
-    x1, y1, x2, y2 = map(_SpinField, _NAMES)
+    x1, y1, x2, y2 = map(_LazyField, _NAMES)
 
     def __init__(self, x1: Observable, y1: Observable, x2: Observable, y2: Observable) -> None:
         self.__dict__.update(x1=x1, y1=y1, x2=x2, y2=y2)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.x1.dim != self.y1.dim or self.x2.dim != self.y2.dim:
-            raise ValueError("observables on the same side must share a dimension")
-        arity1 = self._x_arity(self.x1, "x1")
-        arity2 = self._x_arity(self.x2, "x2")
-        if arity1 != arity2:
-            raise ValueError("x1 and x2 must both be dichotomic or both trichotomic")
-        for name, obs in (("y1", self.y1), ("y2", self.y2)):
-            if 1.0 not in obs.labels:
-                raise ValueError(f"{name} spectrum must contain +1, got {obs.labels}")
-        trichotomic = arity1 == 3
-        sides = (_side(self.x1, self.y1, trichotomic), _side(self.x2, self.y2, trichotomic))
+        fields = (self.x1, self.y1, self.x2, self.y2)
+        pairs = ((self.x1, self.y1), (self.x2, self.y2))
+        sides = _checked_sides([obs.dim for obs in fields], [obs.labels for obs in fields],
+                               [[proj for _, proj in x.outcomes + y.outcomes] for x, y in pairs],
+                               [len(x.outcomes) for x, _ in pairs])
         object.__setattr__(self, "_sides", sides)
-
-    @staticmethod
-    def _x_arity(obs: Observable, name: str) -> int:
-        labels = frozenset(obs.labels)
-        if labels == _DICHOTOMIC:
-            return 2
-        if labels == _TRICHOTOMIC:
-            return 3
-        raise ValueError(f"{name} labels must be exactly {{-1,+1}} or {{-1,0,+1}}, got {obs.labels}")
 
     @property
     def trichotomic(self) -> bool:
@@ -131,15 +120,28 @@ class WitnessReport(Value):
         }
 
 
-def _side(x: Observable, y: Observable, trichotomic: bool) -> np.ndarray:
-    """Read-only stacked projectors of one side.
+def _checked_sides(dims: Sequence[int], spectra: Sequence[tuple], projectors: Sequence,
+                   y_starts: Sequence[int]) -> tuple:
+    """Both ``_side`` stacks, once the dims and labels of x1, y1, x2, y2 pass the Scenario rules."""
+    if dims[0] != dims[1] or dims[2] != dims[3]:
+        raise ValueError("observables on the same side must share a dimension")
+    for name, labels in (("x1", spectra[0]), ("x2", spectra[2])):
+        if frozenset(labels) not in (_DICHOTOMIC, _TRICHOTOMIC):
+            raise ValueError(
+                f"{name} labels must be exactly {{-1,+1}} or {{-1,0,+1}}, got {labels}")
+    if len(spectra[0]) != len(spectra[2]):  # labels are distinct, so two or three of them
+        raise ValueError("x1 and x2 must both be dichotomic or both trichotomic")
+    for name, labels in (("y1", spectra[1]), ("y2", spectra[3])):
+        if 1.0 not in labels:
+            raise ValueError(f"{name} spectrum must contain +1, got {labels}")
+    return tuple(map(_side, spectra[::2], spectra[1::2], projectors, y_starts))
 
-    Rows: x = +1, y = +1, x = -1 and, if trichotomic, x = 0.
-    """
-    projectors = [x.projector(1.0), y.projector(1.0), x.projector(-1.0)]
-    if trichotomic:
-        projectors.append(x.projector(0.0))
-    return _read_only(np.array(projectors))
+
+def _side(x_labels: tuple, y_labels: tuple, projectors: Sequence, y_start: int) -> np.ndarray:
+    """Rows x = +1, y = +1, x = -1 (and x = 0) of x's projectors and then y's, from ``y_start``."""
+    rows = [x_labels.index(label) for label in (1.0, -1.0, 0.0)[: len(x_labels)]]
+    rows.insert(1, y_start + y_labels.index(1.0))
+    return _read_only(np.asarray(projectors).take(rows, axis=0))  # faster than np.take
 
 
 def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False) -> tuple:
@@ -268,14 +270,16 @@ def scenario_from_dict(payload: dict) -> Scenario:
     if not isinstance(payload, dict):
         raise ValueError(f"scenario must be an object, got {payload!r}")
     try:
-        read = _screened_observables(payload)
+        spectra, stack = _screened(payload)
     except (KeyError, TypeError, ValueError, OverflowError):
-        read = [observable_from_dict(payload[name]) for name in _NAMES]
-    return Scenario(*read)
+        return Scenario(*[observable_from_dict(payload[name]) for name in _NAMES])
+    _, k, d, _ = stack.shape  # each side's x, then its y from row k
+    sides = _checked_sides((d,) * 4, spectra, stack.reshape(2, 2 * k, d, d), (k, k))
+    return _trusted(Scenario, _stack=stack, _spectra=spectra, _sides=sides)
 
 
-def _screened_observables(payload: dict) -> list[Observable]:
-    """x1, y1, x2, y2 if all four are explicit observables of one int dim that pass the screen."""
+def _screened(payload: dict) -> tuple:
+    """Labels and zero-padded stack of x1, y1, x2, y2, if explicit, of one int dim and screened."""
     entries = [payload[name] for name in _NAMES]
     d, spectra, rows = entries[0]["dim"], [], []
     for entry in entries:
@@ -290,7 +294,7 @@ def _screened_observables(payload: dict) -> list[Observable]:
         if not (set(map(type, labels)) <= _NUMBER and set(map(type, projectors)) == {list}
                 and set(map(len, projectors)) == {d * d}):
             raise ValueError("labels or projectors of the wrong type or size")
-        labels = [*map(float, labels)]
+        labels = (*map(float, labels),)
         if len(set(labels)) != len(labels) or not all(map(isfinite, labels)):
             raise ValueError("labels are not distinct and finite")
         spectra.append(labels)
@@ -305,8 +309,7 @@ def _screened_observables(payload: dict) -> list[Observable]:
     stack = _read_only(np.array(flat, dtype=float).view(complex).reshape(4, k, d, d))
     if not _projective(stack):
         raise ValueError("not projective")
-    return [_trusted(Observable, dim=d, outcomes=tuple(zip(labels, block)))
-            for labels, block in zip(spectra, stack)]
+    return tuple(spectra), stack
 
 
 def planar_scenario(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from math import pi, sqrt
 from pathlib import Path
 
@@ -15,6 +17,9 @@ import pytest
 
 import hardykit
 from hardykit import (
+    Observable,
+    QuantumState,
+    observable_to_dict,
     q_vector,
     scenario_from_dict,
     singlet,
@@ -106,6 +111,96 @@ class TestEval:
     test_unknown_state_kind_is_domain_error = ErrorRows()
     test_numeric_string_dimension_is_domain_error = ErrorRows()
     test_missing_file_is_domain_error = ErrorRows()
+
+
+def _measurement(rng, d: int, labels: tuple) -> dict:
+    """A random projective measurement in wire form; its first outcome takes the spare rank."""
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    ranks = [1] * len(labels)
+    ranks[0] += d - len(labels)
+    outcomes, start = [], 0
+    for label, rank in zip(labels, ranks):
+        cols = basis[:, start:start + rank]
+        outcomes.append((label, cols @ cols.conj().T))
+        start += rank
+    return observable_to_dict(Observable(d, tuple(outcomes)))
+
+
+def _random_density(rng, dims: tuple) -> dict:
+    n = dims[0] * dims[1]
+    factor = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = factor @ factor.conj().T
+    return state_to_dict(QuantumState.density(rho / np.trace(rho).real, dims))
+
+
+@pytest.fixture
+def decoding_files(tmp_path) -> dict:
+    """State and scenario files for both decoder paths, each also with one overlap in y2.
+
+    ``scenario`` (x1 in the bloch shorthand, sides of dimension 2 and 3) takes the
+    sequential path; ``scenario33`` (four explicit qutrit observables) the one pass.
+    """
+    rng = np.random.default_rng(5)
+    payloads = {"state": _random_density(rng, (2, 3))}
+    payloads["scenario"] = {
+        "x1": {"bloch": {"theta": 1.0, "phi": 0.5}},
+        "y1": _measurement(rng, 2, (1.0, 2.0)),
+        "x2": _measurement(rng, 3, (-1.0, 1.0)),
+        "y2": _measurement(rng, 3, (1.0, 0.5, -3.0)),
+    }
+    u = np.ones(3) / np.sqrt(3.0)
+    overlap = [[float(v), 0.0] for v in np.outer(u, u).reshape(-1)]
+    payloads["state33"] = _random_density(rng, (3, 3))
+    payloads["scenario33"] = {
+        "x1": _measurement(rng, 3, (-1.0, 0.0, 1.0)),
+        "y1": _measurement(rng, 3, (1.0, 2.0)),
+        "x2": _measurement(rng, 3, (-1.0, 0.0, 1.0)),
+        "y2": _measurement(rng, 3, (1.0, 0.5, -3.0)),
+    }
+    # The same qutrit scenario with one float dim, which sends it down the sequential path.
+    payloads["sequential33"] = copy.deepcopy(payloads["scenario33"])
+    payloads["sequential33"]["y1"]["dim"] = 3.0
+    for name in ("scenario", "scenario33"):
+        bad = payloads[f"bad_{name}"] = copy.deepcopy(payloads[name])
+        bad["y2"]["outcomes"][0]["projector"] = overlap  # the only fault
+    paths = {}
+    for name, payload in payloads.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(payload), encoding="utf-8")
+    return paths
+
+
+def _eval(capsys, state: str, scenario: str, *flags: str) -> tuple[int, str, str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, "eval", "--state", state, "--scenario", scenario, *flags)
+
+
+class TestScenarioDecodingEndToEnd:
+    """``eval`` on both decoder paths: a report for valid files, one ValueError line otherwise."""
+
+    @pytest.mark.parametrize("state, scenario", [
+        ("state", "scenario"), ("state33", "scenario33"), ("state33", "sequential33"),
+    ])
+    def test_valid_files_print_a_report(self, capsys, decoding_files, state, scenario):
+        code, out, err = _eval(capsys, decoding_files[state], decoding_files[scenario], "--json")
+        assert (code, err) == (0, "")
+        assert sorted(json.loads(out)) == ["ch", "class", "generalized", "q"]
+
+    def test_one_pass_prints_the_sequential_bytes(self, capsys, decoding_files):
+        state = decoding_files["state33"]
+        one_pass = _eval(capsys, state, decoding_files["scenario33"], "--json")
+        sequential = _eval(capsys, state, decoding_files["sequential33"], "--json")
+        assert one_pass == sequential and one_pass[0] == 0
+
+    @pytest.mark.parametrize("state, scenario", [
+        ("state", "bad_scenario"), ("state33", "bad_scenario33"),
+    ])
+    def test_overlapping_projectors_fail_cleanly(self, capsys, decoding_files, state, scenario):
+        code, out, err = _eval(capsys, decoding_files[state], decoding_files[scenario])
+        assert (code, out) == (3, "")
+        assert err.startswith("ValueError: ") and err.count("\n") == 1, err
+        assert "not orthogonal" in err and "Warning" not in err
 
 
 class TestLhvCheck:

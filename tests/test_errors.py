@@ -214,6 +214,40 @@ LIBRARY = {
           for entry, build, args in (
               ("data", QuantumState, ((2, 2), "density" if kind == "ragged" else "pure", data)),
               ("classmethod", _DENSITY if kind == "ragged" else _PURE, (data, (2, 2))))),
+        # Booleans and strings are not numbers in arrays either: lists, typed and object arrays.
+        *((f"state-{data_id}", QuantumState, ((2, 2), kind, data), ValueError,
+           "^state data must be an array of complex numbers$")
+          for data_id, kind, data in (
+              ("numeric-string-element", "pure", ["1", 0, 0, 0]),
+              ("boolean-element", "pure", [True, 0, 0, 0]),
+              ("boolean-array", "pure", np.array([True, False, False, False])),
+              ("string-array", "pure", np.array(["1", "0", "0", "0"])),
+              ("object-array-string", "pure", np.array(["1", 0, 0, 0], dtype=object)),
+              ("density-boolean-entry", "density", [[True] + [0] * 3] + [[0] * 4] * 3),
+          )),
+        ("state-classmethod-boolean-array", _PURE, (np.array([True, False, False, False]), (2, 2)),
+         ValueError, "^state data must be an array of complex numbers$"),
+        ("observable-projector-string-and-boolean",
+         _observable((1.0, [["1", 0], [0, 0]]), (-1.0, [[0, 0], [0, True]])), (), ValueError,
+         r"^projector for label 1.0 must be 2x2$"),
+        ("observable-projector-boolean-entry",
+         _observable((1.0, PLUS), (-1.0, [[0, 0], [0, True]])), (), ValueError,
+         r"^projector for label -1.0 must be 2x2$"),
+        ("observable-projector-boolean-array",
+         _observable((1.0, np.array([[True, False], [False, False]])), (-1.0, MINUS)), (),
+         ValueError, r"^projector for label 1.0 must be 2x2$"),
+        *((f"measure-{weights_id}", FiniteMeasure,
+           (weights, *[np.array([True, False])] * 4), MalformedMeasure,
+           "^weights must be a nonempty 1-d array$")
+          for weights_id, weights in (("numeric-strings", ["0.5", "0.5"]),
+                                      ("booleans", [True, False]),
+                                      ("boolean-array", np.array([True, False])),
+                                      ("words", ["half", "half"]))),
+        # A dimension past Python's 4,300-digit limit on int-to-str is named without its digits.
+        ("state-dims-past-digit-limit", QuantumState, ((10**5000, 2), "pure", [1, 0, 0, 0]),
+         ValueError, "^dims must be a pair of integers, got a value too large to print$"),
+        ("observable-dim-past-digit-limit", Observable, (10**5000, ()), ValueError,
+         "^dimensions must be integers, got a value too large to print$"),
         ("observable-dim-negative", observable_from_dict, (_observable_payload(dim=-2),),
          ValueError, "^dimension must be positive$"),
         ("observable-dim-zero", observable_from_dict, (_observable_payload(dim=0),),
@@ -587,6 +621,19 @@ LIBRARY = {
     "TestScenarioType.test_y_must_contain_plus_one": [
         (None, Scenario, (Z_SPIN, _observable((0.0, PLUS), (2.0, MINUS))(), Z_SPIN, Z_SPIN),
          ValueError, r"y1 spectrum must contain \+1"),
+    ],
+    # A mismatch on one side only, built directly and decoded (the decoder's sequential path).
+    "TestScenarioType.test_sides_must_share_a_dimension": [
+        row
+        for side, fields in ((1, (Z_SPIN, QUTRIT_Y, Z_SPIN, Z_SPIN)),
+                             (2, (Z_SPIN, Z_SPIN, Z_SPIN, QUTRIT_Y)))
+        for row in [
+            (f"side{side}-scenario", Scenario, fields, ValueError,
+             "^observables on the same side must share a dimension$"),
+            (f"side{side}-decoded", scenario_from_dict,
+             (dict(zip(("x1", "y1", "x2", "y2"), map(observable_to_dict, fields))),), ValueError,
+             "^observables on the same side must share a dimension$"),
+        ]
     ],
     "TestQVectorExtraction.test_dimension_mismatch": [
         (None, q_vector, (singlet(), Scenario(QUTRIT, QUTRIT_Y, QUTRIT, QUTRIT_Y)),

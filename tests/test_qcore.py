@@ -4,6 +4,7 @@ probabilities, JSON codecs."""
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 import warnings
 from dataclasses import FrozenInstanceError
 from math import atan2, cos, hypot, pi, sin, sqrt
@@ -24,6 +25,7 @@ from conftest import (
 )
 from hardykit import (
     BlochDirection,
+    FiniteMeasure,
     Observable,
     QuantumState,
     Scenario,
@@ -553,6 +555,24 @@ class TestStateValidation:
     test_non_finite_density_entry_rejected = ErrorRows()
     test_minimum_subsystem_dimension = ErrorRows()
     test_non_integral_dimension_rejected = ErrorRows()
+
+    def test_numbers_of_any_type_build_the_same_state(self):
+        # Object arrays are read element by element, as lists are: Fractions, ints and
+        # numpy scalars are numbers; only booleans and strings are refused.
+        expected = QuantumState.pure([0.6, 0.8j, 0.0, 0.0], (2, 2))
+        for data in ([Fraction(3, 5), 0.8j, 0, 0],
+                     np.array([Fraction(3, 5), 0.8j, 0, 0], dtype=object),
+                     [np.float64(0.6), np.complex128(0.8j), np.int64(0), 0.0]):
+            state = QuantumState((2, 2), "pure", data)
+            assert state == expected
+        quarter = np.array([[Fraction(i == j, 4) for j in range(4)] for i in range(4)],
+                           dtype=object)
+        assert QuantumState.density(quarter, (2, 2)) == maximally_mixed(2, 2)
+        measure = FiniteMeasure(np.array([Fraction(1, 2)] * 2, dtype=object),
+                                *[np.array([True, False])] * 4)
+        assert measure.weights.tolist() == [0.5, 0.5]
+        z = Observable(2, ((1, np.array([[1, 0], [0, 0]])), (-1, [[Fraction(0), 0], [0, 1]])))
+        assert z == spin_observable(BlochDirection(0.0, 0.0))
 
     def test_integral_float_dimension_accepted(self):
         assert QuantumState.pure([0.0, 1.0, 0.0, 0.0], (2.0, 2.0)).dims == (2, 2)

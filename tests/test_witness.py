@@ -54,7 +54,7 @@ from hardykit.cli import main
 from hardykit.lhv import QVECTOR_ATOL
 from hardykit.qcore import _spin_pair, _trusted
 from hardykit.search import SchmidtState
-from hardykit.witness import _q_from_table, _side
+from hardykit.witness import _q_from_table
 from test_errors import ErrorRows
 
 REFERENCE_ANGLES = (0.0, pi / 2, 3 * pi / 4, pi / 4)  # (x1, y1, x2, y2)
@@ -127,6 +127,7 @@ class TestScenarioType:
     test_x_labels_must_be_standard = ErrorRows()
     test_x_arities_must_agree = ErrorRows()
     test_y_must_contain_plus_one = ErrorRows()
+    test_sides_must_share_a_dimension = ErrorRows()
 
     def test_json_round_trip(self, rng):
         scenario = random_scenario(rng, 3, 3, trichotomic=True)
@@ -139,6 +140,12 @@ class TestScenarioType:
                 assert np.array_equal(parsed.projector(label), original.projector(label))
 
 
+def _fresh_side(x, y, trichotomic: bool) -> np.ndarray:
+    """One side's stack, read label by label off its observables: x = +1, y = +1, x = -1 (x = 0)."""
+    labels = ((x, 1.0), (y, 1.0), (x, -1.0), (x, 0.0))[: 4 if trichotomic else 3]
+    return np.array([obs.projector(label) for obs, label in labels])
+
+
 class TestStoredSides:
     """Each scenario stacks its side projectors once; the kernel reads only those stacks."""
 
@@ -148,7 +155,7 @@ class TestStoredSides:
         assert len(scenario._sides) == 2
         for stored, (x, y) in zip(scenario._sides, pairs):
             assert not stored.flags.writeable
-            fresh = _side(x, y, scenario.trichotomic)
+            fresh = _fresh_side(x, y, scenario.trichotomic)
             assert stored.shape == fresh.shape
             # Bit for bit, signed zeros included.
             assert stored.tobytes() == fresh.tobytes()
@@ -615,6 +622,25 @@ class TestClassify:
         assert classify(q, tol=1e-9) == "NoViolation"
         assert lhv_feasible(q).feasible
 
+    @pytest.mark.parametrize("components, label", [
+        # The local vertex with expression exactly 1, and expressions just inside and past 1 + tol.
+        ((1.0, 0.0, 0.0, 0.0), "NoViolation"),
+        ((1.0, 0.5e-9, 0.0, 0.0), "NoViolation"),
+        ((1.0, 2e-9, 0.0, 0.0), "UpperBoundViolation"),
+    ], ids=["vertex-at-one", "half-tol-above-one", "two-tol-above-one"])
+    def test_upper_edge(self, components, label):
+        assert classify(QVector(*components), tol=1e-9) == label
+
+    @pytest.mark.parametrize("q1, label", [
+        # Computed, q4 - tol is q1 although q4 - q1 exceeds tol: q1 < q4 - tol fails.
+        (0.5 - 1e-9, "LowerBoundViolation"),
+        (0.5 - 0.5e-9, "NoViolation"),
+    ], ids=["q4-minus-tol", "half-tol-below-q4"])
+    def test_relaxed_pattern_needs_q1_below_q4_minus_tol(self, q1, label):
+        q = QVector(q1, 0.0, 0.0, 0.5)
+        assert q.q4 - q.q1 <= 1.0000001e-9
+        assert classify(q, tol=1e-9) == label
+
     def test_trichotomic_zeros_must_vanish_for_hardy(self):
         q = QVector(0.0, 0.0, 0.0, 0.09, 0.02, 0.0)
         assert classify(q, tol=1e-9) != "HardyViolation"
@@ -1033,6 +1059,108 @@ class TestSpinFieldsOnFirstRead:
             assert scenario.dims == (scenario.x1.dim, scenario.x2.dim)
             assert all(type(d) is int for d in scenario.dims)
         assert validated.dims == decoded.dims == dims
+
+
+def _decoded_payload(seed: int, d: int, trichotomic: bool) -> dict:
+    """The wire form of a random scenario of one dimension: the shape decoded in one pass."""
+    return scenario_to_dict(random_scenario(np.random.default_rng(seed), d, d, trichotomic))
+
+
+def _assert_fields_match_oracle(scenario: Scenario, oracle: Scenario) -> None:
+    for name in _NAMES:
+        built, expected = getattr(scenario, name), getattr(oracle, name)
+        assert built == expected and type(built.dim) is int and built.dim == expected.dim
+        assert built.labels == expected.labels
+        for (_, mine), (_, theirs) in zip(built.outcomes, expected.outcomes, strict=True):
+            assert mine.tobytes() == theirs.tobytes() and mine.shape == theirs.shape
+            assert not mine.flags.writeable
+
+
+_DECODED = dict(
+    seed=st.integers(0, 2**32 - 1), d=st.sampled_from((2, 3)), trichotomic=st.booleans())
+
+
+class TestDecodedFieldsOnFirstRead:
+    """A scenario decoded in one pass keeps its screened stack and builds its fields when read."""
+
+    @settings(max_examples=60)
+    @given(**_DECODED)
+    def test_lazy_fields_equal_the_oracle(self, seed, d, trichotomic):
+        payload = _decoded_payload(seed, d, trichotomic)
+        scenario = scenario_from_dict(payload)
+        assert not set(_NAMES) & set(vars(scenario))
+        stack, spectra = scenario._stack, scenario._spectra
+        assert stack.shape[0] == 4 and stack.shape[2:] == (d, d) and not stack.flags.writeable
+        assert all(type(labels) is tuple for labels in spectra)
+        oracle = reference_scenario_from_dict(copy.deepcopy(payload))
+        for mine, theirs in zip(scenario._sides, oracle._sides):
+            assert mine.tobytes() == theirs.tobytes() and not mine.flags.writeable
+        assert scenario.y2 is scenario.y2  # one read builds all four
+        assert set(_NAMES) <= set(vars(scenario))
+        _assert_fields_match_oracle(scenario, oracle)
+        for name in _NAMES:
+            assert all(np.shares_memory(p, stack) for _, p in getattr(scenario, name).outcomes)
+        TestStoredSides.assert_sides_are_fresh_stacks(scenario)
+        assert scenario == oracle and repr(scenario) == repr(oracle)
+        assert scenario_to_dict(scenario) == scenario_to_dict(oracle)
+
+    @settings(max_examples=30)
+    @given(**_DECODED)
+    def test_copies_before_and_after_the_first_read(self, seed, d, trichotomic):
+        payload = _decoded_payload(seed, d, trichotomic)
+        oracle = reference_scenario_from_dict(copy.deepcopy(payload))
+        scenario = scenario_from_dict(payload)
+        methods = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+        before = [method(scenario) for method in methods]
+        for twin in before:
+            assert not set(_NAMES) & set(vars(twin))
+            assert not twin._stack.flags.writeable and twin._spectra == scenario._spectra
+            _assert_fields_match_oracle(twin, oracle)
+        # Reading a copy builds its own fields, not the original's.
+        assert not set(_NAMES) & set(vars(scenario))
+        _assert_fields_match_oracle(scenario, oracle)
+        after = [method(scenario) for method in methods]
+        for twin in before + after:
+            assert twin == scenario == oracle and repr(twin) == repr(scenario)
+            assert twin.dims == (d, d) and twin.trichotomic == trichotomic
+            assert all(not side.flags.writeable for side in twin._sides)
+        assert all(after[0].__dict__[name] is scenario.__dict__[name] for name in _NAMES)
+
+    @pytest.mark.parametrize("read", [
+        lambda s: s == s, lambda s: repr(s), lambda s: scenario_to_dict(s),
+    ], ids=["eq", "repr", "to_dict"])
+    def test_field_readers_build_the_fields(self, read):
+        scenario = scenario_from_dict(_decoded_payload(5, 3, True))
+        read(scenario)
+        assert set(_NAMES) <= set(vars(scenario))
+
+    def test_threads_racing_on_the_first_read_get_the_same_objects(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(20):
+                payload = _decoded_payload(round_, 2 + round_ % 2, round_ % 3 == 0)
+                scenario = scenario_from_dict(payload)
+                barrier, seen = threading.Barrier(6), []
+
+                def read(index):
+                    barrier.wait(timeout=30)
+                    first = _NAMES[index % 4]
+                    fields = {first: getattr(scenario, first)}
+                    fields.update((name, getattr(scenario, name)) for name in _NAMES)
+                    seen.append(fields)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 6
+                for name in _NAMES:
+                    assert all(fields[name] is scenario.__dict__[name] for fields in seen)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSpinPairCalls:
