@@ -1,5 +1,7 @@
 """Immutable values: base class, trusted builds, copies and element rules; no import at load."""
 
+import sys
+
 
 class Value:
     """``==``, ``hash`` and ``repr`` over the fields named in ``_fields``, and no assignment.
@@ -60,14 +62,25 @@ def _restored(cls, entries: dict):
     return value
 
 
+def _boolean(value) -> bool:
+    """Whether ``value`` is a Python or a numpy boolean."""
+    numpy = sys.modules.get("numpy")  # a numpy boolean exists only once numpy is loaded
+    return isinstance(value, bool) or (numpy is not None and isinstance(value, numpy.bool_))
+
+
+def _not_a_number(value) -> bool:
+    """Whether ``value`` is a boolean or text, which no numeric rule reads."""
+    return isinstance(value, (str, bytes)) or _boolean(value)
+
+
 def _number(value, field: str) -> float:
-    """A number as a float; a boolean, a string or what ``float`` refuses raises ``ValueError``.
+    """A number as a float; what ``_not_a_number`` names or ``float`` refuses raises ``ValueError``.
 
     A number too large for a float is named without its digits, from ``float``'s ``OverflowError``.
     """
     if type(value) is float:
         return value
-    if not isinstance(value, (bool, str)):
+    if not _not_a_number(value):
         try:
             return float(value)
         except OverflowError as exc:
@@ -87,7 +100,7 @@ def _array(data, dtype):
     if isinstance(data, np.ndarray) and data.dtype.kind in "iufc":  # its dtype rules both out
         return array
     elements = np.array(data, dtype=object).flat  # the rest one by one: Fractions pass, as in lists
-    return None if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in elements) else array
+    return None if any(map(_not_a_number, elements)) else array
 
 
 def _shown(value) -> str:

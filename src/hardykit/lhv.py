@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 from itertools import product
 
-from ._value import Value, _array, _number, _read_only
+from ._value import Value, _array, _boolean, _number, _read_only
 from .errors import InvalidQVector, MalformedMeasure
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -100,10 +100,14 @@ class FiniteMeasure(Value):
             raise MalformedMeasure(f"weights sum to {total}, not 1 within {_WEIGHT_SUM_ATOL}")
         masks = {}
         for name in ("a", "b", "c", "d"):
-            mask = np.asarray(getattr(self, name), dtype=bool)
+            mask = getattr(self, name)
+            if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+                mask = np.array(mask, dtype=object)  # read element by element, not cast to bool
+                if not all(map(_boolean, mask.flat)):
+                    raise MalformedMeasure(f"subset {name} must hold only booleans")
             if mask.shape != weights.shape:
                 raise MalformedMeasure(f"subset {name} has shape {mask.shape}, expected {weights.shape}")
-            masks[name] = _read_only(mask.copy())
+            masks[name] = _read_only(mask.astype(bool))
         self.__dict__.update(weights=_read_only(weights), **masks)
 
     def mu(self, mask: np.ndarray) -> float:

@@ -22,6 +22,13 @@ STATE_ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 PROB_CLAMP_ATOL = 1e-10
 _GRAM_ROWS = 3  # outcomes per Gram product, so none is over three times its stack
+# A density of at most this side (dims (2, 2)) is first checked in Python floats. A residual
+# or an eigenvalue this close to its bound is left to numpy, whose hypot (2 ulps from
+# math.hypot on numpy 2.4's AVX-512 loops) and eigvalsh round otherwise: the float check
+# passes only what numpy's checks pass.
+_FLOAT_CHECKED_SIDE = 4
+_FLOAT_RESIDUAL_ATOL = STATE_ATOL * (1.0 - 1e-14)
+_FLOAT_PIVOT_SHIFT = EIGENVALUE_FLOOR + 1e-13
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -121,21 +128,8 @@ class QuantumState(Value):
         elif self.kind == "density":
             if data.shape != (n, n):
                 raise _state_fault(data, f"density matrix must be {n}x{n}, got shape {data.shape}")
-            adjoint = data.conj().T
-            # A non-finite entry leaves an inf or NaN residual, and huge entries overflow to one.
-            with np.errstate(over="ignore", invalid="ignore"):
-                asymmetry = np.abs(data - adjoint).max()
-                trace = complex(data.trace())
-            if not asymmetry <= STATE_ATOL:
-                raise _state_fault(data, "density matrix is not Hermitian within tolerance")
-            if not abs(trace - 1.0) <= STATE_ATOL:
-                raise _state_fault(data, f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
-            # data is its own Hermitian part when exact; 0.5 * (data + adjoint) may overflow.
-            hermitian_part = data if asymmetry == 0.0 else 0.5 * data + 0.5 * adjoint
-            smallest = float(np.linalg.eigvalsh(hermitian_part)[0])
-            if smallest < EIGENVALUE_FLOOR:
-                raise _state_fault(
-                    data, f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
+            if n > _FLOAT_CHECKED_SIDE or not _passes_in_floats(data.tolist()):
+                _check_density(data)
         else:
             raise _state_fault(data, f"kind must be 'pure' or 'density', got {self.kind!r}")
         object.__setattr__(self, "data", _read_only(data))
@@ -153,6 +147,70 @@ class QuantumState(Value):
         if self.kind == "pure":
             return np.outer(self.data, self.data.conj())
         return np.array(self.data)
+
+
+def _passes_in_floats(rows: list[list[complex]]) -> bool:
+    """Whether a 4x4 density surely passes ``_check_density``, decided in Python floats.
+
+    Each entry pair must have a - conj(b) = 0, or a ``hypot`` residual within
+    ``_FLOAT_RESIDUAL_ATOL``, and then gives its Hermitian part 0.5*a + 0.5*conj(b).
+    The trace is summed in numpy's order, so its bits are numpy's. The PSD test is a
+    Cholesky of the Hermitian part's lower triangle, the one ``eigvalsh`` reads, less
+    ``_FLOAT_PIVOT_SHIFT`` I. Never raises or warns: a NaN fails a comparison, and an
+    infinite entry leaves an inf or NaN trace or pivot.
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    lower = []  # the Hermitian part's h00, h10, h11, h20, ..., h33
+    for a, b in ((a00, a00), (a10, a01), (a11, a11), (a20, a02), (a21, a12), (a22, a22),
+                 (a30, a03), (a31, a13), (a32, a23), (a33, a33)):
+        if a != b.conjugate():
+            if not hypot(a.real - b.real, a.imag + b.imag) <= _FLOAT_RESIDUAL_ATOL:
+                return False
+            a = complex(0.5 * a.real + 0.5 * b.real, 0.5 * a.imag - 0.5 * b.imag)
+        lower.append(a)
+    # The diagonal passed above, so its imaginary parts are tiny and abs() cannot overflow.
+    if not abs((a00 + a11) + (a22 + a33) - 1.0) <= STATE_ATOL:
+        return False
+    h00, h10, h11, h20, h21, h22, h30, h31, h32, h33 = lower
+    # Column by column: each pivot must be positive, and its root divides the column below.
+    pivot = h00.real - _FLOAT_PIVOT_SHIFT
+    if not pivot > 0.0:
+        return False
+    root = sqrt(pivot)
+    h10, h20, h30 = h10 / root, h20 / root, h30 / root
+    pivot = h11.real - _FLOAT_PIVOT_SHIFT - (h10.real * h10.real + h10.imag * h10.imag)
+    if not pivot > 0.0:
+        return False
+    root, c10 = sqrt(pivot), h10.conjugate()
+    h21, h31 = (h21 - h20 * c10) / root, (h31 - h30 * c10) / root
+    pivot = (h22.real - _FLOAT_PIVOT_SHIFT - (h20.real * h20.real + h20.imag * h20.imag)
+             - (h21.real * h21.real + h21.imag * h21.imag))
+    if not pivot > 0.0:
+        return False
+    h32 = (h32 - h30 * h20.conjugate() - h31 * h21.conjugate()) / sqrt(pivot)
+    pivot = (h33.real - _FLOAT_PIVOT_SHIFT - (h30.real * h30.real + h30.imag * h30.imag)
+             - (h31.real * h31.real + h31.imag * h31.imag)
+             - (h32.real * h32.real + h32.imag * h32.imag))
+    return pivot > 0.0
+
+
+def _check_density(data: np.ndarray) -> None:
+    """Raise the first fault of an n x n density: not Hermitian, trace not 1, or not PSD."""
+    adjoint = data.conj().T
+    # A non-finite entry leaves an inf or NaN residual, and huge entries overflow to one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.abs(data - adjoint).max()
+        trace = complex(data.trace())
+    if not asymmetry <= STATE_ATOL:
+        raise _state_fault(data, "density matrix is not Hermitian within tolerance")
+    if not abs(trace - 1.0) <= STATE_ATOL:
+        raise _state_fault(data, f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
+    # data is its own Hermitian part when exact; 0.5 * (data + adjoint) may overflow.
+    hermitian_part = data if asymmetry == 0.0 else 0.5 * data + 0.5 * adjoint
+    smallest = float(np.linalg.eigvalsh(hermitian_part)[0])
+    if smallest < EIGENVALUE_FLOOR:
+        raise _state_fault(
+            data, f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
 
 
 def _state_fault(data: np.ndarray, message: str) -> ValueError:

@@ -19,9 +19,12 @@ import hardykit
 from hardykit import (
     Observable,
     QuantumState,
+    Scenario,
     observable_to_dict,
+    planar_scenario,
     q_vector,
     scenario_from_dict,
+    scenario_to_dict,
     singlet,
     state_to_dict,
     werner_state,
@@ -201,6 +204,79 @@ class TestScenarioDecodingEndToEnd:
         assert (code, out) == (3, "")
         assert err.startswith("ValueError: ") and err.count("\n") == 1, err
         assert "not orthogonal" in err and "Warning" not in err
+
+
+def _qutrit_measurement(basis: np.ndarray, labels: tuple) -> Observable:
+    return Observable(3, tuple((label, np.outer(basis[:, i], basis[:, i].conj()))
+                               for i, label in enumerate(labels)))
+
+
+@pytest.fixture
+def json_files(tmp_path) -> dict:
+    """A valid qutrit pair, and malformed files whose one error is the constructor's."""
+    phi = np.eye(3).reshape(9) / np.sqrt(3.0)
+    rho = 0.8 * np.outer(phi, phi) + 0.2 * np.eye(9) / 9.0
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3.0) / np.sqrt(3.0)
+    scenario = Scenario(
+        x1=_qutrit_measurement(np.eye(3), (-1.0, 0.0, 1.0)),
+        y1=_qutrit_measurement(fourier, (1.0, 2.0, 3.0)),
+        x2=_qutrit_measurement(fourier.conj(), (-1.0, 0.0, 1.0)),
+        y2=_qutrit_measurement(np.eye(3), (1.0, 2.0, 3.0)),
+    )
+    qubits = scenario_to_dict(planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4))
+    x1 = qubits["x1"]
+    first = x1["outcomes"][0]
+    payloads = {
+        "state": state_to_dict(QuantumState.density(rho, (3, 3))),
+        "scenario": scenario_to_dict(scenario),
+        "bad_state": {"dims": [3, 3], "kind": "garbage", "data": [[1, 0]] * 9},
+        "singlet": state_to_dict(singlet()),
+        "qubits": qubits,
+        "mixed_nan": {"dims": [2, 2], "kind": "mixed", "data": [[float("nan"), 0.0]] * 16},
+        "dims_5": {**state_to_dict(singlet()), "dims": 5},
+        "density_15_pairs": {"dims": [2, 2], "kind": "density", "data": [[0.25, 0.0]] * 15},
+        "x1_dim_0": {**qubits, "x1": {**x1, "dim": 0}},
+        "x1_3_pairs": {**qubits, "x1": {**x1, "outcomes": [
+            {**first, "projector": first["projector"][:3]}, *x1["outcomes"][1:]]}},
+    }
+    paths = {}
+    for name, payload in payloads.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(payload), encoding="utf-8")
+    return paths
+
+
+class TestJsonDecodeEndToEnd:
+    """``eval`` on a qutrit density and trichotomic scenario, and on malformed files."""
+
+    def test_qutrit_density_prints_a_report(self, capsys, json_files):
+        code, out, err = _eval(capsys, json_files["state"], json_files["scenario"], "--json")
+        assert (code, err) == (0, "")
+        assert sorted(json.loads(out)) == ["ch", "class", "generalized", "q"]
+
+    def test_six_component_json(self, capsys):
+        code, out, err = run_cli(capsys, "lhv-check", "--q", "0.1,0.2,0.1,0.3,0.05,0.05", "--json")
+        assert (code, err) == (0, "")
+        assert "feasible" in json.loads(out)
+
+    def test_unknown_state_kind_exits_3(self, capsys, json_files):
+        code, out, err = _eval(capsys, json_files["bad_state"], json_files["scenario"])
+        assert (code, out) == (3, "")
+        assert err == "ValueError: kind must be 'pure' or 'density', got 'garbage'\n"
+
+    @pytest.mark.parametrize("state, scenario", [
+        ("mixed_nan", "qubits"), ("dims_5", "qubits"), ("density_15_pairs", "qubits"),
+        ("singlet", "x1_dim_0"), ("singlet", "x1_3_pairs"),
+    ])
+    def test_malformed_file_fails_cleanly(self, capsys, json_files, state, scenario):
+        code, out, err = _eval(capsys, json_files[state], json_files[scenario])
+        assert (code, out) == (3, "")
+        assert err.startswith("ValueError:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_non_finite_entries_are_named_first(self, capsys, json_files):
+        code, _, err = _eval(capsys, json_files["mixed_nan"], json_files["qubits"])
+        assert (code, err) == (3, "ValueError: state data has non-finite entries\n")
 
 
 class TestLhvCheck:

@@ -243,6 +243,33 @@ LIBRARY = {
                                       ("booleans", [True, False]),
                                       ("boolean-array", np.array([True, False])),
                                       ("words", ["half", "half"]))),
+        # numpy booleans and bytes are no more numbers than Python booleans and strings are.
+        *((f"scalar-{scalar_id}", build, args, error, message)
+          for scalar_id, build, args, error, message in (
+              ("qvector-numpy-true", QVector, (np.True_, 0, 0, 0), InvalidQVector,
+               r"^q1 must be a number, got np\.True_$"),
+              ("lhv-feasible-numpy-false", lhv_feasible, ([0, 0, np.False_, 0.3],),
+               InvalidQVector, r"^q3 must be a number, got np\.False_$"),
+              ("qvector-bytes", QVector, (b"0.5", 0, 0, 0), InvalidQVector,
+               r"^q1 must be a number, got b'0\.5'$"),
+              ("schmidt-angle-numpy-false", SchmidtState, (np.False_,), ValueError,
+               r"^angle must be a number, got np\.False_$"),
+              ("werner-visibility-numpy-true", werner_state, (np.True_,), ValueError,
+               r"^visibility must be a number, got np\.True_$"),
+              ("state-dims-numpy-true", QuantumState, ((2, np.True_), "pure", [1, 0, 0, 0]),
+               ValueError, r"^dims must be a pair of integers, got \(2, np\.True_\)$"),
+          )),
+        # A mask holds booleans, Python's or numpy's: no text, number or None is read as one.
+        *((f"measure-mask-{mask_id}", FiniteMeasure, ([0.5, 0.5], *masks), MalformedMeasure,
+           f"^subset {name} must hold only booleans$")
+          for mask_id, name, masks in (
+              ("strings", "a", (["False", "False"], [0.2, 0], [1, 0], [0, 1])),
+              ("numbers", "b", ([True, False], [0.2, 0], [True, False], [False, True])),
+              ("int-array", "a", [np.array([1, 0])] * 4),
+              ("none", "d", ([True, False], [False, True], [True, True], [None, True])),
+              ("ragged", "c",
+               ([True, False], [False, True], [[True], [True, False]], [True, True])),
+          )),
         # A dimension past Python's 4,300-digit limit on int-to-str is named without its digits.
         ("state-dims-past-digit-limit", QuantumState, ((10**5000, 2), "pure", [1, 0, 0, 0]),
          ValueError, "^dims must be a pair of integers, got a value too large to print$"),

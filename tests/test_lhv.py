@@ -131,6 +131,15 @@ class TestSetExpression:
 
     test_malformed_measures_rejected = ErrorRows()
 
+    def test_masks_take_python_and_numpy_booleans(self):
+        m = FiniteMeasure([0.5, 0.5], [np.True_, False], np.array([False, True]),
+                          (True, True), np.array([np.False_, np.False_], dtype=object))
+        masks = (m.a, m.b, m.c, m.d)
+        assert [mask.tolist() for mask in masks] == [
+            [True, False], [False, True], [True, True], [False, False]]
+        assert all(mask.dtype == bool and not mask.flags.writeable for mask in masks)
+        assert set_expression(m) == 0.5
+
 
 class TestEnumeration:
     def test_counts(self):

@@ -53,6 +53,7 @@ from hardykit.qcore import (
     PAULI_Z,
     EIGENVALUE_FLOOR,
     PROJECTOR_ATOL,
+    STATE_ATOL,
     _bloch_angles,
     _bloch_units,
     _density_tensor,
@@ -583,6 +584,127 @@ class TestStateValidation:
             assert np.trace(state.density_matrix()).real == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
             werner_state(1.2)
+
+
+def _numpy_density_verdict(data: np.ndarray) -> str | None:
+    """The numpy density checks written out as the reference: a message, or None if it passes."""
+    def fault(message: str) -> str:
+        return "state data has non-finite entries" if not np.isfinite(data).all() else message
+
+    adjoint = data.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.abs(data - adjoint).max()
+        trace = complex(data.trace())
+    if not asymmetry <= STATE_ATOL:
+        return fault("density matrix is not Hermitian within tolerance")
+    if not abs(trace - 1.0) <= STATE_ATOL:
+        return fault(f"density matrix trace {trace} is not 1 within {STATE_ATOL}")
+    smallest = float(np.linalg.eigvalsh(
+        data if asymmetry == 0.0 else 0.5 * data + 0.5 * adjoint)[0])
+    if smallest < EIGENVALUE_FLOOR:
+        return fault(f"density matrix has eigenvalue {smallest} below {EIGENVALUE_FLOOR}")
+    return None
+
+
+def _edge_densities(rng, kind: str, count: int):
+    """``count`` seeded 4x4 densities of one kind, each at or near the edge of one check."""
+    def spectral(spectrum) -> np.ndarray:
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        rho = (basis * spectrum) @ basis.conj().T
+        return 0.5 * rho + 0.5 * rho.conj().T  # exactly Hermitian
+
+    for _ in range(count):
+        spectrum = rng.dirichlet(np.full(4, rng.choice([0.2, 1.0, 5.0])))
+        if kind == "floor":  # smallest eigenvalue a hair either side of the floor
+            spectrum[0] = EIGENVALUE_FLOOR + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-17, -11)
+            spectrum[1:] *= (1.0 - spectrum[0]) / spectrum[1:].sum()
+        elif kind == "not-psd" or kind == "near-hermitian" and rng.uniform() < 0.5:
+            spectrum[0] = rng.choice([0.0, 1e-18, -1e-3, -0.5])
+            spectrum[1:] *= (1.0 - spectrum[0]) / spectrum[1:].sum()
+        rho = spectral(spectrum)
+        if kind == "near-hermitian":  # every entry off by ~1e-13
+            rho += 1e-13 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        elif kind == "residual":  # one pair whose residual is exactly a few ulps from the bound
+            rho = np.diag(rho.diagonal().real).astype(complex)
+            i, j = rng.choice(4, size=2, replace=False)
+            rho[i, j] = STATE_ATOL * (1.0 + int(rng.integers(-64, 65)) * 2.0**-52)
+            rho[i, j] *= rng.choice([1.0, -1.0, 1j, -1j])
+            if rng.uniform() < 0.5:  # or spread over both entries, with any phase
+                rho[i, j] = rho[j, i] = STATE_ATOL * np.exp(2j * np.pi * rng.uniform())
+                rho[j, i] *= -1.0
+        elif kind == "trace":  # a few ulps from 1 +- STATE_ATOL, where another sum order strays
+            k = rng.integers(4)
+            rho[k, k] += rng.choice([-1, 1]) * (STATE_ATOL + int(rng.integers(-8, 9)) * 2.0**-52)
+        elif kind == "non-finite":  # one entry, or one mirrored pair, NaN, infinite or huge
+            i, j = rng.integers(4, size=2)
+            value = rng.choice([np.nan, np.inf, -np.inf, 1e308, -1.5e308, 1e200, 1e154])
+            rho[i, j] = value if rng.uniform() < 0.5 else complex(0.0, value)
+            if rng.uniform() < 0.5:
+                rho[j, i] = np.conj(rho[i, j])
+        elif kind == "garbage":
+            rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            rho *= 10.0 ** rng.integers(-3, 4)
+            if rng.uniform() < 0.5:
+                rho = 0.5 * rho + 0.5 * rho.conj().T
+                rho /= rho.trace().real
+        yield rho
+
+
+# What each kind reaches, as (float check passed, numpy checks passed); never (True, False).
+# The float check steps aside only within its margins, at the floor and the residual bound.
+_EDGE_OUTCOMES = {
+    "plain": {(True, True)},
+    "floor": {(True, True), (False, True), (False, False)},
+    "not-psd": {(True, True), (False, False)},
+    "near-hermitian": {(True, True), (False, False)},
+    "residual": {(True, True), (False, True), (False, False)},
+    "trace": {(True, True), (False, False)},
+    "non-finite": {(False, False)},
+    "garbage": {(False, False)},
+}
+_EDGE_KINDS = tuple(_EDGE_OUTCOMES)
+
+
+class TestDensityCheckInFloats:
+    """A 4x4 density passes the float check only if numpy's checks pass it too.
+
+    So every verdict and message is the numpy checks' own, at every edge: what the
+    float check does not pass, they decide.
+    """
+
+    @pytest.mark.parametrize("kind", _EDGE_KINDS)
+    def test_same_verdict_and_message_as_the_numpy_checks(self, kind):
+        rng = np.random.default_rng(_EDGE_KINDS.index(kind) + 32)
+        outcomes = set()
+        for rho in _edge_densities(rng, kind, 1000):
+            expected = _numpy_density_verdict(rho)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                passed = qcore._passes_in_floats(rho.tolist())  # never raises or warns
+                try:
+                    QuantumState.density(rho, (2, 2))
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+            assert got == expected, rho
+            outcomes.add((passed, expected is None))
+        assert outcomes == _EDGE_OUTCOMES[kind]
+
+    def test_floor_edge_is_left_to_eigvalsh(self):
+        # Just above the floor the float check steps aside, and eigvalsh accepts as before.
+        deferred = 0
+        for rho in _edge_densities(np.random.default_rng(7), "floor", 600):
+            if 0.0 <= np.linalg.eigvalsh(rho)[0] - EIGENVALUE_FLOOR < 1e-14:
+                assert not qcore._passes_in_floats(rho.tolist())
+                QuantumState.density(rho, (2, 2))
+                deferred += 1
+        assert deferred > 0
+
+    def test_larger_densities_skip_the_float_check(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_passes_in_floats", None)  # calling it would fail
+        assert random_density_state(np.random.default_rng(1), 2, 3).dims == (2, 3)
+        with pytest.raises(TypeError):
+            QuantumState.density(np.eye(4) / 4.0, (2, 2))
 
 
 class TestObservableValidation:

@@ -322,6 +322,17 @@ class TestPlanarClosedForm:
         sign = 1.0 if objective == "maximize_upper" else -1.0
         assert abs(result.value - 0.5 * (1.0 + sign * exact_qubit_bound(state, True))) <= 1e-15
 
+    @pytest.mark.parametrize("diagonal", [(-1.0, -1.0), (1.0, 1.0), (0.0, 0.0), (-0.0, -0.0)])
+    def test_signed_zeros_factor_as_unsigned_ones(self, diagonal):
+        # atan2 reads the sign of a zero: atan2(-0.0, -1.0) = -pi but atan2(0.0, -1.0) = pi.
+        # Every one of e, f, g and h can come out -0.0 here; each gives the +0.0 factors.
+        a, d = diagonal
+        unsigned = list(map(repr, _xz_factors([[a + 0.0, 0.0], [0.0, d + 0.0]])))
+        for b in (0.0, -0.0):
+            for c in (0.0, -0.0):
+                factors = _xz_factors([[a, b], [c, d]])
+                assert list(map(repr, factors)) == unsigned, (a, b, c, d)
+
     def test_planar_mode_calls_no_svd_and_reads_no_number(self, monkeypatch):
         state = werner_state(0.8)
 
@@ -391,6 +402,19 @@ class TestWernerSweep:
             crossings += 1
             assert werner_sweep(scenario) == 0.0 - excess_lo / (excess_hi - excess_lo)
         assert crossings >= 100
+
+    @pytest.mark.parametrize("ends, crossing", [
+        ((0.5, 1.0), "1.0"),  # excess_hi = 0.0: the bound is reached at v = 1, not missed
+        ((1.0, 1.5), "0.0"),  # excess_lo = 0.0: on the bound at v = 0, not already past it
+        ((1.0, 1.0), "1.0"),  # on the bound at both ends
+    ])
+    def test_an_end_exactly_on_the_bound_is_a_crossing(self, monkeypatch, ends, crossing):
+        # No scenario tried puts a Werner end exactly on the bound (4,096 built from Pauli and
+        # trivial qubit observables), so the expression values are set: a guard written with
+        # <= or >= would raise NoCrossing here.
+        values = iter(ends)
+        monkeypatch.setattr(search, "generalized_expression", lambda q: next(values))
+        assert repr(werner_sweep(reference_scenario())) == crossing
 
     def test_kept_ends_are_read_only(self):
         assert _WERNER_ENDS.shape == (2, 2, 2, 2, 2)
