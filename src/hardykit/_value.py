@@ -69,8 +69,8 @@ def _boolean(value) -> bool:
 
 
 def _not_a_number(value) -> bool:
-    """Whether ``value`` is a boolean or text, which no numeric rule reads."""
-    return isinstance(value, (str, bytes)) or _boolean(value)
+    """Whether ``value`` is a boolean or text (bytes-like included), which no numeric rule reads."""
+    return isinstance(value, (str, bytes, bytearray, memoryview)) or _boolean(value)
 
 
 def _number(value, field: str) -> float:
@@ -80,7 +80,7 @@ def _number(value, field: str) -> float:
     """
     if type(value) is float:
         return value
-    if not _not_a_number(value):
+    if type(value) is int or not _not_a_number(value):
         try:
             return float(value)
         except OverflowError as exc:

@@ -98,22 +98,25 @@ class FiniteMeasure(Value):
         total = float(weights.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_ATOL:
             raise MalformedMeasure(f"weights sum to {total}, not 1 within {_WEIGHT_SUM_ATOL}")
-        masks = {}
-        for name in ("a", "b", "c", "d"):
-            mask = getattr(self, name)
-            if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-                mask = np.array(mask, dtype=object)  # read element by element, not cast to bool
-                if not all(map(_boolean, mask.flat)):
-                    raise MalformedMeasure(f"subset {name} must hold only booleans")
-            if mask.shape != weights.shape:
-                raise MalformedMeasure(f"subset {name} has shape {mask.shape}, expected {weights.shape}")
-            masks[name] = _read_only(mask.astype(bool))
+        masks = {name: _read_only(_mask(getattr(self, name), weights.shape, f"subset {name}"))
+                 for name in ("a", "b", "c", "d")}
         self.__dict__.update(weights=_read_only(weights), **masks)
 
     def mu(self, mask: np.ndarray) -> float:
-        """Measure of the subset given by a boolean mask."""
-        import numpy as np
-        return float(self.weights[np.asarray(mask, dtype=bool)].sum())
+        """Measure of the subset given by a boolean mask, which the subsets' rule reads."""
+        return float(self.weights[_mask(mask, self.weights.shape, "mask")].sum())
+
+
+def _mask(mask, shape: tuple, name: str) -> np.ndarray:
+    """``mask`` as a new boolean array, if it holds only booleans and has ``shape``."""
+    import numpy as np
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        mask = np.array(mask, dtype=object)  # read element by element, not cast to bool
+        if not all(map(_boolean, mask.flat)):
+            raise MalformedMeasure(f"{name} must hold only booleans")
+    if mask.shape != shape:
+        raise MalformedMeasure(f"{name} has shape {mask.shape}, expected {shape}")
+    return mask.astype(bool)
 
 
 def set_expression(m: FiniteMeasure) -> float:

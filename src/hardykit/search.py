@@ -8,6 +8,7 @@ Lett. A 200, 340 (1995)).
 
 from __future__ import annotations
 
+from itertools import product
 from math import asin, atan, atan2, cos, hypot, isfinite, pi, sin, sqrt, tau
 
 import numpy as np
@@ -34,11 +35,10 @@ from .qcore import (
 from .witness import (
     HARDY_VIOLATION,
     Scenario,
-    _q_from_table,
+    _q_list,
     _spin_scenario,
     _xz_scenario,
     classify,
-    generalized_expression,
     q_vector,
 )
 
@@ -48,7 +48,6 @@ OBJECTIVES = ("maximize_upper", "minimize_lower")
 _THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
 # That largest q4; no Schmidt angle's construction clears a tol at or above it.
 _Q4_MAX = (5.0 * sqrt(5.0) - 11.0) / 2.0
-_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 # The Werner densities at v = 0 and v = 1, as one read-only (2, 2, 2, 2, 2) stack.
 _WERNER_ENDS = _read_only(_werner_density(np.array((0.0, 1.0))[:, None, None]).reshape((2,) * 5))
 
@@ -188,11 +187,10 @@ def optimize_violation(
     if state.dims != (2, 2):
         raise DimensionMismatch(f"optimizer handles qubit pairs only, got dims {state.dims}")
     sign = 1.0 if objective == "maximize_upper" else -1.0
-    paulis = _PAULIS[::2] if planar else _PAULIS
-    # T[a][b] = Tr[rho (sigma_a x sigma_b)]
-    correlations = _joint_table(_density_tensor(state), paulis, paulis)
+    rho = state.data if state.kind == "density" else _density_tensor(state).reshape(4, 4)
+    correlations = _correlations(rho.tolist(), planar)
     if planar:
-        p, q, t1, t2 = _xz_factors(correlations.tolist())
+        p, q, t1, t2 = _xz_factors(correlations)
         phi, half = atan2(t2, t1), 0.0 if sign > 0.0 else pi
         # u1, u2, v1 and v2 lie at pi/2 - p, -p, pi/2 + q and q from the z axis, and
         # x2 and y2 are v1 and -v1 turned by phi toward v2.
@@ -200,7 +198,7 @@ def optimize_violation(
             pi / 2 - p + half, pi - half - p, pi / 2 + q - phi, q - pi / 2 + phi))
         scenario = _xz_scenario(angles)
     else:
-        u, t, vt = (m.tolist() for m in np.linalg.svd(correlations))
+        u, t, vt = (m.tolist() for m in np.linalg.svd(np.array(correlations)))
         phi = atan2(t[1], t[0])
         c, s = cos(phi), sin(phi)
         v12 = list(zip(vt[0], vt[1]))
@@ -209,8 +207,35 @@ def optimize_violation(
         angles = tuple(a for pair in bloch for a in pair)
         # The settings are rebuilt from the reported angles, so that they match them exactly.
         scenario = _spin_scenario(*_bloch_units(bloch))
-    value = generalized_expression(q_vector(state, scenario))
-    return SearchResult(objective, value, angles, scenario, planar)
+    # generalized_expression(q_vector(state, scenario)), with no QVector and nothing kept
+    q1, q2, q3, q4 = _q_list(_joint_table(rho.reshape(2, 2, 2, 2), *scenario._sides).tolist())
+    return SearchResult(objective, q1 + q2 + q3 - q4, angles, scenario, planar)
+
+
+def _correlation_source(axes: tuple[int, ...]) -> str:
+    """T[a][b] = Re Tr[rho (sigma_a x sigma_b)], a, b in ``axes``, as source over rho's rows ``r``.
+
+    The joint kernel adds rho4[i, j, k, l] sigma_a[k, i] sigma_b[l, j] to 0.0 in (i, j, k, l)
+    order; each Pauli product is 0, +-1 or +-i, so each term is exact and the order sets the bits.
+    """
+    paulis, table = [m.tolist() for m in (PAULI_X, PAULI_Y, PAULI_Z)], []
+    for a in axes:
+        table.append([])
+        for b in axes:
+            terms = "0.0"
+            for i, j, k, l in product((0, 1), repeat=4):
+                c = paulis[a][k][i] * paulis[b][l][j]
+                if c:  # Re(c z) is +-Re z for c = +-1 and -+Im z for c = +-i
+                    part, sign = ("real", c.real) if c.real else ("imag", -c.imag)
+                    terms += f" {'-' if sign < 0.0 else '+'} r[{2 * i + j}][{2 * k + l}].{part}"
+            table[-1].append(terms)
+    return str(table).replace("'", "")  # the nested list's text, each sum unquoted
+
+
+# _correlations(rows, planar): T, or its xz block when planar, with the joint kernel's bits; the
+# sums are generated from the Pauli matrices and compiled once, so a call reads no term list.
+_correlations = eval(f"lambda r, planar: {_correlation_source((0, 2))} if planar "
+                     f"else {_correlation_source((0, 1, 2))}")
 
 
 def _xz_factors(block: list[list[float]]) -> tuple[float, float, float, float]:
@@ -248,8 +273,8 @@ def werner_sweep(scenario: Scenario) -> float:
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
     excess_lo, excess_hi = (
-        generalized_expression(_q_from_table(table)) - 1.0
-        for table in _joint_table(_WERNER_ENDS, *scenario._sides).tolist()
+        q1 + q2 + q3 - q4 - 1.0  # generalized_expression's sum, less the bound
+        for q1, q2, q3, q4 in map(_q_list, _joint_table(_WERNER_ENDS, *scenario._sides).tolist())
     )
     if excess_hi < 0.0:
         raise NoCrossing("expression never exceeds the upper bound on [0.0, 1.0]")

@@ -167,13 +167,13 @@ def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool =
     return kept
 
 
-def _q_from_table(table: list[list[float]]) -> QVector:
-    """q1..q4, and q5, q6 when the table has the x = 0 outcomes.
+def _q_list(table: list[list[float]]) -> list[float]:
+    """[q1..q4], and q5, q6 when the table has the x = 0 outcomes, as ``QVector`` would hold them.
 
     The entries are range-checked together, by their minimum, their maximum
     and their sum (NaN anywhere makes it NaN), and clamped as ``QVector``
-    would, so the vector is built without its validation running again. Only
-    a failed check reads them one by one, to raise ``QVector``'s error.
+    would, so a vector is built from them without its validation running
+    again. Only a failed check reads them one by one, to raise ``QVector``'s error.
     """
     q = [table[0][0], table[1][2], table[2][1], table[1][1]]
     if len(table) == 4:
@@ -181,7 +181,12 @@ def _q_from_table(table: list[list[float]]) -> QVector:
     if not (-QVECTOR_ATOL <= min(q) and max(q) <= 1.0 + QVECTOR_ATOL and isfinite(sum(q))):
         for index, value in enumerate(q, 1):
             _component(f"q{index}", value)
-    q = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in q]
+    return [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in q]
+
+
+def _q_from_table(table: list[list[float]]) -> QVector:
+    """``_q_list(table)`` as a ``QVector``."""
+    q = _q_list(table)
     q5, q6 = q[4:] or (None, None)
     return _trusted(QVector, q1=q[0], q2=q[1], q3=q[2], q4=q[3], q5=q5, q6=q6)
 

@@ -279,6 +279,42 @@ class TestJsonDecodeEndToEnd:
         assert (code, err) == (3, "ValueError: state data has non-finite entries\n")
 
 
+_REFERENCE_ANGLES = (0.0, pi / 2, 3 * pi / 4, pi / 4)
+
+
+def _optimize_singlet(capsys, singlet_file, *flags: str) -> str:
+    code, out, err = run_cli(capsys, "optimize", "--state", singlet_file, "--objective", "upper",
+                             *flags)
+    assert (code, err) == (0, "")
+    return out
+
+
+class TestSingletOptimizerEndToEnd:
+    """``optimize`` on the singlet file: the closed form's reference configuration, printed."""
+
+    def test_plain_output_is_the_reference_configuration(self, capsys, singlet_file):
+        out = _optimize_singlet(capsys, singlet_file)
+        plain = dict(line.split(" = ", 1) for line in out.splitlines())
+        assert plain["value"] == format((1.0 + sqrt(2.0)) / 2.0, ".9g"), plain
+        assert plain["angles"] == "(" + ", ".join(format(a, ".9g") for a in _REFERENCE_ANGLES) + ")"
+
+    def test_json_agrees_with_plain(self, capsys, singlet_file):
+        plain = dict(line.split(" = ", 1) for line in
+                     _optimize_singlet(capsys, singlet_file).splitlines())
+        result = json.loads(_optimize_singlet(capsys, singlet_file, "--json"))
+        assert format(result["value"], ".9g") == plain["value"], result
+        assert result["angles"] == list(_REFERENCE_ANGLES), result
+
+    def test_rebuilt_settings_give_the_printed_value(self, capsys, tmp_path, singlet_file):
+        result = json.loads(_optimize_singlet(capsys, singlet_file, "--json"))
+        rebuilt = scenario_to_dict(planar_scenario(*result["angles"], plane="xz"))
+        path = tmp_path / "rebuilt.json"
+        path.write_text(json.dumps(rebuilt), encoding="utf-8")
+        code, out, err = _eval(capsys, singlet_file, str(path), "--json")
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["generalized"] - result["value"]) <= 1e-12
+
+
 class TestLhvCheck:
     def test_hardy_point(self, capsys):
         code, out, _ = run_cli(capsys, "lhv-check", "--q", "0,0,0,0.05")

@@ -252,6 +252,14 @@ LIBRARY = {
                InvalidQVector, r"^q3 must be a number, got np\.False_$"),
               ("qvector-bytes", QVector, (b"0.5", 0, 0, 0), InvalidQVector,
                r"^q1 must be a number, got b'0\.5'$"),
+              ("qvector-bytearray", QVector, (bytearray(b"0.5"), 0, 0, 0), InvalidQVector,
+               r"^q1 must be a number, got bytearray\(b'0\.5'\)$"),
+              ("lhv-feasible-memoryview", lhv_feasible, ([0, 0, memoryview(b"0.5"), 0.3],),
+               InvalidQVector, r"^q3 must be a number, got <memory at 0x[0-9a-fA-F]+>$"),
+              ("schmidt-angle-bytearray", SchmidtState, (bytearray(b"0.5"),), ValueError,
+               r"^angle must be a number, got bytearray\(b'0\.5'\)$"),
+              ("schmidt-angle-memoryview", SchmidtState, (memoryview(b"0.5"),), ValueError,
+               r"^angle must be a number, got <memory at 0x[0-9a-fA-F]+>$"),
               ("schmidt-angle-numpy-false", SchmidtState, (np.False_,), ValueError,
                r"^angle must be a number, got np\.False_$"),
               ("werner-visibility-numpy-true", werner_state, (np.True_,), ValueError,
@@ -269,6 +277,17 @@ LIBRARY = {
               ("none", "d", ([True, False], [False, True], [True, True], [None, True])),
               ("ragged", "c",
                ([True, False], [False, True], [[True], [True, False]], [True, True])),
+          )),
+        # mu reads a mask by the subsets' rule: booleans only, in the shape of the weights.
+        *((f"measure-mu-{mask_id}", _measure([0.5, 0.5], *[[True, False]] * 4).mu, (mask,),
+           MalformedMeasure, message)
+          for mask_id, mask, message in (
+              ("strings", ["False", "False"], "^mask must hold only booleans$"),
+              ("numbers", [0.2, 0], "^mask must hold only booleans$"),
+              ("int-array", np.array([1, 0]), "^mask must hold only booleans$"),
+              ("too-long", [True, False, True], r"^mask has shape \(3,\), expected \(2,\)$"),
+              ("boolean-array-too-short", np.array([True]),
+               r"^mask has shape \(1,\), expected \(2,\)$"),
           )),
         # A dimension past Python's 4,300-digit limit on int-to-str is named without its digits.
         ("state-dims-past-digit-limit", QuantumState, ((10**5000, 2), "pure", [1, 0, 0, 0]),

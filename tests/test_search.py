@@ -34,7 +34,7 @@ from hardykit import (
 )
 from hardykit import qcore, search, witness
 from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
-from hardykit.search import _WERNER_ENDS, _xz_factors
+from hardykit.search import _WERNER_ENDS, OBJECTIVES, _xz_factors
 from hardykit.witness import _NAMES, HARDY_VIOLATION
 from test_errors import ErrorRows
 
@@ -348,6 +348,99 @@ class TestPlanarClosedForm:
             optimize_violation(state, "maximize_upper", planar=False)
 
 
+def _seeded_density(rng: np.random.Generator, rank: int, real: bool = False) -> QuantumState:
+    factor = rng.normal(size=(4, rank)) + (0.0 if real else 1j) * rng.normal(size=(4, rank))
+    rho = factor @ factor.conj().T
+    return QuantumState.density(rho / np.trace(rho).real, (2, 2))
+
+
+def _kernel_order_states() -> list[QuantumState]:
+    """Seeded densities of rank 1 to 4, complex and real, pure states and degenerate densities."""
+    rng = np.random.default_rng(33)
+    mixed_signed_zeros = np.where(np.eye(4) == 1.0, 0.25, complex(-0.0, -0.0))
+    return [
+        *(_seeded_density(rng, n % 4 + 1, real=n % 3 == 0) for n in range(600)),
+        *(random_state(rng, 2, 2) for _ in range(200)),
+        maximally_mixed(2, 2), QuantumState.density(mixed_signed_zeros, (2, 2)),
+        werner_state(0.0), werner_state(0.8), werner_state(1.0), singlet(),
+        QuantumState.density(singlet().density_matrix(), (2, 2)), _PRODUCT,
+    ]
+
+
+_KERNEL_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+
+
+class TestCorrelationsInKernelOrder:
+    """``search._correlations`` sums T from rho's rows in the joint kernel's own order.
+
+    Each term of an entry is exact, so only the order of the sum sets its bits. The test
+    holds the sums to ``_joint_table`` on the Pauli stacks, signed zeros included; a numpy
+    whose einsum adds in another order fails here.
+    """
+
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "full"])
+    def test_sums_are_the_kernel_table_bit_for_bit(self, planar):
+        paulis = _KERNEL_PAULIS[::2] if planar else _KERNEL_PAULIS
+        for index, state in enumerate(_kernel_order_states()):
+            rho4 = qcore._density_tensor(state)
+            kernel = qcore._joint_table(rho4, paulis, paulis)
+            sums = search._correlations(rho4.reshape(4, 4).tolist(), planar)
+            assert repr(sums) == repr(kernel.tolist()), index
+            if not planar:
+                ours, theirs = np.linalg.svd(np.array(sums)), np.linalg.svd(kernel)
+                assert [m.tobytes() for m in ours] == [m.tobytes() for m in theirs], index
+
+    def test_one_kernel_call_per_optimization(self, monkeypatch):
+        calls = []
+        kernel = witness._joint_table
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(witness, "_joint_table", counted)
+        monkeypatch.setattr(search, "_joint_table", counted)
+        for state in (werner_state(0.8), singlet()):
+            for planar in (True, False):
+                calls.clear()
+                optimize_violation(state, "maximize_upper", planar=planar)
+                assert len(calls) == 1, (state, planar)
+
+
+def _full_bloch_states() -> list[QuantumState]:
+    """The singlet, a Werner state and 20 seeded complex densities of full rank."""
+    rng = np.random.default_rng(28)
+    states = [singlet(), werner_state(0.8)]
+    for _ in range(20):
+        factor = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = factor @ factor.conj().T
+        states.append(QuantumState.density(rho / np.trace(rho).real, (2, 2)))
+    return states
+
+
+class TestFullBlochEndToEnd:
+    """Full-Bloch optima against the np.kron correlation matrix, and their reported angles."""
+
+    @pytest.mark.parametrize("objective, sign", [("maximize_upper", 1.0), ("minimize_lower", -1.0)])
+    def test_values_lie_on_the_exact_bound(self, objective, sign):
+        for index, state in enumerate(_full_bloch_states()):
+            t = np.linalg.svd(kron_correlations(state, planar=False), compute_uv=False)
+            bound = (1.0 + sign * sqrt(t[0] ** 2 + t[1] ** 2)) / 2.0
+            value = optimize_violation(state, objective, planar=False).value
+            assert abs(value - bound) <= 1e-12, (index, value, bound)
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_reported_angles_rebuild_the_projectors_byte_for_byte(self, objective):
+        for index, state in enumerate(_full_bloch_states()):
+            result = optimize_violation(state, objective, planar=False)
+            pairs = zip(result.angles[::2], result.angles[1::2])
+            for name, pair in zip(_NAMES, pairs):
+                rebuilt = spin_observable(BlochDirection(*pair))
+                for label in (1.0, -1.0):
+                    got = getattr(result.scenario, name).projector(label)
+                    assert got.tobytes() == rebuilt.projector(label).tobytes(), (index, name)
+
+
 class TestMaxHardyProbability:
     def test_matches_frozen_oracle_value(self):
         theta, q4 = max_hardy_probability()
@@ -410,10 +503,14 @@ class TestWernerSweep:
     ])
     def test_an_end_exactly_on_the_bound_is_a_crossing(self, monkeypatch, ends, crossing):
         # No scenario tried puts a Werner end exactly on the bound (4,096 built from Pauli and
-        # trivial qubit observables), so the expression values are set: a guard written with
-        # <= or >= would raise NoCrossing here.
-        values = iter(ends)
-        monkeypatch.setattr(search, "generalized_expression", lambda q: next(values))
+        # trivial qubit observables), so the kernel's two end tables are set: a guard written
+        # with <= or >= would raise NoCrossing here.
+        def table(value):  # q1 = min(value, 1) and q2 = the rest, so the expression is value
+            q1 = min(value, 1.0)
+            return [[q1, 0.0, 0.0], [0.0, 0.0, value - q1], [0.0, 0.0, 0.0]]
+
+        tables = np.array([table(value) for value in ends])
+        monkeypatch.setattr(search, "_joint_table", lambda *args: tables)
         assert repr(werner_sweep(reference_scenario())) == crossing
 
     def test_kept_ends_are_read_only(self):
