@@ -8,7 +8,6 @@ Lett. A 200, 340 (1995)).
 
 from __future__ import annotations
 
-from itertools import product
 from math import asin, atan, atan2, cos, hypot, isfinite, pi, sin, sqrt, tau
 
 import numpy as np
@@ -22,9 +21,6 @@ from .errors import (
     NotEntangled,
 )
 from .qcore import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     QuantumState,
     _bloch_angles,
     _bloch_units,
@@ -35,6 +31,7 @@ from .qcore import (
 from .witness import (
     HARDY_VIOLATION,
     Scenario,
+    _expression,
     _q_list,
     _spin_scenario,
     _xz_scenario,
@@ -208,34 +205,27 @@ def optimize_violation(
         # The settings are rebuilt from the reported angles, so that they match them exactly.
         scenario = _spin_scenario(*_bloch_units(bloch))
     # generalized_expression(q_vector(state, scenario)), with no QVector and nothing kept
-    q1, q2, q3, q4 = _q_list(_joint_table(rho.reshape(2, 2, 2, 2), *scenario._sides).tolist())
-    return SearchResult(objective, q1 + q2 + q3 - q4, angles, scenario, planar)
+    table = _joint_table(rho.reshape(2, 2, 2, 2), *scenario._sides).tolist()
+    return SearchResult(objective, _expression(_q_list(table)), angles, scenario, planar)
 
 
-def _correlation_source(axes: tuple[int, ...]) -> str:
-    """T[a][b] = Re Tr[rho (sigma_a x sigma_b)], a, b in ``axes``, as source over rho's rows ``r``.
+def _correlations(r: list[list[complex]], planar: bool) -> list[list[float]]:
+    """T[a][b] = Re Tr[rho (sigma_a x sigma_b)] from rho's rows ``r``; its xz block when planar.
 
-    The joint kernel adds rho4[i, j, k, l] sigma_a[k, i] sigma_b[l, j] to 0.0 in (i, j, k, l)
-    order; each Pauli product is 0, +-1 or +-i, so each term is exact and the order sets the bits.
+    Each term is exact (a Pauli product is 0, +-1 or +-i), so a sum's order alone sets its bits;
+    each adds to 0.0 in the joint kernel's (i, j, k, l) order, which tests/test_search.py checks.
     """
-    paulis, table = [m.tolist() for m in (PAULI_X, PAULI_Y, PAULI_Z)], []
-    for a in axes:
-        table.append([])
-        for b in axes:
-            terms = "0.0"
-            for i, j, k, l in product((0, 1), repeat=4):
-                c = paulis[a][k][i] * paulis[b][l][j]
-                if c:  # Re(c z) is +-Re z for c = +-1 and -+Im z for c = +-i
-                    part, sign = ("real", c.real) if c.real else ("imag", -c.imag)
-                    terms += f" {'-' if sign < 0.0 else '+'} r[{2 * i + j}][{2 * k + l}].{part}"
-            table[-1].append(terms)
-    return str(table).replace("'", "")  # the nested list's text, each sum unquoted
-
-
-# _correlations(rows, planar): T, or its xz block when planar, with the joint kernel's bits; the
-# sums are generated from the Pauli matrices and compiled once, so a call reads no term list.
-_correlations = eval(f"lambda r, planar: {_correlation_source((0, 2))} if planar "
-                     f"else {_correlation_source((0, 1, 2))}")
+    xx = 0.0 + r[0][3].real + r[1][2].real + r[2][1].real + r[3][0].real
+    xz = 0.0 + r[0][2].real - r[1][3].real + r[2][0].real - r[3][1].real
+    zx = 0.0 + r[0][1].real + r[1][0].real - r[2][3].real - r[3][2].real
+    zz = 0.0 + r[0][0].real - r[1][1].real - r[2][2].real + r[3][3].real
+    if planar:
+        return [[xx, xz], [zx, zz]]
+    return [[xx, 0.0 - r[0][3].imag + r[1][2].imag - r[2][1].imag + r[3][0].imag, xz],
+            [0.0 - r[0][3].imag - r[1][2].imag + r[2][1].imag + r[3][0].imag,
+             0.0 - r[0][3].real + r[1][2].real + r[2][1].real - r[3][0].real,
+             0.0 - r[0][2].imag + r[1][3].imag + r[2][0].imag - r[3][1].imag],
+            [zx, 0.0 - r[0][1].imag + r[1][0].imag + r[2][3].imag - r[3][2].imag, zz]]
 
 
 def _xz_factors(block: list[list[float]]) -> tuple[float, float, float, float]:
@@ -273,8 +263,8 @@ def werner_sweep(scenario: Scenario) -> float:
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
     excess_lo, excess_hi = (
-        q1 + q2 + q3 - q4 - 1.0  # generalized_expression's sum, less the bound
-        for q1, q2, q3, q4 in map(_q_list, _joint_table(_WERNER_ENDS, *scenario._sides).tolist())
+        _expression(_q_list(table)) - 1.0
+        for table in _joint_table(_WERNER_ENDS, *scenario._sides).tolist()
     )
     if excess_hi < 0.0:
         raise NoCrossing("expression never exceeds the upper bound on [0.0, 1.0]")

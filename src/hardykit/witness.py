@@ -209,12 +209,17 @@ def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
     return _joint_probabilities(state, scenario, True)[3]
 
 
+def _expression(q: Sequence[float]) -> float:
+    """q1 + q2 + q3 - q4, plus q5 + q6 when ``q`` holds them, over [q1..q4] or [q1..q6]."""
+    value = q[0] + q[1] + q[2] - q[3]
+    if len(q) == 6:
+        value += q[4] + q[5]
+    return value
+
+
 def generalized_expression(q: QVector) -> float:
     """q1 + q2 + q3 - q4, plus q5 + q6 in the trichotomic case."""
-    value = q.q1 + q.q2 + q.q3 - q.q4
-    if q.trichotomic:
-        value += q.q5 + q.q6
-    return value
+    return _expression(q.components())
 
 
 def ch_expression(state: QuantumState, scenario: Scenario) -> float:

@@ -355,12 +355,17 @@ def _seeded_density(rng: np.random.Generator, rank: int, real: bool = False) -> 
 
 
 def _kernel_order_states() -> list[QuantumState]:
-    """Seeded densities of rank 1 to 4, complex and real, pure states and degenerate densities."""
+    """Seeded, pure and degenerate states for the kernel-order test.
+
+    The seeded densities have rank 1 to 4; some are real, some Hermitian only within tolerance.
+    """
     rng = np.random.default_rng(33)
     mixed_signed_zeros = np.where(np.eye(4) == 1.0, 0.25, complex(-0.0, -0.0))
     return [
         *(_seeded_density(rng, n % 4 + 1, real=n % 3 == 0) for n in range(600)),
         *(random_state(rng, 2, 2) for _ in range(200)),
+        *(QuantumState.density(_seeded_density(rng, 4).data + 1e-13 * rng.normal(size=(4, 4)),
+                               (2, 2)) for _ in range(50)),
         maximally_mixed(2, 2), QuantumState.density(mixed_signed_zeros, (2, 2)),
         werner_state(0.0), werner_state(0.8), werner_state(1.0), singlet(),
         QuantumState.density(singlet().density_matrix(), (2, 2)), _PRODUCT,
