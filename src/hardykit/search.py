@@ -32,6 +32,7 @@ from .witness import (
     HARDY_VIOLATION,
     Scenario,
     _expression,
+    _keep,
     _q_list,
     _spin_scenario,
     _xz_scenario,
@@ -152,13 +153,28 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
             raise NotEntangled(f"too little entanglement: {detail}")
         raise MaximallyEntangled(f"too close to maximal entanglement: {detail}")
     scenario = _xz_scenario(_hardy_angles(alpha, beta))
-    q = q_vector(schmidt.state(), scenario)
+    q = _keep(scenario, schmidt.state(), *_schmidt_table(alpha, beta, scenario._sides))
     if classify(q, tol=tol) != HARDY_VIOLATION:
         raise NoSolution(
             f"constructed q = {q.q1, q.q2, q.q3, q.q4} is not a {HARDY_VIOLATION} at tol {tol}: "
             f"classify needs q1, q2, q3 < tol < q4 and q1 + q2 + q3 - q4 < -tol"
         )
     return scenario
+
+
+def _schmidt_table(alpha: float, beta: float, sides: tuple) -> tuple:
+    """CH's two marginals and the joint table of alpha|00> + beta|11> on real (xz-plane) sides.
+
+    rho's nonzero entries are the real r00, r03 = r30 and r33 (at 0000, 0011, 1100, 1111), so
+    each einsum term is real, (rho * s1) * s2: a table entry is 0.0 plus those four in the
+    kernel's (i, j, k, l) order, and a marginal, a convex mix of a projector's diagonal, is
+    a two-term sum that needs no clamp. tests/test_search.py holds both to the kernel's bits.
+    """
+    r00, r03, r33 = alpha * alpha, alpha * beta, beta * beta
+    s1, s2 = (side.real.tolist() for side in sides)
+    table = [[0.0 + r00 * a[0][0] * b[0][0] + r03 * a[1][0] * b[1][0] + r03 * a[0][1] * b[0][1]
+              + r33 * a[1][1] * b[1][1] for b in s2] for a in s1]
+    return tuple(r00 * y[0][0] + r33 * y[1][1] for y in (s1[1], s2[1])), table
 
 
 def optimize_violation(

@@ -145,8 +145,9 @@ def _side(x_labels: tuple, y_labels: tuple, projectors: Sequence, y_start: int) 
 
 
 def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False) -> tuple:
-    """(state, rho4, table), then the q-vector when ``read_q``, from one contraction.
+    """(state, marginals, table), then the q-vector when ``read_q``, from one contraction.
 
+    ``marginals`` are the clamped y1 = +1 and y2 = +1 probabilities that CH reads.
     ``table[a][b]`` pairs outcome ``a`` of side 1 with outcome ``b`` of side 2,
     both in ``_side`` order, and is not yet clamped. The tuple is kept on the
     scenario as ``_kept``, not a field, written whole once every check has
@@ -159,12 +160,20 @@ def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool =
             raise DimensionMismatch(
                 f"scenario dims {scenario.dims} do not match state dims {state.dims}"
             )
-        rho4 = _density_tensor(state)
-        kept = (state, rho4, _joint_table(rho4, *scenario._sides).tolist())
+        rho4, (side1, side2) = _density_tensor(state), scenario._sides
+        kept = (state, (_marginal(rho4, 1, side1[1]), _marginal(rho4, 2, side2[1])),
+                _joint_table(rho4, side1, side2).tolist())
     if read_q and len(kept) == 3:
         kept += (_q_from_table(kept[2]),)
     scenario.__dict__["_kept"] = kept
     return kept
+
+
+def _keep(scenario: Scenario, state: QuantumState, marginals: tuple, table: list) -> QVector:
+    """Keep ``state``'s marginals and table, summed by the caller, as ``q_vector`` would; its q."""
+    q = _q_from_table(table)
+    scenario.__dict__["_kept"] = (state, marginals, table, q)
+    return q
 
 
 def _q_list(table: list[list[float]]) -> list[float]:
@@ -191,16 +200,15 @@ def _q_from_table(table: list[list[float]]) -> QVector:
     return _trusted(QVector, q1=q[0], q2=q[1], q3=q[2], q4=q[3], q5=q5, q6=q6)
 
 
-def _ch_from_table(rho4: np.ndarray, table: list[list[float]], scenario: Scenario) -> float:
+def _ch_from_table(marginals: tuple[float, float], table: list[list[float]]) -> float:
     p = _clamp_probability
-    side1, side2 = scenario._sides
     return (
         p(table[0][0])
         - p(table[1][0])
         - p(table[0][1])
         - p(table[1][1])
-        + _marginal(rho4, 1, side1[1])  # y1 = +1
-        + _marginal(rho4, 2, side2[1])  # y2 = +1
+        + marginals[0]  # y1 = +1
+        + marginals[1]  # y2 = +1
     )
 
 
@@ -229,8 +237,7 @@ def ch_expression(state: QuantumState, scenario: Scenario) -> float:
     of the state, not from the q-vector by no-signalling, so agreement with
     ``generalized_expression`` stays an independent check.
     """
-    _, rho4, table = _joint_probabilities(state, scenario)[:3]
-    return _ch_from_table(rho4, table, scenario)
+    return _ch_from_table(*_joint_probabilities(state, scenario)[1:3])
 
 
 def classify(q: QVector, *, tol: float = DEFAULT_TOLERANCE) -> str:
@@ -263,9 +270,9 @@ def witness_report(
     state: QuantumState, scenario: Scenario, tol: float = DEFAULT_TOLERANCE
 ) -> WitnessReport:
     """Evaluate everything the witness has to say about a state and scenario, from one table."""
-    _, rho4, table, q = _joint_probabilities(state, scenario, True)
+    _, marginals, table, q = _joint_probabilities(state, scenario, True)
     gen = generalized_expression(q)
-    return WitnessReport(q, gen, _ch_from_table(rho4, table, scenario), classify(q, tol=tol))
+    return WitnessReport(q, gen, _ch_from_table(marginals, table), classify(q, tol=tol))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

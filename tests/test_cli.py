@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import csv
+import hashlib
 import io
 import json
 import os
@@ -313,6 +315,98 @@ class TestSingletOptimizerEndToEnd:
         code, out, err = _eval(capsys, singlet_file, str(path), "--json")
         assert (code, err) == (0, "")
         assert abs(json.loads(out)["generalized"] - result["value"]) <= 1e-12
+
+
+_THETA_STAR = 0.43469234373109417  # asin(3 - sqrt 5)/2, where the construction's q4 peaks
+
+
+class TestHardyConstructionEndToEnd:
+    """``hardy --json`` prints a construction, and just inside the band edge exits 3."""
+
+    def test_json_output(self, capsys):
+        code, out, err = run_cli(capsys, "hardy", "--theta", "0.3", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert sorted(payload) == ["q", "scenario", "theta"] and payload["theta"] == 0.3, payload
+
+    def test_just_above_the_lower_threshold_is_no_solution(self, capsys):
+        # There the construction is not a Hardy violation at tol 1e-9.
+        code, out, err = run_cli(capsys, "hardy", "--theta", "3.1622776638678034e-05")
+        assert (code, out) == (3, "")
+        assert err.startswith("NoSolution:") and err.count("\n") == 1, err
+
+
+class TestHardyDirectionsEndToEnd:
+    """Plain ``hardy`` prints xz-plane directions; ``eval`` of its ``--json`` scenario, its q."""
+
+    def test_plain_directions_are_xz_unit_vectors(self, capsys):
+        # Plain output is the one path that reads a constructed scenario's observables.
+        code, out, err = run_cli(capsys, "hardy", "--theta", "0.3")
+        assert (code, err) == (0, "")
+        directions = [line.split(" direction = ") for line in out.splitlines()
+                      if " direction = " in line]
+        assert [name for name, _ in directions] == ["x1", "y1", "x2", "y2"], out
+        for name, text in directions:
+            x, y, z = (float(cell) for cell in text.strip("()").split(","))
+            # Unit vectors in the xz plane, to the 9 digits printed.
+            assert y == 0.0 and abs(x * x + z * z - 1.0) < 1e-8, (name, text)
+
+    @pytest.mark.parametrize("theta", ["0.05", "0.3", repr(_THETA_STAR), "0.7"])
+    def test_decoded_scenario_gives_the_same_q(self, capsys, tmp_path, theta):
+        # The construction sums its table in Python; eval contracts the decoded
+        # scenario's with the kernel. The printed q lists are equal exactly.
+        code, out, err = run_cli(capsys, "hardy", "--theta", theta, "--json")
+        assert (code, err) == (0, "")
+        hardy = json.loads(out)
+        state, scenario = tmp_path / "state.json", tmp_path / "scenario.json"
+        state.write_text(json.dumps(state_to_dict(SchmidtState(float(theta)).state())),
+                         encoding="utf-8")
+        scenario.write_text(json.dumps(hardy["scenario"]), encoding="utf-8")
+        code, out, err = _eval(capsys, str(state), str(scenario), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["q"] == hardy["q"], (json.loads(out)["q"], hardy["q"])
+
+
+class TestSchmidtSweepEndToEnd:
+    """``sweep --family schmidt``: every row a Hardy construction, and its bytes pinned."""
+
+    def test_rows_are_hardy_constructions(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "schmidt", "--lo", "0.05",
+                                 "--hi", "0.75", "--steps", "5")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5, rows
+        for row in rows:
+            q1, q2, q3, q4, gen, ch = (float(row[key]) for key in
+                                       ("q1", "q2", "q3", "q4", "generalized", "ch"))
+            # Three zeros, and both expressions equal -q4.
+            assert max(q1, q2, q3) < 1e-9, row
+            assert abs(gen + q4) <= 1e-9, row
+            assert abs(ch - gen) <= 1e-9, row
+
+
+# sha256 of stdout, recorded under numpy 2.4.6 while every construction still contracted
+# its table with the kernel; another numpy may print other digits in --json output.
+_PINNED_STDOUT = {
+    "sweep": (("sweep", "--family", "schmidt", "--lo", "0.05", "--hi", "0.7", "--steps", "2000"),
+              "0eb71cfabeef63a621386e69f2baf2fc74f456476d052c270a0ad9785c4bc2d0"),
+    "hardy-0.05": (("hardy", "--theta", "0.05", "--json"),
+                   "8690f9dc806138444b8c073964e69da583ef6364bc610ec91f53633d374f53ab"),
+    "hardy-0.3": (("hardy", "--theta", "0.3", "--json"),
+                  "8e84aed4b9577ea0e9d164d50b052bc27c357648b3233d8903aa6b7c7d13ba15"),
+    "hardy-theta-star": (("hardy", "--theta", repr(_THETA_STAR), "--json"),
+                         "8a8926d7e0b051dd0f6dc5cf9e1dc3d420961cc9d77ff2e41fe945e779756727"),
+    "hardy-0.7": (("hardy", "--theta", "0.7", "--json"),
+                  "874648282ba2550fc4eb49e7023cace2ff09fd8a6a0094bb254f359ed17af17f"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_STDOUT))
+def test_construction_stdout_is_pinned(capsys, name):
+    argv, digest = _PINNED_STDOUT[name]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestLhvCheck:

@@ -760,6 +760,11 @@ LIBRARY = {
     "TestHardyObservables.test_tol_validated": [
         (str(tol), hardy_observables, (SchmidtState(0.3), tol), ValueError, "tol")
         for tol in (NAN, 0.0, -1.0, INF, (5 * sqrt(5) - 11) / 2, 0.5, 1e300)
+    ] + [
+        # hardy_observables checks tol itself: on a product state, classify would never be
+        # reached, and the zero constraints' q4 <= tol would be named NotEntangled instead.
+        ("product-state-0.0", hardy_observables, (SchmidtState(0.0), 0.0), ValueError,
+         r"^tol must be finite and positive, got 0\.0$"),
     ],
     "TestOptimizeViolation.test_input_validation": [
         (None, optimize_violation, (singlet(), "maximize_everything"), ValueError, "objective"),

@@ -208,12 +208,19 @@ class TestOptimizeViolation:
         assert -1e-9 <= lower.value <= 1.0 + 1e-9
 
     def test_lower_search_beats_hardy_point(self):
-        schmidt = SchmidtState(pi / 8)
-        q = q_vector(schmidt.state(), hardy_observables(schmidt))
-        result = optimize_violation(
-            schmidt.state(), "minimize_lower", SearchConfig(restarts=12)
-        )
-        assert result.value <= -q.q4 + 1e-6
+        # Construction against optimizer on 399 Schmidt angles. The construction reaches
+        # -q4 with q4 = (alpha beta (alpha - beta) / (1 - alpha beta))^2 <= (5 sqrt 5 - 11)/2
+        # (Hardy, PRL 71, 1665 (1993)); the optimum, with T = diag(sin 2 theta, -sin 2 theta, 1),
+        # is (1 - sqrt(1 + sin^2 2 theta))/2 (Horodecki, Horodecki and Horodecki, Phys. Lett.
+        # A 200, 340 (1995)), and is never above -q4.
+        for theta in np.linspace(0.0, pi / 4, 401)[1:-1].tolist():
+            schmidt = SchmidtState(theta)
+            q4 = q_vector(schmidt.state(), hardy_observables(schmidt)).q4
+            value = optimize_violation(schmidt.state(), "minimize_lower").value
+            assert abs(q4 - exact_q4(theta)) <= 1e-12, theta
+            assert q4 <= (5.0 * sqrt(5.0) - 11.0) / 2.0, theta
+            assert abs(value - (1.0 - sqrt(1.0 + sin(2.0 * theta) ** 2)) / 2.0) <= 1e-12, theta
+            assert value <= -q4, theta
 
     def test_deterministic_for_fixed_seed(self):
         # The optimum is exact: restarts and seed are accepted but change nothing.
@@ -410,6 +417,35 @@ class TestCorrelationsInKernelOrder:
                 calls.clear()
                 optimize_violation(state, "maximize_upper", planar=planar)
                 assert len(calls) == 1, (state, planar)
+
+
+def _table_angles() -> list[float]:
+    """2,000 seeded Schmidt angles, the two edges of the default tol's band, and theta*."""
+    seeded = np.random.default_rng(34).uniform(1e-6, pi / 4, 2000).tolist()
+    return [*seeded, 3.1622776638678034e-05, 0.7853758027171096, search._THETA_STAR]
+
+
+class TestHardyTableInKernelOrder:
+    """``search._schmidt_table`` sums a Schmidt state's table and CH marginals as the kernel does.
+
+    The construction keeps them in place of a contraction, so they must be the kernel's
+    bits: ``_joint_table`` and ``_marginal`` on ``_density_tensor(schmidt.state())``, signed
+    zeros included, on the Hardy settings and on seeded xz-plane settings. Recorded under
+    numpy 2.4.6; a numpy whose einsum adds in another order fails here.
+    """
+
+    def test_sums_are_the_kernel_table_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        for theta in _table_angles():
+            schmidt = SchmidtState(theta)
+            rho4 = qcore._density_tensor(schmidt.state())
+            hardy = witness._xz_scenario(search._hardy_angles(*schmidt.amplitudes))
+            seeded = witness._xz_scenario(rng.uniform(-pi, pi, 4).tolist())
+            for side1, side2 in (hardy._sides, seeded._sides):
+                kernel = ((qcore._marginal(rho4, 1, side1[1]), qcore._marginal(rho4, 2, side2[1])),
+                          qcore._joint_table(rho4, side1, side2).tolist())
+                sums = search._schmidt_table(*schmidt.amplitudes, (side1, side2))
+                assert repr(sums) == repr(kernel), theta
 
 
 def _full_bloch_states() -> list[QuantumState]:

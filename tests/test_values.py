@@ -250,7 +250,7 @@ def test_scalar_arguments_of_any_number_type_act_as_floats():
 
 
 def _evaluated(state: QuantumState, scenario: Scenario) -> Scenario:
-    q_vector(state, scenario)  # keeps (state, rho4, table, q) on the scenario as _kept
+    q_vector(state, scenario)  # keeps (state, marginals, table, q) on the scenario as _kept
     return scenario
 
 

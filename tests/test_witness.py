@@ -49,7 +49,7 @@ from hardykit import (
     werner_sweep,
     witness_report,
 )
-from hardykit import qcore, witness
+from hardykit import qcore, search, witness
 from hardykit.cli import main
 from hardykit.lhv import QVECTOR_ATOL
 from hardykit.qcore import _spin_pair, _trusted
@@ -755,7 +755,11 @@ def _fresh(call: str, state: QuantumState, scenario: Scenario) -> str:
 
 
 class TestKeptEvaluation:
-    """A scenario keeps (state, rho4, table[, q]) of its last state and reuses it for that object."""
+    """A scenario keeps (state, marginals, table[, q]) of its last state and reuses it for it.
+
+    A Hardy construction keeps the entry of its Schmidt state, summed in Python, so a report
+    on that state contracts no table.
+    """
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -876,26 +880,35 @@ class TestKeptEvaluation:
         assert errors == []
 
     @staticmethod
-    def _count_tables(monkeypatch) -> list:
-        calls = []
-        kernel = witness._joint_table
+    def _count_tables(monkeypatch) -> tuple[list, list]:
+        """Calls of ``_density_tensor``, ``_joint_table`` and ``_marginal``, and of
+        ``search._schmidt_table``, the construction's table summed in Python."""
+        kernel_calls, tables = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return kernel(*args)
+        def counted(calls, function):
+            def call(*args):
+                calls.append(args)
+                return function(*args)
+            return call
 
-        monkeypatch.setattr(witness, "_joint_table", counted)
-        return calls
+        for name in ("_density_tensor", "_joint_table", "_marginal"):
+            monkeypatch.setattr(witness, name, counted(kernel_calls, getattr(witness, name)))
+            monkeypatch.setattr(search, name, counted(kernel_calls, getattr(qcore, name)),
+                                raising=False)
+        monkeypatch.setattr(search, "_schmidt_table", counted(tables, search._schmidt_table))
+        return kernel_calls, tables
 
     def test_construction_and_report_read_one_table(self, monkeypatch):
-        calls = self._count_tables(monkeypatch)
+        kernel_calls, tables = self._count_tables(monkeypatch)
         schmidt = SchmidtState(0.3)
         scenario = hardy_observables(schmidt)
         report = witness_report(schmidt.state(), scenario)
-        assert len(calls) == 1
+        assert (len(kernel_calls), len(tables)) == (0, 1)
         assert report.qvec is q_vector(schmidt.state(), scenario)
-        assert len(calls) == 1
+        assert (len(kernel_calls), len(tables)) == (0, 1)
+        # The same bits as a fresh scenario's evaluation, which contracts its table.
         assert repr(report) == _fresh("report", schmidt.state(), scenario)
+        assert len(kernel_calls) == 4  # the fresh one's tensor, table and two marginals
 
     @pytest.mark.parametrize("argv, tables", [
         (["hardy", "--theta", "0.3"], 1),
@@ -903,9 +916,9 @@ class TestKeptEvaluation:
         (["sweep", "--family", "schmidt", "--lo", "0.1", "--hi", "0.7", "--steps", "7"], 7),
     ])
     def test_cli_reads_one_table_per_construction(self, monkeypatch, capsys, argv, tables):
-        calls = self._count_tables(monkeypatch)
+        kernel_calls, summed = self._count_tables(monkeypatch)
         assert main(argv) == 0
-        assert len(calls) == tables
+        assert (len(kernel_calls), len(summed)) == (0, tables)
 
 
 _ANGLES = st.floats(-2.0 * pi, 2.0 * pi, allow_nan=False)
