@@ -6,10 +6,9 @@ import sys
 class Value:
     """``==``, ``hash`` and ``repr`` over the fields named in ``_fields``, and no assignment.
 
-    A subclass's ``__init__`` writes its fields into ``__dict__`` and then runs
-    its ``__post_init__``, if it has one, which may store cleaned values with
-    ``object.__setattr__``. Afterwards, setting or deleting an attribute raises
-    ``dataclasses.FrozenInstanceError``.
+    A subclass's ``__init__`` checks its arguments and then writes the cleaned
+    fields into ``__dict__`` in one step. Afterwards, setting or deleting an
+    attribute raises ``dataclasses.FrozenInstanceError``.
     """
 
     _fields = ()
@@ -44,7 +43,7 @@ class Value:
 def _trusted(cls, **fields):
     """A value built without ``__init__`` or validation, for values valid by construction.
 
-    Every field must be given in the form ``__post_init__`` would have stored.
+    Every entry must be given in the form ``__init__`` stores, ``_sides`` or ``_state`` included.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)

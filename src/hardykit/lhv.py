@@ -54,14 +54,12 @@ class QVector(Value):
 
     def __init__(self, q1: float, q2: float, q3: float, q4: float,
                  q5: float | None = None, q6: float | None = None) -> None:
-        self.__dict__.update(q1=q1, q2=q2, q3=q3, q4=q4, q5=q5, q6=q6)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if (self.q5 is None) != (self.q6 is None):
+        if (q5 is None) != (q6 is None):
             raise ValueError("q5 and q6 must be given together")
-        for name in ("q1", "q2", "q3", "q4", "q5", "q6")[: 4 if self.q5 is None else 6]:
-            object.__setattr__(self, name, _component(name, getattr(self, name)))
+        q = dict(q1=q1, q2=q2, q3=q3, q4=q4, q5=q5, q6=q6)
+        for name in self._fields[: 4 if q5 is None else 6]:
+            q[name] = _component(name, q[name])
+        self.__dict__.update(q)
 
     @property
     def trichotomic(self) -> bool:
@@ -83,12 +81,8 @@ class FiniteMeasure(Value):
 
     def __init__(self, weights: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                  d: np.ndarray) -> None:
-        self.__dict__.update(weights=weights, a=a, b=b, c=c, d=d)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         import numpy as np
-        weights = _array(self.weights, float)
+        weights = _array(weights, float)
         if weights is None or weights.ndim != 1 or weights.size < 1:
             raise MalformedMeasure("weights must be a nonempty 1-d array")
         if not np.all(np.isfinite(weights)):
@@ -98,8 +92,8 @@ class FiniteMeasure(Value):
         total = float(weights.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_ATOL:
             raise MalformedMeasure(f"weights sum to {total}, not 1 within {_WEIGHT_SUM_ATOL}")
-        masks = {name: _read_only(_mask(getattr(self, name), weights.shape, f"subset {name}"))
-                 for name in ("a", "b", "c", "d")}
+        masks = {name: _read_only(_mask(mask, weights.shape, f"subset {name}"))
+                 for name, mask in zip("abcd", (a, b, c, d))}
         self.__dict__.update(weights=_read_only(weights), **masks)
 
     def mu(self, mask: np.ndarray) -> float:
@@ -163,13 +157,10 @@ class DeterministicStrategy(Value):
     _fields = ("x1", "x2", "y1_plus", "y2_plus")
 
     def __init__(self, x1: int, x2: int, y1_plus: bool, y2_plus: bool) -> None:
-        self.__dict__.update(x1=x1, x2=x2, y1_plus=y1_plus, y2_plus=y2_plus)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        for name in ("x1", "x2"):
-            if getattr(self, name) not in (-1, 0, 1):
+        for name, outcome in (("x1", x1), ("x2", x2)):
+            if outcome not in (-1, 0, 1):
                 raise ValueError(f"{name} outcome must be -1, 0, or +1")
+        self.__dict__.update(x1=x1, x2=x2, y1_plus=y1_plus, y2_plus=y2_plus)
 
     def q_components(self, trichotomic: bool = False) -> tuple[int, ...]:
         """Indicator probabilities this assignment induces for the witness."""

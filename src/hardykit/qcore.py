@@ -52,14 +52,12 @@ class BlochDirection(Value):
     _fields = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float) -> None:
-        self.__dict__.update(theta=_number(theta, "theta"), phi=_number(phi, "phi"))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+        theta, phi = _number(theta, "theta"), _number(phi, "phi")
+        if not 0.0 <= theta <= np.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {theta}")
+        if not 0.0 <= phi < 2.0 * np.pi:
+            raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+        self.__dict__.update(theta=theta, phi=phi)
 
     @classmethod
     def from_vector(cls, direction: Sequence[float]) -> "BlochDirection":
@@ -102,22 +100,17 @@ class QuantumState(Value):
     _fields = ("dims", "kind", "data")
 
     def __init__(self, dims: tuple[int, int], kind: str, data: np.ndarray) -> None:
-        self.__dict__.update(dims=dims, kind=kind, data=data)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         try:
-            d1, d2 = map(_dimension, self.dims)
+            d1, d2 = map(_dimension, dims)
         except (TypeError, ValueError):
-            raise ValueError(f"dims must be a pair of integers, got {_shown(self.dims)}") from None
+            raise ValueError(f"dims must be a pair of integers, got {_shown(dims)}") from None
         if d1 < 2 or d2 < 2:
             raise ValueError("subsystem dimensions must be at least 2")
-        object.__setattr__(self, "dims", (d1, d2))
         n = d1 * d2
-        data = _array(self.data, complex)
+        data = _array(data, complex)
         if data is None:
             raise ValueError("state data must be an array of complex numbers")
-        if self.kind == "pure":
+        if kind == "pure":
             if data.shape != (n,):
                 raise _state_fault(data, f"pure state needs {n} amplitudes, got shape {data.shape}")
             with np.errstate(over="ignore"):
@@ -125,14 +118,14 @@ class QuantumState(Value):
             if not abs(norm_sq - 1.0) <= STATE_ATOL:
                 raise _state_fault(
                     data, f"pure state squared norm {norm_sq} is not 1 within {STATE_ATOL}")
-        elif self.kind == "density":
+        elif kind == "density":
             if data.shape != (n, n):
                 raise _state_fault(data, f"density matrix must be {n}x{n}, got shape {data.shape}")
             if n > _FLOAT_CHECKED_SIDE or not _passes_in_floats(data.tolist()):
                 _check_density(data)
         else:
-            raise _state_fault(data, f"kind must be 'pure' or 'density', got {self.kind!r}")
-        object.__setattr__(self, "data", _read_only(data))
+            raise _state_fault(data, f"kind must be 'pure' or 'density', got {kind!r}")
+        self.__dict__.update(dims=(d1, d2), kind=kind, data=_read_only(data))
 
     @classmethod
     def pure(cls, amplitudes: Iterable[complex], dims: tuple[int, int]) -> "QuantumState":
@@ -230,16 +223,12 @@ class Observable(Value):
     _fields = ("dim", "outcomes")
 
     def __init__(self, dim: int, outcomes: tuple[tuple[float, np.ndarray], ...]) -> None:
-        self.__dict__.update(dim=dim, outcomes=outcomes)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        d = _dimension(self.dim)
+        d = _dimension(dim)
         if d < 1:
             raise ValueError("dimension must be positive")
         labels, projectors, fault = [], [], None
         try:  # a fault in reading waits until the outcomes read before it pass their checks
-            for i, outcome in enumerate(self.outcomes):
+            for i, outcome in enumerate(outcomes):
                 try:
                     raw_label, projector = outcome
                 except (TypeError, ValueError):

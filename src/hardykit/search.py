@@ -56,27 +56,21 @@ class SchmidtState(Value):
     _fields = ("angle",)
 
     def __init__(self, angle: float) -> None:
-        self.__dict__["angle"] = _number(angle, "angle")
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.angle <= pi / 4:
-            raise ValueError(f"angle must lie in [0, pi/4], got {self.angle}")
+        angle = _number(angle, "angle")
+        if not 0.0 <= angle <= pi / 4:
+            raise ValueError(f"angle must lie in [0, pi/4], got {angle}")
+        amplitudes = _read_only(np.array([cos(angle), 0.0, 0.0, sin(angle)], dtype=complex))
+        # The angle is validated and (cos, sin) has unit norm.
+        state = _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
+        self.__dict__.update(angle=angle, _state=state)
 
     @property
     def amplitudes(self) -> tuple[float, float]:
         return (cos(self.angle), sin(self.angle))
 
     def state(self) -> QuantumState:
-        """The pure ``QuantumState``; every call returns the one kept as ``_state`` (not a field)."""
-        state = self.__dict__.get("_state")
-        if state is None:
-            big, small = self.amplitudes
-            amplitudes = _read_only(np.array([big, 0.0, 0.0, small], dtype=complex))
-            # The angle is validated and (cos, sin) has unit norm.
-            state = _trusted(QuantumState, dims=(2, 2), kind="pure", data=amplitudes)
-            object.__setattr__(self, "_state", state)
-        return state
+        """The pure ``QuantumState``, built with the value and kept as ``_state`` (not a field)."""
+        return self._state
 
 
 class SearchConfig(Value):
@@ -85,13 +79,10 @@ class SearchConfig(Value):
     _fields = ("restarts", "seed")
 
     def __init__(self, restarts: int = 20, seed: int = 0) -> None:
+        count = _number(restarts, "restarts")
+        if not (count >= 1.0 and count.is_integer()):
+            raise ValueError(f"restarts must be positive and integral, got {restarts!r}")
         self.__dict__.update(restarts=restarts, seed=seed)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        restarts = _number(self.restarts, "restarts")
-        if not (restarts >= 1.0 and restarts.is_integer()):
-            raise ValueError(f"restarts must be positive and integral, got {self.restarts!r}")
 
 
 class SearchResult(Value):

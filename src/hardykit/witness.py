@@ -81,16 +81,11 @@ class Scenario(Value):
     x1, y1, x2, y2 = map(_LazyField, _NAMES)
 
     def __init__(self, x1: Observable, y1: Observable, x2: Observable, y2: Observable) -> None:
-        self.__dict__.update(x1=x1, y1=y1, x2=x2, y2=y2)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        fields = (self.x1, self.y1, self.x2, self.y2)
-        pairs = ((self.x1, self.y1), (self.x2, self.y2))
+        fields, pairs = (x1, y1, x2, y2), ((x1, y1), (x2, y2))
         sides = _checked_sides([obs.dim for obs in fields], [obs.labels for obs in fields],
                                [[proj for _, proj in x.outcomes + y.outcomes] for x, y in pairs],
                                [len(x.outcomes) for x, _ in pairs])
-        object.__setattr__(self, "_sides", sides)
+        self.__dict__.update(x1=x1, y1=y1, x2=x2, y2=y2, _sides=sides)
 
     @property
     def trichotomic(self) -> bool:

@@ -525,6 +525,28 @@ class TestOptimize:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_werner_file_both_objectives_and_eval(self, capsys, tmp_path):
+        # A density read from a file reaches both extreme values, (1 +- 0.9 sqrt 2)/2,
+        # and eval reads the same file; nothing warns.
+        state, scenario = tmp_path / "werner.json", tmp_path / "scenario.json"
+        state.write_text(json.dumps(state_to_dict(werner_state(0.9))), encoding="utf-8")
+        scenario.write_text(json.dumps(scenario_to_dict(planar_scenario(*_REFERENCE_ANGLES))),
+                            encoding="utf-8")
+        for argv, value in (
+            (("optimize", "--state", str(state), "--objective", "upper", "--json"),
+             (1.0 + 0.9 * sqrt(2.0)) / 2.0),
+            (("optimize", "--state", str(state), "--objective", "lower", "--json"),
+             (1.0 - 0.9 * sqrt(2.0)) / 2.0),
+            (("eval", "--state", str(state), "--scenario", str(scenario), "--json"),
+             (1.0 + 0.9 * sqrt(2.0)) / 2.0),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, *argv)
+            assert (code, err, [str(w.message) for w in caught]) == (0, "", []), argv
+            result = json.loads(out)
+            assert abs(result.get("value", result.get("generalized")) - value) <= 1e-12, result
+
 
 class TestSweep:
     def test_werner_csv(self, capsys):

@@ -90,6 +90,11 @@ def _observable(*outcomes) -> partial:
     return partial(Observable, 2, outcomes)
 
 
+def _label_seven(*outcomes):
+    """``Observable(2, outcomes).projector(7.0)``, called when the row runs: it builds, then misses."""
+    return lambda: Observable(2, outcomes).projector(7.0)
+
+
 def _state_payload(**changes) -> dict:
     payload = state_to_dict(singlet())
     payload.update(changes)
@@ -170,6 +175,19 @@ _BLOCH_SCENARIO = {
 _PURE = QuantumState.pure
 _DENSITY = QuantumState.density
 _PRODUCT = {"dims": [2, 2], "kind": "pure", "data": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+# The reference scenario with an infinite entry in y2's first projector; json writes it
+# as Infinity and reads it back.
+_INF_Y2_SCENARIO = copy.deepcopy(_REFERENCE_SCENARIO)
+_INF_Y2_SCENARIO["y2"]["outcomes"][0]["projector"][0] = [INF, 0.0]
+# Projectors u u^T and I - v v^T, the benchmark's non-orthogonal fault, and x1's with
+# 1e-3 added to the imaginary part of its first projector's entry (0, 1).
+_U, _V = np.array([1.0, 0.0]), np.array([np.cos(0.3), np.sin(0.3)])
+_NON_ORTHOGONAL = {"dim": 2, "outcomes": [
+    {"label": 1.0, "projector": _pairs_from_complex(np.outer(_U, _U))},
+    {"label": -1.0, "projector": _pairs_from_complex(np.eye(2) - np.outer(_V, _V))},
+]}
+_NON_HERMITIAN = copy.deepcopy(_REFERENCE_SCENARIO["x1"])
+_NON_HERMITIAN["outcomes"][0]["projector"][1][1] += 1e-3
 
 LIBRARY = {
     # Wire sizes, malformed outcomes, huge or infinite input, q components that are not numbers.
@@ -298,6 +316,23 @@ LIBRARY = {
          ValueError, "^dimension must be positive$"),
         ("observable-dim-zero", observable_from_dict, (_observable_payload(dim=0),),
          ValueError, "^dimension must be positive$"),
+        ("observable-dict-non-orthogonal", observable_from_dict, (_NON_ORTHOGONAL,), ValueError,
+         "^projectors for labels 1.0 and -1.0 are not orthogonal$"),
+        ("observable-dict-non-hermitian", observable_from_dict, (_NON_HERMITIAN,), ValueError,
+         "^projector for label 1.0 is not Hermitian$"),
+        # Dimension 1 is positive, and each projector test passes a residual of exactly
+        # PROJECTOR_ATOL (1e-10): a later fault is named.
+        ("observable-dim-one", Observable, (1, ((1.0, [[0.5]]),)), ValueError,
+         "^projector for label 1.0 is not idempotent$"),
+        ("observable-hermitian-at-tolerance", _observable(
+            (1.0, [[1, 1e-10], [0, 0]]), (1.0, [[0, -1e-10], [0, 1]])), (), ValueError,
+         r"^outcome labels must be distinct, got \[1.0, 1.0\]$"),
+        ("observable-orthogonal-at-tolerance", _label_seven(
+            (1.0, [[1, 1e-10], [1e-10, 0]]), (-1.0, MINUS)), (), UnknownLabel,
+         r"^label 7.0 not in spectrum \(1.0, -1.0\)$"),
+        ("observable-sum-at-tolerance", _label_seven(
+            (1.0, [[1, 5e-11], [5e-11, 0]]), (0.0, [[0, 5e-11], [5e-11, 0]]), (-1.0, MINUS)), (),
+         UnknownLabel, r"^label 7.0 not in spectrum \(1.0, 0.0, -1.0\)$"),
         # A huge dim with no d x d projector read allocates nothing of that size.
         ("observable-huge-dim-no-outcomes", Observable, (10**6, ()), ValueError,
          "^observable needs at least one outcome$"),
@@ -816,6 +851,19 @@ CLI = {
          3, "^ValueError: density matrix is not Hermitian within tolerance$"),
         ("eval-projector-gram-nan", ("eval", "--state", _PRODUCT, "--scenario", _GRAM_NAN_SCENARIO),
          3, r"^ValueError: projector for label 1.0 is not idempotent$"),
+        ("eval-x1-number", ("eval", "--state", _state_payload(), "--scenario",
+                            {**_REFERENCE_SCENARIO, "x1": 5}),
+         3, "^ValueError: observable must be an object, got 5$"),
+        ("eval-inf-projector", ("eval", "--state", _state_payload(), "--scenario", _INF_Y2_SCENARIO),
+         3, "^ValueError: projector for label 1.0 has non-finite entries$"),
+        # The one-pass decoder refuses these, and the sequential one names x1's fault as
+        # observable_from_dict does (rows observable-dict-non-*).
+        ("eval-non-orthogonal-x1", ("eval", "--state", _state_payload(), "--scenario",
+                                    {**_REFERENCE_SCENARIO, "x1": _NON_ORTHOGONAL}),
+         3, "^ValueError: projectors for labels 1.0 and -1.0 are not orthogonal$"),
+        ("eval-non-hermitian-x1", ("eval", "--state", _state_payload(), "--scenario",
+                                   {**_REFERENCE_SCENARIO, "x1": _NON_HERMITIAN}),
+         3, "^ValueError: projector for label 1.0 is not Hermitian$"),
         ("hardy-band-lower", ("hardy", "--theta", "3.1622776638678034e-05"), 3,
          "^NoSolution: constructed q = .* is not a HardyViolation"),
     ],

@@ -25,11 +25,13 @@ from conftest import (
 )
 from hardykit import (
     BlochDirection,
+    DeterministicStrategy,
     FiniteMeasure,
     Observable,
     QuantumState,
     Scenario,
     SchmidtState,
+    SearchConfig,
     bloch_vector,
     ch_expression,
     joint_probability,
@@ -334,6 +336,32 @@ class TestTrustedInstances:
         validated = QuantumState.density(trusted.data, (2, 2))
         assert (trusted.dims, trusted.kind) == (validated.dims, validated.kind)
         assert np.array_equal(trusted.data, validated.data)
+        # Each class built from loosely typed arguments holds the cleaned fields in its
+        # __dict__ (and what it keeps beside them), the form _trusted callers supply.
+        z, x = spin_observable(BlochDirection(0.0, 0.0)), spin_observable(BlochDirection(pi / 2, 0.0))
+        loose_outcomes = ((1, [[1, 0], [0, 0]]), (np.int64(-1), [[0, 0], [0, 1]]))
+        loose_z, masks = Observable(2.0, loose_outcomes), ([1, 0], [0, 1], [1, 1], [1, 0])
+        for cls, loose, clean, kept in (
+            (BlochDirection, (1, Fraction(1, 2)), (1.0, 0.5), ()),
+            (QuantumState, ((2.0, np.int64(2)), "density", (np.eye(4) / 4).tolist()),
+             ((2, 2), "density", np.eye(4, dtype=complex) / 4), ()),
+            (QuantumState, ([2, 2], "pure", [0, 1, 0, 0]), ((2, 2), "pure", np.eye(4)[1]), ()),
+            (Observable, (2.0, loose_outcomes), (2, z.outcomes), ()),
+            (Scenario, (loose_z, x, loose_z, x), (z, x, z, x), ("_sides",)),
+            (SchmidtState, (0,), (0.0,), ("_state",)),
+            (SearchConfig, (np.int64(3), 7.0), (np.int64(3), 7.0), ()),  # kept as given
+            (QVector, (0, np.float64(0.25), Fraction(1, 2), 1), (0.0, 0.25, 0.5, 1.0), ()),
+            (QVector, (0, 0, 0, 1, 1e-11, -1e-11), (0.0, 0.0, 0.0, 1.0, 1e-11, 0.0), ()),
+            (FiniteMeasure, ([0.5, 0.5], [True, False], np.array([False, True]), [True, True],
+                             [np.True_, False]),
+             (np.array([0.5, 0.5]), *(np.array(m, dtype=bool) for m in masks)), ()),
+            (DeterministicStrategy, (np.int64(1), 0, True, np.False_),
+             (np.int64(1), 0, True, np.False_), ()),  # kept as given
+        ):
+            value = cls(*loose)
+            assert set(vars(value)) == set(cls._fields) | set(kept), cls
+            assert _trusted(cls, **vars(value)) == value == cls(*clean), cls
+            assert repr(value) == repr(cls(*clean)), cls
 
     def test_fields_stay_frozen(self):
         values = [

@@ -260,7 +260,7 @@ def _read(scenario: Scenario) -> Scenario:
 
 
 def _with_state(schmidt: SchmidtState) -> SchmidtState:
-    schmidt.state()  # kept on the SchmidtState as _state
+    schmidt.state()  # the _state the SchmidtState built with its value
     return schmidt
 
 
