@@ -4,15 +4,16 @@ A local deterministic model assigns one definite outcome per local observable;
 mixing such assignments with nonnegative weights spans exactly the probability
 vectors a local theory can produce. The q-vector, ``lhv_feasible`` and the
 vertex table use plain floats and integers; numpy is imported only inside
-``FiniteMeasure`` and ``strategy_matrix``.
+``FiniteMeasure``, ``_mask`` and ``strategy_matrix``.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 from itertools import product
 
-from ._value import Value, _array, _boolean, _number, _read_only
+from ._value import Value, _array, _boolean, _number, _read_only, _shown
 from .errors import InvalidQVector, MalformedMeasure
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -158,8 +159,15 @@ class DeterministicStrategy(Value):
 
     def __init__(self, x1: int, x2: int, y1_plus: bool, y2_plus: bool) -> None:
         for name, outcome in (("x1", x1), ("x2", x2)):
-            if outcome not in (-1, 0, 1):
-                raise ValueError(f"{name} outcome must be -1, 0, or +1")
+            try:
+                index = None if _boolean(outcome) else operator.index(outcome)
+            except TypeError:  # not an integer, Python's or numpy's
+                index = None
+            if index not in (-1, 0, 1):
+                raise ValueError(f"{name} outcome must be -1, 0, or +1, got {_shown(outcome)}")
+        for name, event in (("y1_plus", y1_plus), ("y2_plus", y2_plus)):
+            if not _boolean(event):
+                raise ValueError(f"{name} must be a boolean, got {_shown(event)}")
         self.__dict__.update(x1=x1, x2=x2, y1_plus=y1_plus, y2_plus=y2_plus)
 
     def q_components(self, trichotomic: bool = False) -> tuple[int, ...]:

@@ -307,32 +307,25 @@ def _projective(stack: np.ndarray) -> bool:
 
 def spin_observable(direction: BlochDirection) -> Observable:
     """Dichotomic spin observable along ``direction`` with outcomes +1 and -1."""
-    projectors = _spin_projectors((direction.unit_vector(),))
-    return _spin_pair(projectors[0, 0], projectors[1, 0])
+    plus, minus = _spin_projectors((direction.unit_vector(),))[0]
+    return _trusted(Observable, dim=2, outcomes=((1.0, plus), (-1.0, minus)))
 
 
 def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
-    """Spin projectors (1 +- n.sigma)/2 of n unit 3-vectors, as one read-only (2, n, 2, 2) array.
+    """Spin projectors (1 +- n.sigma)/2 of n unit 3-vectors, as one read-only (n, 2, 2, 2) array.
 
-    ``[0, k]`` is the +1 projector of unit k and ``[1, k]`` its -1 projector,
+    ``[k, 0]`` is the +1 projector of unit k and ``[k, 1]`` its -1 projector,
     1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]], written as a flat
     list of floats viewed as complex. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into
     0.0, so zero entries (such as an xz-plane setting's imaginary parts) print without a sign.
     """
-    plus, minus = [], []
+    flat = []
     for nx, ny, nz in units:
         up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
         x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
         mx, my = 0.0 - x, 0.0 - y
-        plus += (up, 0.0, x, my, x, y, down, 0.0)
-        minus += (down, 0.0, mx, y, mx, my, up, 0.0)
-    plus += minus
-    return _read_only(np.array(plus, dtype=float).view(complex).reshape(2, -1, 2, 2))
-
-
-def _spin_pair(plus: np.ndarray, minus: np.ndarray) -> Observable:
-    """Spin observable with the given +1 and -1 projectors, built without re-validation."""
-    return _trusted(Observable, dim=2, outcomes=((1.0, plus), (-1.0, minus)))
+        flat += (up, 0.0, x, my, x, y, down, 0.0, down, 0.0, mx, y, mx, my, up, 0.0)
+    return _read_only(np.array(flat, dtype=float).view(complex).reshape(-1, 2, 2, 2))
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:

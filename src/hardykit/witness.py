@@ -26,7 +26,6 @@ from .qcore import (
     _joint_table,
     _marginal,
     _projective,
-    _spin_pair,
     _spin_projectors,
     observable_from_dict,
     observable_to_dict,
@@ -45,25 +44,23 @@ _ANGLE_NAMES = ("x1_angle", "y1_angle", "x2_angle", "y2_angle")
 _NUMBER = frozenset((int, float))  # the types a JSON number decodes to
 _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
+_SPIN_SPECTRA = ((1.0, -1.0),) * 4
+_SPIN_ROWS = np.array(((0, 2, 1), (4, 6, 5)))  # each side's x = +1, y = +1, x = -1 in a spin stack
 
 
 class _LazyField:
-    """x1, y1, x2 or y2 of a spin (``_spin``) or decoded (``_stack``) scenario; built on read."""
+    """x1, y1, x2 or y2 of a scenario kept as its ``_stack`` and ``_spectra``; built on read."""
 
     def __init__(self, name: str) -> None:
         self.name = name
 
     def __get__(self, scenario, owner=None):
         kept = {} if scenario is None else scenario.__dict__
-        if "_spin" in kept:
-            built = [_spin_pair(kept["_spin"][k], kept["_spin"][k + 4]) for k in (0, 2, 1, 3)]
-        elif "_stack" in kept:
-            built = [_trusted(Observable, dim=block.shape[-1], outcomes=tuple(zip(labels, block)))
-                     for labels, block in zip(kept["_spectra"], kept["_stack"])]
-        else:
+        if "_stack" not in kept:
             raise AttributeError(f"'Scenario' object has no attribute {self.name!r}")
-        for field, observable in zip(_NAMES, built):  # setdefault keeps the first object stored
-            kept.setdefault(field, observable)
+        for field, labels, block in zip(_NAMES, kept["_spectra"], kept["_stack"]):
+            observable = _trusted(Observable, dim=block.shape[-1], outcomes=tuple(zip(labels, block)))
+            kept.setdefault(field, observable)  # setdefault keeps the first object stored
         return kept[self.name]
 
 
@@ -353,11 +350,8 @@ def _xz_scenario(angles: Sequence[float]) -> Scenario:
 def _spin_scenario(
     x1: Sequence[float], y1: Sequence[float], x2: Sequence[float], y2: Sequence[float]
 ) -> Scenario:
-    """Scenario of four qubit spin observables along the given unit 3-vectors.
-
-    ``_spin`` holds the +1 projectors of x1, x2, y1, y2, then their -1 projectors,
-    so each side's stack (x = +1, y = +1, x = -1) is a strided view of it.
-    """
-    flat = _spin_projectors((x1, x2, y1, y2)).reshape(8, 2, 2)
+    """Scenario of four qubit spin observables along the given unit 3-vectors, kept as decoded."""
+    stack = _spin_projectors((x1, y1, x2, y2))
+    sides = _read_only(stack.reshape(8, 2, 2).take(_SPIN_ROWS, axis=0))
     # Four qubit spin observables always form a valid dichotomic scenario.
-    return _trusted(Scenario, _spin=flat, _sides=(flat[0:6:2], flat[1:7:2]))
+    return _trusted(Scenario, _stack=stack, _spectra=_SPIN_SPECTRA, _sides=(sides[0], sides[1]))

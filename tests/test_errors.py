@@ -285,6 +285,30 @@ LIBRARY = {
               ("state-dims-numpy-true", QuantumState, ((2, np.True_), "pure", [1, 0, 0, 0]),
                ValueError, r"^dims must be a pair of integers, got \(2, np\.True_\)$"),
           )),
+        # A strategy's x outcome is an integer and its y event a boolean, Python's or numpy's.
+        *((f"strategy-{strategy_id}", DeterministicStrategy, args, ValueError, message)
+          for strategy_id, args, message in (
+              ("x1-true", (True, 1, False, False),
+               r"^x1 outcome must be -1, 0, or \+1, got True$"),
+              ("x2-false", (1, False, True, False),
+               r"^x2 outcome must be -1, 0, or \+1, got False$"),
+              ("x2-numpy-true", (1, np.True_, True, False),
+               r"^x2 outcome must be -1, 0, or \+1, got np\.True_$"),
+              ("x1-float", (1.0, -1, False, False),
+               r"^x1 outcome must be -1, 0, or \+1, got 1\.0$"),
+              ("x2-numpy-float", (1, np.float64(-1.0), False, False),
+               r"^x2 outcome must be -1, 0, or \+1, got np\.float64\(-1\.0\)$"),
+              ("x1-string", ("1", -1, False, False),
+               r"^x1 outcome must be -1, 0, or \+1, got '1'$"),
+              ("x1-float-array", (np.array(1.0), -1, False, False),
+               r"^x1 outcome must be -1, 0, or \+1, got array\(1\.\)$"),
+              ("x2-int-array", (1, np.array([-1]), False, False),
+               r"^x2 outcome must be -1, 0, or \+1, got array\(\[-1\]\)$"),
+              ("y1-string", (1, -1, "yes", False), "^y1_plus must be a boolean, got 'yes'$"),
+              ("y2-none", (1, -1, True, None), "^y2_plus must be a boolean, got None$"),
+              ("y1-int", (1, -1, 1, False), "^y1_plus must be a boolean, got 1$"),
+              ("y2-float", (1, -1, False, 0.0), r"^y2_plus must be a boolean, got 0\.0$"),
+          )),
         # A mask holds booleans, Python's or numpy's: no text, number or None is read as one.
         *((f"measure-mask-{mask_id}", FiniteMeasure, ([0.5, 0.5], *masks), MalformedMeasure,
            f"^subset {name} must hold only booleans$")

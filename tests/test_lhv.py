@@ -302,6 +302,10 @@ class TestFeasibility:
         quiet = DeterministicStrategy(-1, -1, False, False)
         assert quiet.q_components() == (0, 0, 0, 0)
 
+    def test_residual_at_tol_is_feasible(self):
+        result = lhv_feasible((0.0, 0.0, 0.0, 1e-9))
+        assert result.feasible and result.residual == FEASIBILITY_TOL
+
     def test_contradictory_corners_are_infeasible(self):
         assert not lhv_feasible((1.0, 1.0, 1.0, 1.0)).feasible
         assert not lhv_feasible((0.0, 0.0, 0.0, 1.0)).feasible

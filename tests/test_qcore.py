@@ -308,12 +308,12 @@ class TestBuiltValuesPassFullValidation:
         axes = [(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (1.0, -0.0, 0.0), (0.0, -1.0, -0.0)]
         units = axes + [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(30, 3))]
         projectors = _spin_projectors(units)
-        assert projectors.shape == (2, len(units), 2, 2)
+        assert projectors.shape == (len(units), 2, 2, 2)
         assert not projectors.flags.writeable
         for k, (nx, ny, nz) in enumerate(units):
             pauli = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-            assert np.max(np.abs(projectors[0, k] - 0.5 * (np.eye(2) + pauli))) <= 1e-15
-            assert np.max(np.abs(projectors[1, k] - 0.5 * (np.eye(2) - pauli))) <= 1e-15
+            assert np.max(np.abs(projectors[k, 0] - 0.5 * (np.eye(2) + pauli))) <= 1e-15
+            assert np.max(np.abs(projectors[k, 1] - 0.5 * (np.eye(2) - pauli))) <= 1e-15
         for part in (projectors.real, projectors.imag):
             assert not np.signbit(part[part == 0.0]).any()
 
@@ -322,7 +322,7 @@ class TestBuiltValuesPassFullValidation:
         projectors = _spin_projectors(units)
         for k, unit in enumerate(units):
             alone = _spin_projectors([unit])
-            assert alone.tobytes() == projectors[:, k : k + 1].tobytes()
+            assert alone.tobytes() == projectors[k : k + 1].tobytes()
 
 
 class TestTrustedInstances:

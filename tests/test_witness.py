@@ -29,6 +29,7 @@ from hardykit import (
     BlochDirection,
     DimensionMismatch,
     InvalidQVector,
+    Observable,
     QVector,
     QuantumState,
     Scenario,
@@ -52,7 +53,7 @@ from hardykit import (
 from hardykit import qcore, search, witness
 from hardykit.cli import main
 from hardykit.lhv import QVECTOR_ATOL
-from hardykit.qcore import _spin_pair, _trusted
+from hardykit.qcore import _trusted
 from hardykit.search import SchmidtState
 from hardykit.witness import _q_from_table
 from test_errors import ErrorRows
@@ -623,12 +624,26 @@ class TestClassify:
         assert lhv_feasible(q).feasible
 
     @pytest.mark.parametrize("components, label", [
-        # The local vertex with expression exactly 1, and expressions just inside and past 1 + tol.
+        # The local vertex with expression exactly 1, and expressions inside, at and past 1 + tol.
         ((1.0, 0.0, 0.0, 0.0), "NoViolation"),
         ((1.0, 0.5e-9, 0.0, 0.0), "NoViolation"),
+        ((1.0, 1e-9, 0.0, 0.0), "NoViolation"),
         ((1.0, 2e-9, 0.0, 0.0), "UpperBoundViolation"),
-    ], ids=["vertex-at-one", "half-tol-above-one", "two-tol-above-one"])
+    ], ids=["vertex-at-one", "half-tol-above-one", "tol-above-one", "two-tol-above-one"])
     def test_upper_edge(self, components, label):
+        assert classify(QVector(*components), tol=1e-9) == label
+
+    @pytest.mark.parametrize("components, label", [
+        # One component exactly at tol, where each strict comparison is decided.
+        ((0.0, 0.0, 0.0, 1e-9), "NoViolation"),
+        ((1e-9, 0.0, 0.0, 0.5), "LowerBoundViolation"),
+        ((0.0, 1e-9, 0.0, 0.5), "LowerBoundViolation"),
+        ((0.0, 0.0, 1e-9, 0.5), "LowerBoundViolation"),
+        ((0.0, 0.0, 0.0, 0.5, 1e-9, 0.0), "LowerBoundViolation"),
+        ((0.0, 0.0, 0.0, 0.5, 0.0, 1e-9), "LowerBoundViolation"),
+    ], ids=["expression-at-minus-tol", "q1-at-tol", "q2-at-tol", "q3-at-tol", "q5-at-tol",
+            "q6-at-tol"])
+    def test_component_at_tol(self, components, label):
         assert classify(QVector(*components), tol=1e-9) == label
 
     @pytest.mark.parametrize("q1, label", [
@@ -950,10 +965,9 @@ def _spin_scenarios(draw) -> partial:
 
 
 def _eager(scenario: Scenario) -> dict:
-    """The four observables as built eagerly from the (8, 2, 2) projector array."""
-    px1, px2, py1, py2, mx1, mx2, my1, my2 = scenario._spin
-    return dict(x1=_spin_pair(px1, mx1), y1=_spin_pair(py1, my1),
-                x2=_spin_pair(px2, mx2), y2=_spin_pair(py2, my2))
+    """The four observables as built eagerly from the (4, 2, 2, 2) projector stack."""
+    return {name: _trusted(Observable, dim=2, outcomes=((1.0, px), (-1.0, mx)))
+            for name, (px, mx) in zip(_NAMES, scenario._stack)}
 
 
 def _assert_fields_match_eager(scenario: Scenario, eager: dict) -> None:
@@ -967,16 +981,16 @@ def _assert_fields_match_eager(scenario: Scenario, eager: dict) -> None:
 
 
 class TestSpinFieldsOnFirstRead:
-    """A spin scenario keeps one (8, 2, 2) array and builds x1, y1, x2, y2 the first time one is read."""
+    """A spin scenario keeps one (4, 2, 2, 2) stack and builds x1, y1, x2, y2 when one is first read."""
 
     @settings(max_examples=60)
     @given(build=_spin_scenarios())
     def test_lazy_fields_equal_an_eager_build(self, build):
         scenario = build()
         assert not set(_NAMES) & set(vars(scenario))
-        spin = scenario._spin
-        assert spin.shape == (8, 2, 2) and not spin.flags.writeable
-        assert all(np.shares_memory(side, spin) for side in scenario._sides)
+        stack = scenario._stack
+        assert stack.shape == (4, 2, 2, 2) and not stack.flags.writeable
+        assert scenario._spectra == ((1.0, -1.0),) * 4
         eager = _eager(scenario)
         assert scenario.y2 is scenario.y2  # one read builds all four
         assert set(_NAMES) <= set(vars(scenario))
@@ -1183,12 +1197,13 @@ class TestSpinPairCalls:
     def built(self, monkeypatch) -> list:
         calls = []
 
-        def counted(plus, minus):
-            calls.append(1)
-            return _spin_pair(plus, minus)
+        def counted(cls, **fields):
+            if cls is Observable:
+                calls.append(1)
+            return _trusted(cls, **fields)
 
-        monkeypatch.setattr(qcore, "_spin_pair", counted)
-        monkeypatch.setattr(witness, "_spin_pair", counted)
+        monkeypatch.setattr(qcore, "_trusted", counted)
+        monkeypatch.setattr(witness, "_trusted", counted)
         return calls
 
     @pytest.mark.parametrize("theta, phi", [(0.05, 0.0), (0.3, 1.0), (0.7, 4.0)])

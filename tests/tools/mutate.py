@@ -3,9 +3,10 @@
 Each mutant swaps one operator token inside one named function: ``<`` and ``<=``,
 ``>`` and ``>=``, ``==`` and ``!=``, ``and`` and ``or``, ``+`` and ``-``, ``*`` and
 ``/`` (their augmented forms too). It is written into a temporary copy of the tree,
-never into this checkout, and the tier-1 suite runs on it with ``-x``. A mutant is
-killed when the suite fails (the first failing test id is shown) and survives when
-it passes.
+never into this checkout, and the tier-1 suite runs on it with ``-x``: the mutated
+module's own test file ``tests/test_<module>.py`` first, if there is one, and then
+every other test. A mutant is killed when the suite fails (the first failing test id
+is shown) and survives when it passes.
 
     python tests/tools/mutate.py qcore:BlochDirection.__init__ lhv:QVector.__init__
 
@@ -106,6 +107,16 @@ def _copy_tree(into: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
+def _test_files(tree: Path, module: str) -> list[str]:
+    """Every test file of ``tree``, ``tests/test_<module>.py`` first.
+
+    The files are named one by one: given ``tests`` as well, pytest would collect
+    the directory in its own order, the named file included.
+    """
+    files = sorted(str(path.relative_to(tree)) for path in (tree / "tests").rglob("test_*.py"))
+    return sorted(files, key=lambda name: name != f"tests/test_{module}.py")
+
+
 def _run(tree: Path, module: str, text: str) -> tuple[bool, str]:
     """Tier-1 on ``tree`` with ``module``'s source set to ``text``: (killed, first failure)."""
     path = tree / "src" / "hardykit" / f"{module}.py"
@@ -114,8 +125,8 @@ def _run(tree: Path, module: str, text: str) -> tuple[bool, str]:
     # No bytecode is written, so an equal-sized mutant can never load a stale .pyc.
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT)
+        done = subprocess.run([sys.executable, *TIER1, *_test_files(tree, module)], cwd=tree,
+                              env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return True, f"timed out after {TIMEOUT:.0f} s"
     finally:
