@@ -161,7 +161,8 @@ class DeterministicStrategy(Value):
         for name, outcome in (("x1", x1), ("x2", x2)):
             try:
                 index = None if _boolean(outcome) else operator.index(outcome)
-            except TypeError:  # not an integer, Python's or numpy's
+                hash(outcome)  # a 0-d integer array passes operator.index, but a value must hash
+            except TypeError:  # not a hashable integer, Python's or numpy's
                 index = None
             if index not in (-1, 0, 1):
                 raise ValueError(f"{name} outcome must be -1, 0, or +1, got {_shown(outcome)}")

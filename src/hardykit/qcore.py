@@ -312,20 +312,20 @@ def spin_observable(direction: BlochDirection) -> Observable:
 
 
 def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
-    """Spin projectors (1 +- n.sigma)/2 of n unit 3-vectors, as one read-only (n, 2, 2, 2) array.
-
-    ``[k, 0]`` is the +1 projector of unit k and ``[k, 1]`` its -1 projector,
-    1/2 [[1 +- nz, +-(nx - i ny)], [+-(nx + i ny), 1 -+ nz]], written as a flat
-    list of floats viewed as complex. ``+ 0.0`` and ``0.0 -`` turn a -0.0 into
-    0.0, so zero entries (such as an xz-plane setting's imaginary parts) print without a sign.
-    """
-    flat = []
-    for nx, ny, nz in units:
-        up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
-        x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
-        mx, my = 0.0 - x, 0.0 - y
-        flat += (up, 0.0, x, my, x, y, down, 0.0, down, 0.0, mx, y, mx, my, up, 0.0)
+    """``_spin_floats`` of n unit 3-vectors as one read-only (n, 2, 2, 2) array: [k, 0] is +1."""
+    flat = [entry for unit in units for projector in _spin_floats(*unit) for entry in projector]
     return _read_only(np.array(flat, dtype=float).view(complex).reshape(-1, 2, 2, 2))
+
+
+def _spin_floats(nx: float, ny: float, nz: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(1 +- n.sigma)/2 as two 8-tuples, re and im of p00, p01, p10 and p11, each.
+
+    ``+ 0.0`` and ``0.0 -`` turn a -0.0 into 0.0, so zero entries print without a sign.
+    """
+    up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
+    x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
+    mx, my = 0.0 - x, 0.0 - y
+    return (up, 0.0, x, my, x, y, down, 0.0), (down, 0.0, mx, y, mx, my, up, 0.0)
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:

@@ -26,11 +26,13 @@ from .qcore import (
     _bloch_units,
     _density_tensor,
     _joint_table,
+    _spin_floats,
     _werner_density,
 )
 from .witness import (
     HARDY_VIOLATION,
     Scenario,
+    _checked_q,
     _expression,
     _keep,
     _q_list,
@@ -48,6 +50,9 @@ _THETA_STAR = 0.5 * asin(3.0 - sqrt(5.0))
 _Q4_MAX = (5.0 * sqrt(5.0) - 11.0) / 2.0
 # The Werner densities at v = 0 and v = 1, as one read-only (2, 2, 2, 2, 2) stack.
 _WERNER_ENDS = _read_only(_werner_density(np.array((0.0, 1.0))[:, None, None]).reshape((2,) * 5))
+# Their nonzero entries, all real: 1/4 (v = 0, diagonal), s and -s (v = 1; s = 0.4999999999999999).
+_QUARTER, _S, _MINUS_S = (_WERNER_ENDS[e].real.item()
+                          for e in ((0, 0, 0, 0, 0), (1, 0, 1, 0, 1), (1, 0, 1, 1, 0)))
 
 
 class SchmidtState(Value):
@@ -144,7 +149,7 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
             raise NotEntangled(f"too little entanglement: {detail}")
         raise MaximallyEntangled(f"too close to maximal entanglement: {detail}")
     scenario = _xz_scenario(_hardy_angles(alpha, beta))
-    q = _keep(scenario, schmidt.state(), *_schmidt_table(alpha, beta, scenario._sides))
+    q = _keep(scenario, schmidt.state(), *_schmidt_table(alpha, beta, scenario._units))
     if classify(q, tol=tol) != HARDY_VIOLATION:
         raise NoSolution(
             f"constructed q = {q.q1, q.q2, q.q3, q.q4} is not a {HARDY_VIOLATION} at tol {tol}: "
@@ -153,19 +158,20 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     return scenario
 
 
-def _schmidt_table(alpha: float, beta: float, sides: tuple) -> tuple:
-    """CH's two marginals and the joint table of alpha|00> + beta|11> on real (xz-plane) sides.
+def _spin_sides(units: tuple) -> tuple:
+    """Each side's rows x = +1, y = +1, x = -1 (``_side`` order) as ``_spin_floats`` 8-tuples."""
+    (x1, mx1), (y1, _), (x2, mx2), (y2, _) = (_spin_floats(*unit) for unit in units)
+    return (x1, y1, mx1), (x2, y2, mx2)
 
-    rho's nonzero entries are the real r00, r03 = r30 and r33 (at 0000, 0011, 1100, 1111), so
-    each einsum term is real, (rho * s1) * s2: a table entry is 0.0 plus those four in the
-    kernel's (i, j, k, l) order, and a marginal, a convex mix of a projector's diagonal, is
-    a two-term sum that needs no clamp. tests/test_search.py holds both to the kernel's bits.
-    """
+
+def _schmidt_table(alpha: float, beta: float, units: tuple) -> tuple:
+    """CH's marginals and the table of alpha|00> + beta|11> on xz-plane spin ``units``: an entry
+    adds its real rho * s1 * s2 terms to 0.0 in the kernel's order (TestHardyTableInKernelOrder)."""
     r00, r03, r33 = alpha * alpha, alpha * beta, beta * beta
-    s1, s2 = (side.real.tolist() for side in sides)
-    table = [[0.0 + r00 * a[0][0] * b[0][0] + r03 * a[1][0] * b[1][0] + r03 * a[0][1] * b[0][1]
-              + r33 * a[1][1] * b[1][1] for b in s2] for a in s1]
-    return tuple(r00 * y[0][0] + r33 * y[1][1] for y in (s1[1], s2[1])), table
+    s1, s2 = _spin_sides(units)
+    table = [[0.0 + r00 * a[0] * b[0] + r03 * a[4] * b[4] + r03 * a[2] * b[2] + r33 * a[6] * b[6]
+              for b in s2] for a in s1]
+    return tuple(r00 * y[0] + r33 * y[6] for y in (s1[1], s2[1])), table
 
 
 def optimize_violation(
@@ -262,17 +268,13 @@ def max_hardy_probability() -> tuple[float, float]:
 def werner_sweep(scenario: Scenario) -> float:
     """Visibility v in [0, 1] where the expression crosses 1 on v |singlet><singlet| + (1 - v) I/4.
 
-    The expression is affine in v, so its values at v = 0 and v = 1, both from one
-    call of the joint kernel, give the crossing exactly by linear interpolation.
+    The expression is affine in v, so its two end values (``_werner_excesses``) give v exactly.
     """
     if scenario.trichotomic:
         raise ValueError("visibility sweep expects a dichotomic scenario")
     if scenario.dims != (2, 2):
         raise DimensionMismatch(f"visibility sweep needs qubit pairs, got dims {scenario.dims}")
-    excess_lo, excess_hi = (
-        _expression(_q_list(table)) - 1.0
-        for table in _joint_table(_WERNER_ENDS, *scenario._sides).tolist()
-    )
+    excess_lo, excess_hi = _werner_excesses(scenario)
     if excess_hi < 0.0:
         raise NoCrossing("expression never exceeds the upper bound on [0.0, 1.0]")
     if excess_lo > 0.0:
@@ -280,3 +282,27 @@ def werner_sweep(scenario: Scenario) -> float:
     if excess_lo == excess_hi:
         return 1.0  # on the bound at both ends, so everywhere
     return 0.0 - excess_lo / (excess_hi - excess_lo)
+
+
+def _werner_excesses(scenario: Scenario) -> tuple[float, float]:
+    """The expression less 1 at v = 0 and v = 1, from ``_werner_q`` or else one kernel call."""
+    units = scenario.__dict__.get("_units")
+    if units is None:
+        ends = map(_q_list, _joint_table(_WERNER_ENDS, *scenario._sides).tolist())
+    else:
+        ends = map(_checked_q, _werner_q(units))
+    return tuple(_expression(q) - 1.0 for q in ends)
+
+
+def _werner_q(units: tuple) -> tuple[list[float], list[float]]:
+    """Unclamped q1..q4 of spin ``units`` at v = 0 and v = 1: each adds its four (real rho * s1)
+    * s2 terms to 0.0 in the kernel's (i, j, k, l) order (TestWernerEndsInKernelOrder)."""
+    (x1, y1, mx1), (x2, y2, mx2) = _spin_sides(units)
+    quarter, s, m = _QUARTER, _S, _MINUS_S  # at 0000, 0101, 1010, 1111 / 0101, 1010 / 0110, 1001
+    lo, hi = [], []
+    for a, b in ((x1, x2), (y1, mx2), (mx1, y2), (y1, y2)):  # the rows of q1, q2, q3, q4
+        lo.append(0.0 + quarter * a[0] * b[0] + quarter * a[0] * b[6] + quarter * a[6] * b[0]
+                  + quarter * a[6] * b[6])
+        hi.append(0.0 + s * a[0] * b[6] + (m * a[4] * b[2] - m * a[5] * b[3])
+                  + (m * a[2] * b[4] - m * a[3] * b[5]) + s * a[6] * b[0])
+    return lo, hi

@@ -49,18 +49,28 @@ _SPIN_ROWS = np.array(((0, 2, 1), (4, 6, 5)))  # each side's x = +1, y = +1, x =
 
 
 class _LazyField:
-    """x1, y1, x2 or y2 of a scenario kept as its ``_stack`` and ``_spectra``; built on read."""
+    """An entry of a scenario kept in a smaller form, built with its siblings on first read.
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    x1, y1, x2 and y2 come from ``_stack`` and ``_spectra``; a spin scenario's ``_stack`` and
+    ``_sides`` come from its ``_units``. A non-data descriptor, so ``__dict__`` entries shadow it.
+    """
+
+    def __init__(self, name: str, source: str) -> None:
+        self.name, self.source = name, source
 
     def __get__(self, scenario, owner=None):
         kept = {} if scenario is None else scenario.__dict__
-        if "_stack" not in kept:
+        if self.source not in kept and "_units" not in kept:
             raise AttributeError(f"'Scenario' object has no attribute {self.name!r}")
-        for field, labels, block in zip(_NAMES, kept["_spectra"], kept["_stack"]):
+        if self.source == "_units":
+            stack = _spin_projectors(kept["_units"])
+            sides = _read_only(stack.reshape(8, 2, 2).take(_SPIN_ROWS, axis=0))
+            kept.setdefault("_stack", stack)  # setdefault keeps the first object stored
+            kept.setdefault("_sides", (sides[0], sides[1]))
+            return kept[self.name]
+        for field, labels, block in zip(_NAMES, kept["_spectra"], scenario._stack):
             observable = _trusted(Observable, dim=block.shape[-1], outcomes=tuple(zip(labels, block)))
-            kept.setdefault(field, observable)  # setdefault keeps the first object stored
+            kept.setdefault(field, observable)
         return kept[self.name]
 
 
@@ -70,12 +80,13 @@ class Scenario(Value):
     The x-observables carry spectrum {-1, +1} or {-1, 0, +1} (both sides
     alike); the y-observables may have any spectrum containing +1. Each side's
     projectors are stacked once, in ``_side`` order, into the read-only
-    ``_sides`` that the joint kernel reads; ``_sides`` is not a field.
+    ``_sides`` that the joint kernel reads; ``_sides`` is not a field. A spin
+    scenario is a dichotomic qubit pair, so its ``dims`` build no stack.
     """
 
     _fields = _NAMES
-    # A validated scenario's fields sit in its __dict__, which shadows these.
-    x1, y1, x2, y2 = map(_LazyField, _NAMES)
+    x1, y1, x2, y2 = (_LazyField(name, "_stack") for name in _NAMES)
+    _stack, _sides = _LazyField("_stack", "_units"), _LazyField("_sides", "_units")
 
     def __init__(self, x1: Observable, y1: Observable, x2: Observable, y2: Observable) -> None:
         fields, pairs = (x1, y1, x2, y2), ((x1, y1), (x2, y2))
@@ -86,10 +97,12 @@ class Scenario(Value):
 
     @property
     def trichotomic(self) -> bool:
-        return len(self._sides[0]) == 4
+        return "_units" not in self.__dict__ and len(self._sides[0]) == 4
 
     @property
     def dims(self) -> tuple[int, int]:
+        if "_units" in self.__dict__:
+            return (2, 2)
         return (self._sides[0].shape[-1], self._sides[1].shape[-1])
 
 
@@ -136,15 +149,14 @@ def _side(x_labels: tuple, y_labels: tuple, projectors: Sequence, y_start: int) 
     return _read_only(np.asarray(projectors).take(rows, axis=0))  # faster than np.take
 
 
-def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False) -> tuple:
+def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False,
+                         read_ch: bool = False) -> tuple:
     """(state, marginals, table), then the q-vector when ``read_q``, from one contraction.
 
-    ``marginals`` are the clamped y1 = +1 and y2 = +1 probabilities that CH reads.
-    ``table[a][b]`` pairs outcome ``a`` of side 1 with outcome ``b`` of side 2,
-    both in ``_side`` order, and is not yet clamped. The tuple is kept on the
-    scenario as ``_kept``, not a field, written whole once every check has
-    passed. A later call with the same state object (``is``) reads it back;
-    any other state replaces it.
+    ``marginals``, CH's clamped y1 = +1 and y2 = +1 probabilities, are None until ``read_ch``.
+    ``table[a][b]`` pairs side 1's outcome ``a`` with side 2's ``b`` in ``_side`` order,
+    unclamped. The tuple is kept as ``_kept`` (not a field), written whole once every check
+    has passed; a later call with the same state object (``is``) reads it back.
     """
     kept = scenario.__dict__.get("_kept")
     if kept is None or kept[0] is not state:
@@ -153,12 +165,18 @@ def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool =
                 f"scenario dims {scenario.dims} do not match state dims {state.dims}"
             )
         rho4, (side1, side2) = _density_tensor(state), scenario._sides
-        kept = (state, (_marginal(rho4, 1, side1[1]), _marginal(rho4, 2, side2[1])),
+        kept = (state, _marginals(rho4, side1, side2) if read_ch else None,
                 _joint_table(rho4, side1, side2).tolist())
+    elif read_ch and kept[1] is None:
+        kept = (state, _marginals(_density_tensor(state), *scenario._sides), *kept[2:])
     if read_q and len(kept) == 3:
         kept += (_q_from_table(kept[2]),)
     scenario.__dict__["_kept"] = kept
     return kept
+
+
+def _marginals(rho4, side1: np.ndarray, side2: np.ndarray) -> tuple[float, float]:
+    return (_marginal(rho4, 1, side1[1]), _marginal(rho4, 2, side2[1]))
 
 
 def _keep(scenario: Scenario, state: QuantumState, marginals: tuple, table: list) -> QVector:
@@ -169,16 +187,17 @@ def _keep(scenario: Scenario, state: QuantumState, marginals: tuple, table: list
 
 
 def _q_list(table: list[list[float]]) -> list[float]:
-    """[q1..q4], and q5, q6 when the table has the x = 0 outcomes, as ``QVector`` would hold them.
+    """[q1..q4], and q5, q6 when the table has the x = 0 outcomes, through ``_checked_q``."""
+    extra = [table[1][3], table[3][1]] if len(table) == 4 else []
+    return _checked_q([table[0][0], table[1][2], table[2][1], table[1][1], *extra])
 
-    The entries are range-checked together, by their minimum, their maximum
-    and their sum (NaN anywhere makes it NaN), and clamped as ``QVector``
-    would, so a vector is built from them without its validation running
-    again. Only a failed check reads them one by one, to raise ``QVector``'s error.
+
+def _checked_q(q: list[float]) -> list[float]:
+    """``q`` clamped as ``QVector`` would hold it, so a vector is built without validation.
+
+    One check of the minimum, maximum and sum (NaN anywhere fails it) covers every entry;
+    only a failed check reads them one by one, to raise ``QVector``'s error.
     """
-    q = [table[0][0], table[1][2], table[2][1], table[1][1]]
-    if len(table) == 4:
-        q += [table[1][3], table[3][1]]
     if not (-QVECTOR_ATOL <= min(q) and max(q) <= 1.0 + QVECTOR_ATOL and isfinite(sum(q))):
         for index, value in enumerate(q, 1):
             _component(f"q{index}", value)
@@ -229,7 +248,7 @@ def ch_expression(state: QuantumState, scenario: Scenario) -> float:
     of the state, not from the q-vector by no-signalling, so agreement with
     ``generalized_expression`` stays an independent check.
     """
-    return _ch_from_table(*_joint_probabilities(state, scenario)[1:3])
+    return _ch_from_table(*_joint_probabilities(state, scenario, read_ch=True)[1:3])
 
 
 def classify(q: QVector, *, tol: float = DEFAULT_TOLERANCE) -> str:
@@ -262,7 +281,7 @@ def witness_report(
     state: QuantumState, scenario: Scenario, tol: float = DEFAULT_TOLERANCE
 ) -> WitnessReport:
     """Evaluate everything the witness has to say about a state and scenario, from one table."""
-    _, marginals, table, q = _joint_probabilities(state, scenario, True)
+    _, marginals, table, q = _joint_probabilities(state, scenario, True, True)
     gen = generalized_expression(q)
     return WitnessReport(q, gen, _ch_from_table(marginals, table), classify(q, tol=tol))
 
@@ -350,8 +369,6 @@ def _xz_scenario(angles: Sequence[float]) -> Scenario:
 def _spin_scenario(
     x1: Sequence[float], y1: Sequence[float], x2: Sequence[float], y2: Sequence[float]
 ) -> Scenario:
-    """Scenario of four qubit spin observables along the given unit 3-vectors, kept as decoded."""
-    stack = _spin_projectors((x1, y1, x2, y2))
-    sides = _read_only(stack.reshape(8, 2, 2).take(_SPIN_ROWS, axis=0))
+    """Scenario of four qubit spin observables along unit 3-vectors, kept as ``_units``."""
     # Four qubit spin observables always form a valid dichotomic scenario.
-    return _trusted(Scenario, _stack=stack, _spectra=_SPIN_SPECTRA, _sides=(sides[0], sides[1]))
+    return _trusted(Scenario, _units=(x1, y1, x2, y2), _spectra=_SPIN_SPECTRA)

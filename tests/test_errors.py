@@ -304,6 +304,8 @@ LIBRARY = {
                r"^x1 outcome must be -1, 0, or \+1, got array\(1\.\)$"),
               ("x2-int-array", (1, np.array([-1]), False, False),
                r"^x2 outcome must be -1, 0, or \+1, got array\(\[-1\]\)$"),
+              ("x1-zero-d-array", (np.array(1), -1, True, False),
+               r"^x1 outcome must be -1, 0, or \+1, got array\(1\)$"),
               ("y1-string", (1, -1, "yes", False), "^y1_plus must be a boolean, got 'yes'$"),
               ("y2-none", (1, -1, True, None), "^y2_plus must be a boolean, got None$"),
               ("y1-int", (1, -1, 1, False), "^y1_plus must be a boolean, got 1$"),

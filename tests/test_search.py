@@ -13,7 +13,9 @@ from conftest import random_state
 from hardykit import (
     BlochDirection,
     HardykitError,
+    MaximallyEntangled,
     NoCrossing,
+    NotEntangled,
     QuantumState,
     Scenario,
     SchmidtState,
@@ -33,7 +35,7 @@ from hardykit import (
     witness_report,
 )
 from hardykit import qcore, search, witness
-from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z
+from hardykit.qcore import PAULI_X, PAULI_Y, PAULI_Z, _trusted
 from hardykit.search import _WERNER_ENDS, OBJECTIVES, _xz_factors
 from hardykit.witness import _NAMES, HARDY_VIOLATION
 from test_errors import ErrorRows
@@ -159,6 +161,17 @@ class TestHardyObservables:
     test_product_state_rejected = ErrorRows()
     test_maximally_entangled_rejected = ErrorRows()
     test_tol_validated = ErrorRows()
+
+    @pytest.mark.parametrize("theta, error", [
+        (0.3, NotEntangled), (0.6, MaximallyEntangled),
+        (search._THETA_STAR, MaximallyEntangled),  # its q4 in floats lies just below _Q4_MAX
+    ], ids=["below-theta-star", "above-theta-star", "theta-star"])
+    def test_tol_equal_to_the_best_q4_is_refused_by_name(self, theta, error):
+        # q4 exactly at tol is not above it: the closed form refuses it by the end it lies
+        # near, before any settings are built (a guard written with < would say NoSolution),
+        # and theta* itself counts as the maximally entangled end.
+        with pytest.raises(error, match=r"not above tol"):
+            hardy_observables(SchmidtState(theta), exact_q4(theta))
 
     def test_tol_bound_is_named(self):
         theta_star, _ = max_hardy_probability()
@@ -441,11 +454,85 @@ class TestHardyTableInKernelOrder:
             rho4 = qcore._density_tensor(schmidt.state())
             hardy = witness._xz_scenario(search._hardy_angles(*schmidt.amplitudes))
             seeded = witness._xz_scenario(rng.uniform(-pi, pi, 4).tolist())
-            for side1, side2 in (hardy._sides, seeded._sides):
+            for scenario in (hardy, seeded):
+                side1, side2 = scenario._sides
                 kernel = ((qcore._marginal(rho4, 1, side1[1]), qcore._marginal(rho4, 2, side2[1])),
                           qcore._joint_table(rho4, side1, side2).tolist())
-                sums = search._schmidt_table(*schmidt.amplitudes, (side1, side2))
+                sums = search._schmidt_table(*schmidt.amplitudes, scenario._units)
                 assert repr(sums) == repr(kernel), theta
+
+
+def _werner_units(rng: np.random.Generator, index: int) -> tuple:
+    """Seeded spin units, by turns xy, xz and full Bloch; every tenth at multiples of pi/4."""
+    if index % 10 == 9:
+        angles = (rng.integers(-8, 9, 4) * (pi / 4)).tolist()
+    else:
+        angles = rng.uniform(-2.0 * pi, 2.0 * pi, 4).tolist()
+    kind = index % 3
+    if kind == 0:
+        return tuple((cos(a), sin(a), 0.0) for a in angles)
+    if kind == 1:
+        return tuple((sin(a), 0.0, cos(a)) for a in angles)
+    return tuple(qcore._bloch_units(zip(angles, rng.uniform(-pi, pi, 4).tolist())))
+
+
+class TestWernerEndsInKernelOrder:
+    """``search._werner_q`` sums a spin scenario's q at both Werner ends as the kernel does.
+
+    ``werner_sweep`` reads them in place of a contraction, so they must be the kernel's bits:
+    the entries of ``_joint_table(_WERNER_ENDS, *sides)`` on the eagerly built stack that
+    ``_q_list`` reads, signed zeros included, on seeded xy, xz and full-Bloch settings.
+    Recorded under numpy 2.4.6; a numpy whose einsum adds or multiplies in another order
+    fails here.
+    """
+
+    def test_sums_are_the_kernel_tables_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for index in range(3000):
+            units = _werner_units(rng, index)
+            sides = qcore._spin_projectors(units).reshape(8, 2, 2).take(witness._SPIN_ROWS, axis=0)
+            kernel = [[t[0][0], t[1][2], t[2][1], t[1][1]]
+                      for t in qcore._joint_table(_WERNER_ENDS, sides[0], sides[1]).tolist()]
+            assert repr(search._werner_q(units)) == repr(tuple(kernel)), (index, units)
+
+    def test_both_paths_give_the_same_excesses(self):
+        rng = np.random.default_rng(37)
+        for index in range(300):
+            scenario = witness._spin_scenario(*_werner_units(rng, index))
+            excesses = search._werner_excesses(scenario)
+            assert "_stack" not in vars(scenario) and "_sides" not in vars(scenario)
+            eager = _trusted(Scenario, _stack=scenario._stack, _spectra=scenario._spectra,
+                             _sides=scenario._sides)
+            validated = Scenario(scenario.x1, scenario.y1, scenario.x2, scenario.y2)
+            for other in (eager, validated):
+                assert repr(search._werner_excesses(other)) == repr(excesses), index
+
+
+class TestConstructionBuildsNoStack:
+    """A construct item's five calls contract nothing and build no projector array."""
+
+    def test_no_stack_and_no_kernel_call(self, monkeypatch):
+        calls = []
+        for module, name in ((qcore, "_spin_projectors"), (witness, "_spin_projectors"),
+                             (qcore, "_joint_table"), (witness, "_joint_table"),
+                             (search, "_joint_table"), (witness, "_marginal")):
+            def spy(*args, _call=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(module, name, spy)
+        for theta in (0.05, 0.3, search._THETA_STAR, 0.7):
+            schmidt = SchmidtState(theta)
+            scenario = hardy_observables(schmidt)
+            report = witness_report(schmidt.state(), scenario)
+            rotated = reference_scenario(theta)
+            crossing = werner_sweep(rotated)
+            assert report.classification == HARDY_VIOLATION
+            assert abs(crossing - 1.0 / sqrt(2.0)) < 1e-12
+            assert calls == [], theta
+        # The spies are live: the first read of a stack builds it, and a new state contracts.
+        assert scenario._stack is scenario._stack and rotated._sides is rotated._sides
+        q_vector(singlet(), rotated)
+        assert calls == ["_spin_projectors", "_spin_projectors", "_joint_table"]
 
 
 def _full_bloch_states() -> list[QuantumState]:
@@ -544,14 +631,10 @@ class TestWernerSweep:
     ])
     def test_an_end_exactly_on_the_bound_is_a_crossing(self, monkeypatch, ends, crossing):
         # No scenario tried puts a Werner end exactly on the bound (4,096 built from Pauli and
-        # trivial qubit observables), so the kernel's two end tables are set: a guard written
-        # with <= or >= would raise NoCrossing here.
-        def table(value):  # q1 = min(value, 1) and q2 = the rest, so the expression is value
-            q1 = min(value, 1.0)
-            return [[q1, 0.0, 0.0], [0.0, 0.0, value - q1], [0.0, 0.0, 0.0]]
-
-        tables = np.array([table(value) for value in ends])
-        monkeypatch.setattr(search, "_joint_table", lambda *args: tables)
+        # trivial qubit observables), so the expression's two end values are set: a guard
+        # written with <= or >= would raise NoCrossing here.
+        excesses = tuple(value - 1.0 for value in ends)
+        monkeypatch.setattr(search, "_werner_excesses", lambda scenario: excesses)
         assert repr(werner_sweep(reference_scenario())) == crossing
 
     def test_kept_ends_are_read_only(self):

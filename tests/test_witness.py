@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import operator
 import pickle
 import sys
 import threading
@@ -1086,6 +1087,87 @@ class TestSpinFieldsOnFirstRead:
             assert scenario.dims == (scenario.x1.dim, scenario.x2.dim)
             assert all(type(d) is int for d in scenario.dims)
         assert validated.dims == decoded.dims == dims
+
+
+def _eager_stack(scenario: Scenario) -> Scenario:
+    """The scenario as kept when a spin scenario built its stack at once: ``_stack``, ``_sides``."""
+    stack = qcore._spin_projectors(scenario._units)
+    sides = stack.reshape(8, 2, 2).take(witness._SPIN_ROWS, axis=0)
+    for array in (stack, sides):
+        array.setflags(write=False)
+    return _trusted(Scenario, _stack=stack, _spectra=scenario._spectra, _sides=(sides[0], sides[1]))
+
+
+def _assert_stacks_equal(mine: Scenario, theirs: Scenario) -> None:
+    assert mine._stack.tobytes() == theirs._stack.tobytes()
+    assert mine._stack.shape == theirs._stack.shape == (4, 2, 2, 2)
+    for stored, expected in zip(mine._sides, theirs._sides, strict=True):
+        assert stored.tobytes() == expected.tobytes() and stored.shape == expected.shape == (3, 2, 2)
+    assert not any(array.flags.writeable for array in (mine._stack, *mine._sides))
+
+
+@st.composite
+def _unread_spin_scenarios(draw) -> partial:
+    """A builder of a spin scenario whose stack nothing has read: planar, full-Bloch or Hardy.
+
+    An optimizer result is left out, since the optimizer reads its ``_sides`` at once.
+    """
+    build = draw(_spin_scenarios())
+    if build.func is not _bloch_optimum:
+        return build
+    rng = np.random.default_rng(build.args[0])
+    angles = zip(rng.uniform(0.0, pi, 4).tolist(), rng.uniform(-pi, pi, 4).tolist())
+    return partial(witness._spin_scenario, *qcore._bloch_units(angles))
+
+
+class TestSpinStackOnFirstRead:
+    """A spin scenario keeps its four ``_units`` and builds ``_stack`` and ``_sides`` when read."""
+
+    @settings(max_examples=40)
+    @given(build=_unread_spin_scenarios(), first=st.sampled_from(("_stack", "_sides")))
+    def test_first_read_builds_the_eager_stack(self, build, first):
+        scenario = build()
+        assert not {"_stack", "_sides"} & set(vars(scenario))
+        assert len(scenario._units) == 4 and all(len(unit) == 3 for unit in scenario._units)
+        assert scenario.dims == (2, 2) and not scenario.trichotomic
+        assert not {"_stack", "_sides"} & set(vars(scenario))  # dims build nothing
+        getattr(scenario, first)
+        assert {"_stack", "_sides"} <= set(vars(scenario))  # one read builds both
+        stack, sides = scenario._stack, scenario._sides
+        assert scenario._stack is stack and scenario._sides is sides
+        _assert_stacks_equal(scenario, _eager_stack(scenario))
+        assert all(type(d) is int for d in scenario.dims) and scenario.dims == (2, 2)
+
+    @settings(max_examples=30)
+    @given(build=_spin_scenarios())
+    def test_equals_an_eager_build(self, build):
+        scenario = build()
+        eager = _eager_stack(scenario)
+        assert scenario == eager and repr(scenario) == repr(eager)
+        assert scenario.dims == eager.dims and scenario.trichotomic == eager.trichotomic
+        _assert_fields_match_eager(scenario, {name: getattr(eager, name) for name in _NAMES})
+        _assert_stacks_equal(scenario, eager)
+
+    @settings(max_examples=30)
+    @given(build=_unread_spin_scenarios())
+    def test_copies_before_and_after_the_first_read(self, build):
+        scenario = build()
+        methods = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+        before = [method(scenario) for method in methods]
+        eager = _eager_stack(scenario)
+        for twin in before:
+            assert not {"_stack", "_sides"} & set(vars(twin))
+            assert twin._units == scenario._units
+            _assert_stacks_equal(twin, eager)
+        assert not {"_stack", "_sides"} & set(vars(scenario))  # a copy's read builds its own
+        scenario._sides
+        after = [method(scenario) for method in methods]
+        for twin in before + after:
+            _assert_stacks_equal(twin, eager)
+            assert twin == scenario == eager and repr(twin) == repr(scenario)
+        # A shallow copy shares the arrays (its tuple of sides is a new one).
+        assert after[0]._stack is scenario._stack
+        assert all(map(operator.is_, after[0]._sides, scenario._sides))
 
 
 def _decoded_payload(seed: int, d: int, trichotomic: bool) -> dict:
