@@ -313,19 +313,21 @@ def spin_observable(direction: BlochDirection) -> Observable:
 
 def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
     """``_spin_floats`` of n unit 3-vectors as one read-only (n, 2, 2, 2) array: [k, 0] is +1."""
-    flat = [entry for unit in units for projector in _spin_floats(*unit) for entry in projector]
-    return _read_only(np.array(flat, dtype=float).view(complex).reshape(-1, 2, 2, 2))
+    return _read_only(np.array(_spin_floats(units), dtype=float).view(complex).reshape(-1, 2, 2, 2))
 
 
-def _spin_floats(nx: float, ny: float, nz: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """(1 +- n.sigma)/2 as two 8-tuples, re and im of p00, p01, p10 and p11, each.
+def _spin_floats(units: Iterable[Sequence[float]]) -> list[float]:
+    """16 floats per unit n: re and im of p00, p01, p10, p11 of (1 + n.sigma)/2, then (1 - n.sigma)/2.
 
     ``+ 0.0`` and ``0.0 -`` turn a -0.0 into 0.0, so zero entries print without a sign.
     """
-    up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
-    x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
-    mx, my = 0.0 - x, 0.0 - y
-    return (up, 0.0, x, my, x, y, down, 0.0), (down, 0.0, mx, y, mx, my, up, 0.0)
+    flat = []
+    for nx, ny, nz in units:
+        up, down = 0.5 * (1.0 + nz), 0.5 * (1.0 - nz)
+        x, y = 0.5 * nx + 0.0, 0.5 * ny + 0.0
+        mx, my = 0.0 - x, 0.0 - y
+        flat += (up, 0.0, x, my, x, y, down, 0.0, down, 0.0, mx, y, mx, my, up, 0.0)
+    return flat
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:

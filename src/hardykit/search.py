@@ -159,9 +159,9 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
 
 
 def _spin_sides(units: tuple) -> tuple:
-    """Each side's rows x = +1, y = +1, x = -1 (``_side`` order) as ``_spin_floats`` 8-tuples."""
-    (x1, mx1), (y1, _), (x2, mx2), (y2, _) = (_spin_floats(*unit) for unit in units)
-    return (x1, y1, mx1), (x2, y2, mx2)
+    """Each side's rows x = +1, y = +1, x = -1 (``_side`` order), 8 ``_spin_floats`` each."""
+    f = _spin_floats(units)
+    return (f[0:8], f[16:24], f[8:16]), (f[32:40], f[48:56], f[40:48])
 
 
 def _schmidt_table(alpha: float, beta: float, units: tuple) -> tuple:
