@@ -130,8 +130,9 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     above ``tol``, the state is too close to a product state (``NotEntangled``)
     or to the maximally entangled one (``MaximallyEntangled``). The built
     settings are verified on the state's q-vector, and ``NoSolution`` is raised
-    unless ``classify`` names it a Hardy violation at the same ``tol``. A ``tol`` that
-    is not positive, or not below the largest q4 (``max_hardy_probability``), raises ``ValueError``.
+    unless ``classify`` names it a Hardy violation at the same ``tol``. A ``tol`` that is
+    not positive, or not below the closed form (5 sqrt 5 - 11)/2, raises ``ValueError``; theta*'s
+    float q4 lies below it, so ``tol = max_hardy_probability()[1]`` raises ``NoSolution`` there.
     """
     tol = _number(tol, "tol")
     if not (isfinite(tol) and tol > 0.0):

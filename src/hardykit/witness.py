@@ -151,36 +151,25 @@ def _side(x_labels: tuple, y_labels: tuple, projectors: Sequence, y_start: int) 
 
 def _joint_probabilities(state: QuantumState, scenario: Scenario, read_q: bool = False,
                          read_ch: bool = False) -> tuple:
-    """(state, marginals, table), then the q-vector when ``read_q``, from one contraction.
+    """(marginals, table, q) from one contraction, or from ``_keep``'s record of this state object.
 
-    ``marginals``, CH's clamped y1 = +1 and y2 = +1 probabilities, are None until ``read_ch``.
-    ``table[a][b]`` pairs side 1's outcome ``a`` with side 2's ``b`` in ``_side`` order,
-    unclamped. The tuple is kept as ``_kept`` (not a field), written whole once every check
-    has passed; a later call with the same state object (``is``) reads it back.
+    ``marginals``, CH's clamped y1 = +1 and y2 = +1 probabilities, are None unless ``read_ch``,
+    and ``q`` is None unless ``read_q``. ``table[a][b]`` pairs side 1's outcome ``a`` with
+    side 2's ``b`` in ``_side`` order, unclamped. Nothing is stored on the scenario.
     """
     kept = scenario.__dict__.get("_kept")
-    if kept is None or kept[0] is not state:
-        if scenario.dims != state.dims:
-            raise DimensionMismatch(
-                f"scenario dims {scenario.dims} do not match state dims {state.dims}"
-            )
-        rho4, (side1, side2) = _density_tensor(state), scenario._sides
-        kept = (state, _marginals(rho4, side1, side2) if read_ch else None,
-                _joint_table(rho4, side1, side2).tolist())
-    elif read_ch and kept[1] is None:
-        kept = (state, _marginals(_density_tensor(state), *scenario._sides), *kept[2:])
-    if read_q and len(kept) == 3:
-        kept += (_q_from_table(kept[2]),)
-    scenario.__dict__["_kept"] = kept
-    return kept
-
-
-def _marginals(rho4, side1: np.ndarray, side2: np.ndarray) -> tuple[float, float]:
-    return (_marginal(rho4, 1, side1[1]), _marginal(rho4, 2, side2[1]))
+    if kept is not None and kept[0] is state:
+        return kept[1:]
+    if scenario.dims != state.dims:
+        raise DimensionMismatch(f"scenario dims {scenario.dims} do not match state dims {state.dims}")
+    rho4, (side1, side2) = _density_tensor(state), scenario._sides
+    marginals = (_marginal(rho4, 1, side1[1]), _marginal(rho4, 2, side2[1])) if read_ch else None
+    table = _joint_table(rho4, side1, side2).tolist()
+    return marginals, table, _q_from_table(table) if read_q else None
 
 
 def _keep(scenario: Scenario, state: QuantumState, marginals: tuple, table: list) -> QVector:
-    """Keep ``state``'s marginals and table, summed by the caller, as ``q_vector`` would; its q."""
+    """Record ``state``'s marginals and table, summed by a Hardy construction, as ``_kept``; its q."""
     q = _q_from_table(table)
     scenario.__dict__["_kept"] = (state, marginals, table, q)
     return q
@@ -225,7 +214,7 @@ def _ch_from_table(marginals: tuple[float, float], table: list[list[float]]) -> 
 
 def q_vector(state: QuantumState, scenario: Scenario) -> QVector:
     """Extract (q1..q4) and, for trichotomic x-observables, (q5, q6)."""
-    return _joint_probabilities(state, scenario, True)[3]
+    return _joint_probabilities(state, scenario, True)[2]
 
 
 def _expression(q: Sequence[float]) -> float:
@@ -248,7 +237,7 @@ def ch_expression(state: QuantumState, scenario: Scenario) -> float:
     of the state, not from the q-vector by no-signalling, so agreement with
     ``generalized_expression`` stays an independent check.
     """
-    return _ch_from_table(*_joint_probabilities(state, scenario, read_ch=True)[1:3])
+    return _ch_from_table(*_joint_probabilities(state, scenario, read_ch=True)[:2])
 
 
 def classify(q: QVector, *, tol: float = DEFAULT_TOLERANCE) -> str:
@@ -281,7 +270,7 @@ def witness_report(
     state: QuantumState, scenario: Scenario, tol: float = DEFAULT_TOLERANCE
 ) -> WitnessReport:
     """Evaluate everything the witness has to say about a state and scenario, from one table."""
-    _, marginals, table, q = _joint_probabilities(state, scenario, True, True)
+    marginals, table, q = _joint_probabilities(state, scenario, True, True)
     gen = generalized_expression(q)
     return WitnessReport(q, gen, _ch_from_table(marginals, table), classify(q, tol=tol))
 

@@ -385,9 +385,15 @@ class TestSchmidtSweepEndToEnd:
             assert abs(ch - gen) <= 1e-9, row
 
 
-# sha256 of stdout, recorded under numpy 2.4.6 while every construction still contracted
-# its table with the kernel; another numpy may print other digits in --json output.
+# sha256 of stdout, recorded under numpy 2.4.6: the construction rows while every construction
+# still contracted its table with the kernel, and the demo and Werner rows (pairs evaluated anew,
+# not read from a construction's record) while each scenario still kept its last evaluated pair.
+# Another numpy may print other digits in --json output.
 _PINNED_STDOUT = {
+    "demo": (("demo", "singlet"),
+             "bb6da829f02ac53e42b677049cfa808c5287ecda76ac45ad95de2e7a08a1ba5d"),
+    "werner-sweep": (("sweep", "--family", "werner", "--lo", "0", "--hi", "1", "--steps", "2000"),
+                     "457dafa0e0a298ee6c8093f9a8020f52ce915bbce960e7beb49e47fda700702a"),
     "sweep": (("sweep", "--family", "schmidt", "--lo", "0.05", "--hi", "0.7", "--steps", "2000"),
               "0eb71cfabeef63a621386e69f2baf2fc74f456476d052c270a0ad9785c4bc2d0"),
     "hardy-0.05": (("hardy", "--theta", "0.05", "--json"),
@@ -407,6 +413,14 @@ def test_construction_stdout_is_pinned(capsys, name):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_qutrit_eval_stdout_is_pinned(capsys, json_files):
+    # Four explicit qutrit observables take the one-pass decode, and the pair is evaluated anew.
+    code, out, err = _eval(capsys, json_files["state"], json_files["scenario"], "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ed08956defc9060180e0f6d9b7d6aca13459e7ace9f3d6af3b50aab24ae1a319")
 
 
 class TestLhvCheck:

@@ -15,6 +15,7 @@ from hardykit import (
     HardykitError,
     MaximallyEntangled,
     NoCrossing,
+    NoSolution,
     NotEntangled,
     QuantumState,
     Scenario,
@@ -172,6 +173,22 @@ class TestHardyObservables:
         # and theta* itself counts as the maximally entangled end.
         with pytest.raises(error, match=r"not above tol"):
             hardy_observables(SchmidtState(theta), exact_q4(theta))
+
+    @pytest.mark.parametrize("ulps", [0, 1913], ids=["theta-star", "theta-star-plus-1913-ulps"])
+    def test_tol_at_theta_stars_float_q4(self, ulps):
+        # The tol bound is the closed form (5 sqrt 5 - 11)/2. theta*'s float q4 lies below it,
+        # and a tol equal to that q4 is refused at theta* itself, but not at an angle nearby
+        # whose float q4 lies above it: a bound at theta*'s float q4 would refuse that angle.
+        theta, tol = max_hardy_probability()
+        for _ in range(ulps):
+            theta = nextafter(theta, pi / 4)
+        schmidt = SchmidtState(theta)
+        if ulps == 0:
+            with pytest.raises(NoSolution, match=r"not a HardyViolation"):
+                hardy_observables(schmidt, tol)
+            return
+        report = witness_report(schmidt.state(), hardy_observables(schmidt, tol), tol)
+        assert report.classification == HARDY_VIOLATION and report.qvec.q4 > tol
 
     def test_tol_bound_is_named(self):
         theta_star, _ = max_hardy_probability()

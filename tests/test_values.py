@@ -45,7 +45,6 @@ from hardykit import (
     q_vector,
     scenario_from_dict,
     scenario_to_dict,
-    singlet,
     spin_observable,
     werner_state,
     witness_report,
@@ -250,8 +249,13 @@ def test_scalar_arguments_of_any_number_type_act_as_floats():
 
 
 def _evaluated(state: QuantumState, scenario: Scenario) -> Scenario:
-    q_vector(state, scenario)  # keeps (state, marginals, table, q) on the scenario as _kept
+    q_vector(state, scenario)  # builds a spin scenario's _stack and _sides, and stores no _kept
     return scenario
+
+
+def _hardy_evaluated(schmidt: SchmidtState) -> Scenario:
+    # hardy_observables records (state, marginals, table, q) as _kept; q_vector reads it back.
+    return _evaluated(schmidt.state(), hardy_observables(schmidt))
 
 
 def _read(scenario: Scenario) -> Scenario:
@@ -281,7 +285,7 @@ _VALUES = st.one_of(
     _angles(4).map(lambda angles: _read(planar_scenario(*angles))),
     st.floats(0.0, 1.0).map(
         lambda v: _evaluated(werner_state(v), planar_scenario(0.1, 0.2, 0.3, 0.4))),
-    st.builds(lambda: _evaluated(singlet(), planar_scenario(0.0, pi / 2, 3 * pi / 4, pi / 4))),
+    st.floats(0.05, 0.7).map(lambda angle: _hardy_evaluated(SchmidtState(angle))),
     _SEEDS.map(lambda seed: random_scenario(np.random.default_rng(seed), 2, 3, seed % 2 == 1)),
     _SEEDS.map(lambda seed: scenario_from_dict(scenario_to_dict(
         random_scenario(np.random.default_rng(seed), 3, 3, seed % 2 == 1)))),

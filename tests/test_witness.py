@@ -93,7 +93,7 @@ class TestQVectorType:
              [0.0, 1.0 + 2 * QVECTOR_ATOL, 0.0, 0.0]],
         ],
     )
-    def test_table_reading_matches_public_constructor(self, table):
+    def test_table_reading_matches_public_constructor(self, monkeypatch, table):
         # q_vector and witness_report check the entries once and skip QVector's
         # own validation; the result, bit for bit, or the error must be what
         # the public constructor gives.
@@ -108,7 +108,14 @@ class TestQVectorType:
                 return str(error)
             return [repr(component) for component in q.components()]
 
-        assert outcome(_q_from_table, table) == outcome(QVector, *entries)
+        expected, read = outcome(QVector, *entries), []
+        component = witness._component
+        monkeypatch.setattr(witness, "_component",
+                            lambda name, value: read.append(name) or component(name, value))
+        assert outcome(_q_from_table, table) == expected
+        # Only a table the constructor refuses is read entry by entry; the one range
+        # check passes every accepted table, its edges included.
+        assert bool(read) == isinstance(expected, str)
 
     @pytest.mark.parametrize("row, column", [(0, 0), (1, 2), (2, 1), (1, 1), (1, 3), (3, 1)])
     @pytest.mark.parametrize("bad", [-2e-10, 1.0 + 2e-10, float("nan")])
@@ -771,10 +778,10 @@ def _fresh(call: str, state: QuantumState, scenario: Scenario) -> str:
 
 
 class TestKeptEvaluation:
-    """A scenario keeps (state, marginals, table[, q]) of its last state and reuses it for it.
+    """Evaluation stores nothing on a scenario; only a Hardy construction records ``_kept``.
 
-    A Hardy construction keeps the entry of its Schmidt state, summed in Python, so a report
-    on that state contracts no table.
+    The construction records the marginals and table of its Schmidt state, summed in Python,
+    so a report on that very state object contracts no table.
     """
 
     @given(
@@ -790,8 +797,36 @@ class TestKeptEvaluation:
         scenario = random_scenario(rng, *dims, trichotomic)
         for call in calls:
             assert _evaluate(call, state, scenario) == _fresh(call, state, scenario)
-            assert scenario._kept[0] is state
-        assert len(scenario._kept) == (3 if set(calls) == {"ch"} else 4)
+            assert "_kept" not in vars(scenario)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("validated", "decoded", "spin")),
+        dims=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+        pure=st.booleans(),
+        trichotomic=st.booleans(),
+        calls=st.lists(st.sampled_from(("q", "ch", "report")), min_size=1, max_size=6),
+    )
+    def test_evaluation_leaves_the_scenario_as_it_found_it(self, seed, kind, dims, pure,
+                                                            trichotomic, calls):
+        rng = np.random.default_rng(seed)
+        if kind == "spin":  # a spin scenario is a dichotomic qubit pair
+            dims, trichotomic = (2, 2), False
+            scenario = planar_scenario(*rng.uniform(-pi, pi, 4), plane=("xy", "xz")[seed % 2])
+        else:
+            scenario = random_scenario(rng, *dims, trichotomic)
+            if kind == "decoded":
+                scenario = scenario_from_dict(scenario_to_dict(scenario))
+        state = (random_pure_state if pure else random_density_state)(rng, *dims)
+        before, ref = dict(vars(scenario)), weakref.ref(state)
+        for call in calls:
+            _evaluate(call, state, scenario)
+        after = vars(scenario)
+        # Only what is derived on first read may appear; nothing that was there changes.
+        assert set(after) - set(before) <= {*_NAMES, "_stack", "_sides"}
+        assert all(after[name] is entry for name, entry in before.items())
+        del state
+        assert ref() is None
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
     @pytest.mark.parametrize("trichotomic", [False, True])
@@ -803,23 +838,19 @@ class TestKeptEvaluation:
         for state in (a, b, a, a_twin, b, a):
             for call in ("report", "q", "ch"):
                 assert _evaluate(call, state, scenario) == _fresh(call, state, scenario)
-            assert scenario._kept[0] is state
+            assert "_kept" not in vars(scenario)
         assert _evaluate("report", a, scenario) != _evaluate("report", b, scenario)
 
     def test_results_stay_correct_after_states_are_freed(self, rng):
         scenario = random_scenario(rng, 2, 2)
-        previous = None
         for _ in range(10):
             state = random_state(rng, 2, 2)
             ref = weakref.ref(state)
             assert _evaluate("report", state, scenario) == _fresh("report", state, scenario)
             del state
             gc.collect()
-            # The kept entry holds the last state alive, so its id is not reused
-            # while the entry names it; the state before it is free.
-            assert ref() is not None and scenario._kept[0] is ref()
-            assert previous is None or previous() is None
-            previous = ref
+            # The scenario holds no evaluated state, so each is freed at once.
+            assert ref() is None and "_kept" not in vars(scenario)
 
     def test_ch_expression_never_forms_the_q_vector(self, rng, monkeypatch):
         state, scenario = random_state(rng, 3, 3), random_scenario(rng, 3, 3, True)
@@ -831,7 +862,7 @@ class TestKeptEvaluation:
         monkeypatch.setattr(witness, "_q_from_table", forbidden)
         assert ch_expression(state, scenario) == expected
         assert ch_expression(state, scenario) == expected
-        assert len(scenario._kept) == 3
+        assert "_kept" not in vars(scenario)
 
     def test_nothing_is_kept_when_a_call_raises(self, rng):
         scenario = reference_scenario()
@@ -846,19 +877,20 @@ class TestKeptEvaluation:
                 call(bad, scenario)
             assert "_kept" not in vars(scenario)
         ch = ch_expression(bad, scenario)  # reads no q-vector, so it cannot raise InvalidQVector
-        kept = scenario._kept
-        assert kept[0] is bad and len(kept) == 3
+        assert "_kept" not in vars(scenario)
         with pytest.raises(InvalidQVector):
             q_vector(bad, scenario)
-        assert scenario._kept is kept
+        assert "_kept" not in vars(scenario)
         with pytest.raises(DimensionMismatch):
             witness_report(random_state(rng, 3, 3), scenario)
-        assert scenario._kept is kept and ch_expression(bad, scenario) == ch
+        assert "_kept" not in vars(scenario) and ch_expression(bad, scenario) == ch
 
     def test_copies_carry_the_entry_harmlessly(self, rng):
-        state, scenario = random_state(rng, 2, 3), random_scenario(rng, 2, 3)
+        # A Hardy construction's record is the one entry that copies carry.
+        schmidt = SchmidtState(0.3)
+        state, scenario = schmidt.state(), hardy_observables(schmidt)
         expected = _evaluate("report", state, scenario)
-        other = random_state(rng, 2, 3)
+        other = random_state(rng, 2, 2)
         for twin in (copy.copy(scenario), copy.deepcopy(scenario),
                      pickle.loads(pickle.dumps(scenario))):
             assert twin == scenario
