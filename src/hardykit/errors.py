@@ -22,11 +22,11 @@ class InvalidQVector(HardykitError, ValueError):
 
 
 class NotEntangled(HardykitError):
-    """Raised when a product state is passed where entanglement is required."""
+    """Raised when a Hardy construction's q4 cannot exceed tol at a Schmidt angle below theta*."""
 
 
 class MaximallyEntangled(HardykitError):
-    """Raised when a maximally entangled state is passed to the zero-probability construction."""
+    """Raised when a Hardy construction's q4 cannot exceed tol at a Schmidt angle >= theta*."""
 
 
 class NoSolution(HardykitError):
@@ -34,4 +34,4 @@ class NoSolution(HardykitError):
 
 
 class NoCrossing(HardykitError):
-    """Raised when the expression does not cross its bound on the given interval."""
+    """Raised when the expression does not cross its bound at any visibility in [0, 1]."""

@@ -307,13 +307,13 @@ def _projective(stack: np.ndarray) -> bool:
 
 def spin_observable(direction: BlochDirection) -> Observable:
     """Dichotomic spin observable along ``direction`` with outcomes +1 and -1."""
-    plus, minus = _spin_projectors((direction.unit_vector(),))[0]
-    return _trusted(Observable, dim=2, outcomes=((1.0, plus), (-1.0, minus)))
+    return _spin_observables((direction.unit_vector(),))[0]
 
 
-def _spin_projectors(units: Iterable[Sequence[float]]) -> np.ndarray:
-    """``_spin_floats`` of n unit 3-vectors as one read-only (n, 2, 2, 2) array: [k, 0] is +1."""
-    return _read_only(np.array(_spin_floats(units), dtype=float).view(complex).reshape(-1, 2, 2, 2))
+def _spin_observables(units: Iterable[Sequence[float]]) -> list[Observable]:
+    """The spin observable along each unit 3-vector, its projectors cut from one read-only array."""
+    stack = _read_only(np.array(_spin_floats(units)).view(complex).reshape(-1, 2, 2, 2))
+    return [_trusted(Observable, dim=2, outcomes=((1.0, p), (-1.0, m))) for p, m in stack]
 
 
 def _spin_floats(units: Iterable[Sequence[float]]) -> list[float]:
@@ -328,6 +328,12 @@ def _spin_floats(units: Iterable[Sequence[float]]) -> list[float]:
         mx, my = 0.0 - x, 0.0 - y
         flat += (up, 0.0, x, my, x, y, down, 0.0, down, 0.0, mx, y, mx, my, up, 0.0)
     return flat
+
+
+def _spin_rows(units: Sequence[Sequence[float]]) -> tuple:
+    """Each side's rows x = +1, y = +1, x = -1 (``_side`` order), 8 ``_spin_floats`` each."""
+    f = _spin_floats(units)
+    return (f[0:8], f[16:24], f[8:16]), (f[32:40], f[48:56], f[40:48])
 
 
 def bloch_vector(projector: np.ndarray) -> np.ndarray:

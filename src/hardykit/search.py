@@ -26,7 +26,7 @@ from .qcore import (
     _bloch_units,
     _density_tensor,
     _joint_table,
-    _spin_floats,
+    _spin_rows,
     _werner_density,
 )
 from .witness import (
@@ -159,17 +159,11 @@ def hardy_observables(schmidt: SchmidtState, tol: float = 1e-9) -> Scenario:
     return scenario
 
 
-def _spin_sides(units: tuple) -> tuple:
-    """Each side's rows x = +1, y = +1, x = -1 (``_side`` order), 8 ``_spin_floats`` each."""
-    f = _spin_floats(units)
-    return (f[0:8], f[16:24], f[8:16]), (f[32:40], f[48:56], f[40:48])
-
-
 def _schmidt_table(alpha: float, beta: float, units: tuple) -> tuple:
     """CH's marginals and the table of alpha|00> + beta|11> on xz-plane spin ``units``: an entry
     adds its real rho * s1 * s2 terms to 0.0 in the kernel's order (TestHardyTableInKernelOrder)."""
     r00, r03, r33 = alpha * alpha, alpha * beta, beta * beta
-    s1, s2 = _spin_sides(units)
+    s1, s2 = _spin_rows(units)
     table = [[0.0 + r00 * a[0] * b[0] + r03 * a[4] * b[4] + r03 * a[2] * b[2] + r33 * a[6] * b[6]
               for b in s2] for a in s1]
     return tuple(r00 * y[0] + r33 * y[6] for y in (s1[1], s2[1])), table
@@ -298,7 +292,7 @@ def _werner_excesses(scenario: Scenario) -> tuple[float, float]:
 def _werner_q(units: tuple) -> tuple[list[float], list[float]]:
     """Unclamped q1..q4 of spin ``units`` at v = 0 and v = 1: each adds its four (real rho * s1)
     * s2 terms to 0.0 in the kernel's (i, j, k, l) order (TestWernerEndsInKernelOrder)."""
-    (x1, y1, mx1), (x2, y2, mx2) = _spin_sides(units)
+    (x1, y1, mx1), (x2, y2, mx2) = _spin_rows(units)
     quarter, s, m = _QUARTER, _S, _MINUS_S  # at 0000, 0101, 1010, 1111 / 0101, 1010 / 0110, 1001
     lo, hi = [], []
     for a, b in ((x1, x2), (y1, mx2), (mx1, y2), (y1, y2)):  # the rows of q1, q2, q3, q4

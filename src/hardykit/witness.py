@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import cos, isfinite, sin
+from struct import pack
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,8 @@ from .qcore import (
     _joint_table,
     _marginal,
     _projective,
-    _spin_projectors,
+    _spin_observables,
+    _spin_rows,
     observable_from_dict,
     observable_to_dict,
 )
@@ -44,32 +46,30 @@ _ANGLE_NAMES = ("x1_angle", "y1_angle", "x2_angle", "y2_angle")
 _NUMBER = frozenset((int, float))  # the types a JSON number decodes to
 _DICHOTOMIC = frozenset((-1.0, 1.0))
 _TRICHOTOMIC = frozenset((-1.0, 0.0, 1.0))
-_SPIN_SPECTRA = ((1.0, -1.0),) * 4
-_SPIN_ROWS = np.array(((0, 2, 1), (4, 6, 5)))  # each side's x = +1, y = +1, x = -1 in a spin stack
 
 
 class _LazyField:
-    """An entry of a scenario kept in a smaller form, built with its siblings on first read.
+    """An entry of a scenario kept in a smaller form, built on first read: a spin scenario's
+    ``_sides`` and x1..y2 from its ``_units``, a decoded one's x1..y2 from ``_stack`` and
+    ``_spectra``. A non-data descriptor, so ``__dict__`` entries shadow it."""
 
-    x1, y1, x2 and y2 come from ``_stack`` and ``_spectra``; a spin scenario's ``_stack`` and
-    ``_sides`` come from its ``_units``. A non-data descriptor, so ``__dict__`` entries shadow it.
-    """
-
-    def __init__(self, name: str, source: str) -> None:
-        self.name, self.source = name, source
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __get__(self, scenario, owner=None):
         kept = {} if scenario is None else scenario.__dict__
-        if self.source not in kept and "_units" not in kept:
+        if "_units" in kept and self.name == "_sides":  # 48 floats as bytes: a read-only array
+            side1, side2 = _spin_rows(kept["_units"])
+            sides = np.frombuffer(pack("48d", *chain(*side1, *side2)), complex).reshape(2, 3, 2, 2)
+            return kept.setdefault("_sides", (sides[0], sides[1]))  # unpacked faster than an array
+        if "_units" in kept:  # all four at once, as for a decoded scenario
+            built = _spin_observables(kept["_units"])
+        elif "_stack" in kept and self.name in _NAMES:
+            built = [_trusted(Observable, dim=block.shape[-1], outcomes=tuple(zip(labels, block)))
+                     for labels, block in zip(kept["_spectra"], kept["_stack"])]
+        else:
             raise AttributeError(f"'Scenario' object has no attribute {self.name!r}")
-        if self.source == "_units":
-            stack = _spin_projectors(kept["_units"])
-            sides = _read_only(stack.reshape(8, 2, 2).take(_SPIN_ROWS, axis=0))
-            kept.setdefault("_stack", stack)  # setdefault keeps the first object stored
-            kept.setdefault("_sides", (sides[0], sides[1]))
-            return kept[self.name]
-        for field, labels, block in zip(_NAMES, kept["_spectra"], scenario._stack):
-            observable = _trusted(Observable, dim=block.shape[-1], outcomes=tuple(zip(labels, block)))
+        for field, observable in zip(_NAMES, built):  # setdefault keeps the first object stored
             kept.setdefault(field, observable)
         return kept[self.name]
 
@@ -85,8 +85,7 @@ class Scenario(Value):
     """
 
     _fields = _NAMES
-    x1, y1, x2, y2 = (_LazyField(name, "_stack") for name in _NAMES)
-    _stack, _sides = _LazyField("_stack", "_units"), _LazyField("_sides", "_units")
+    x1, y1, x2, y2, _sides = map(_LazyField, (*_NAMES, "_sides"))
 
     def __init__(self, x1: Observable, y1: Observable, x2: Observable, y2: Observable) -> None:
         fields, pairs = (x1, y1, x2, y2), ((x1, y1), (x2, y2))
@@ -360,4 +359,4 @@ def _spin_scenario(
 ) -> Scenario:
     """Scenario of four qubit spin observables along unit 3-vectors, kept as ``_units``."""
     # Four qubit spin observables always form a valid dichotomic scenario.
-    return _trusted(Scenario, _units=(x1, y1, x2, y2), _spectra=_SPIN_SPECTRA)
+    return _trusted(Scenario, _units=(x1, y1, x2, y2))

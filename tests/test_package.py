@@ -68,14 +68,16 @@ class TestStartWithoutNumpy:
         [
             ("lhv-check", "--q", "0.1,0.2,0.1,0.3,0.05,0.05", "--json"),
             ("lhv-check", "--q", "0,0,0,0.05"),
+            ("lhv-check", "--q", "0.1,0.1,0.1,0.2"),  # feasible: builds a mixing witness
             ("vertices",),
             ("vertices", "--trichotomic", "--csv"),
         ],
-        ids=["lhv-check-json", "lhv-check", "vertices", "vertices-trichotomic-csv"],
+        ids=["lhv-check-json", "lhv-check", "lhv-check-feasible", "vertices",
+             "vertices-trichotomic-csv"],
     )
     def test_qvector_command(self, argv):
-        code, out, numpy = modules_at_exit("numpy", *python_m_hardykit(*argv))
-        assert (code, numpy) == (0, []), numpy
+        code, out, heavy = modules_at_exit("numpy dataclasses inspect", *python_m_hardykit(*argv))
+        assert (code, heavy) == (0, []), heavy
         assert out
 
     def test_import(self):

@@ -61,7 +61,7 @@ from hardykit.qcore import (
     _density_tensor,
     _pairs_from_complex,
     _projective,
-    _spin_projectors,
+    _spin_observables,
     _trusted,
 )
 from hardykit import qcore
@@ -307,9 +307,14 @@ class TestBuiltValuesPassFullValidation:
         # Signed zeros in, unsigned zeros out; axes give exact zero entries.
         axes = [(0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (1.0, -0.0, 0.0), (0.0, -1.0, -0.0)]
         units = axes + [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(30, 3))]
-        projectors = _spin_projectors(units)
+        observables = _spin_observables(units)
+        projectors = np.array([[obs.projector(1.0), obs.projector(-1.0)] for obs in observables])
         assert projectors.shape == (len(units), 2, 2, 2)
-        assert not projectors.flags.writeable
+        for obs in observables:
+            assert obs.dim == 2 and obs.labels == (1.0, -1.0)
+            assert not any(p.flags.writeable for _, p in obs.outcomes)
+            # Views of one array, written once for all the units.
+            assert all(p.base is observables[0].outcomes[0][1].base for _, p in obs.outcomes)
         for k, (nx, ny, nz) in enumerate(units):
             pauli = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
             assert np.max(np.abs(projectors[k, 0] - 0.5 * (np.eye(2) + pauli))) <= 1e-15
@@ -319,10 +324,12 @@ class TestBuiltValuesPassFullValidation:
 
     def test_single_vector_is_the_batched_case(self, rng):
         units = [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(10, 3))]
-        projectors = _spin_projectors(units)
-        for k, unit in enumerate(units):
-            alone = _spin_projectors([unit])
-            assert alone.tobytes() == projectors[k : k + 1].tobytes()
+        observables = _spin_observables(units)
+        for unit, obs in zip(units, observables, strict=True):
+            (alone,) = _spin_observables([unit])
+            assert alone == obs
+            for (_, mine), (_, theirs) in zip(alone.outcomes, obs.outcomes, strict=True):
+                assert mine.tobytes() == theirs.tobytes()
 
 
 class TestTrustedInstances:

@@ -29,6 +29,8 @@ from hardykit import (
     optimize_violation,
     planar_scenario,
     q_vector,
+    scenario_from_dict,
+    scenario_to_dict,
     singlet,
     spin_observable,
     werner_state,
@@ -497,8 +499,9 @@ class TestWernerEndsInKernelOrder:
     """``search._werner_q`` sums a spin scenario's q at both Werner ends as the kernel does.
 
     ``werner_sweep`` reads them in place of a contraction, so they must be the kernel's bits:
-    the entries of ``_joint_table(_WERNER_ENDS, *sides)`` on the eagerly built stack that
-    ``_q_list`` reads, signed zeros included, on seeded xy, xz and full-Bloch settings.
+    the entries of ``_joint_table(_WERNER_ENDS, *sides)`` that ``_q_list`` reads, on the side
+    stacks of the validated ``Scenario`` of the same spin observables, signed zeros included,
+    on seeded xy, xz and full-Bloch settings.
     Recorded under numpy 2.4.6; a numpy whose einsum adds or multiplies in another order
     fails here.
     """
@@ -507,9 +510,9 @@ class TestWernerEndsInKernelOrder:
         rng = np.random.default_rng(37)
         for index in range(3000):
             units = _werner_units(rng, index)
-            sides = qcore._spin_projectors(units).reshape(8, 2, 2).take(witness._SPIN_ROWS, axis=0)
+            sides = Scenario(*qcore._spin_observables(units))._sides
             kernel = [[t[0][0], t[1][2], t[2][1], t[1][1]]
-                      for t in qcore._joint_table(_WERNER_ENDS, sides[0], sides[1]).tolist()]
+                      for t in qcore._joint_table(_WERNER_ENDS, *sides).tolist()]
             assert repr(search._werner_q(units)) == repr(tuple(kernel)), (index, units)
 
     def test_both_paths_give_the_same_excesses(self):
@@ -517,11 +520,12 @@ class TestWernerEndsInKernelOrder:
         for index in range(300):
             scenario = witness._spin_scenario(*_werner_units(rng, index))
             excesses = search._werner_excesses(scenario)
-            assert "_stack" not in vars(scenario) and "_sides" not in vars(scenario)
-            eager = _trusted(Scenario, _stack=scenario._stack, _spectra=scenario._spectra,
-                             _sides=scenario._sides)
+            assert set(vars(scenario)) == {"_units"}
+            # The kernel on the spin scenario's own sides, and on those of two other forms.
+            own = _trusted(Scenario, _sides=scenario._sides)
+            decoded = scenario_from_dict(scenario_to_dict(scenario))
             validated = Scenario(scenario.x1, scenario.y1, scenario.x2, scenario.y2)
-            for other in (eager, validated):
+            for other in (own, decoded, validated):
                 assert repr(search._werner_excesses(other)) == repr(excesses), index
 
 
@@ -530,9 +534,10 @@ class TestConstructionBuildsNoStack:
 
     def test_no_stack_and_no_kernel_call(self, monkeypatch):
         calls = []
-        for module, name in ((qcore, "_spin_projectors"), (witness, "_spin_projectors"),
-                             (qcore, "_joint_table"), (witness, "_joint_table"),
-                             (search, "_joint_table"), (witness, "_marginal")):
+        for module, name in ((qcore, "_spin_observables"), (witness, "_spin_observables"),
+                             (witness, "_spin_rows"), (qcore, "_joint_table"),
+                             (witness, "_joint_table"), (search, "_joint_table"),
+                             (witness, "_marginal")):
             def spy(*args, _call=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _call(*args)
@@ -546,10 +551,23 @@ class TestConstructionBuildsNoStack:
             assert report.classification == HARDY_VIOLATION
             assert abs(crossing - 1.0 / sqrt(2.0)) < 1e-12
             assert calls == [], theta
-        # The spies are live: the first read of a stack builds it, and a new state contracts.
-        assert scenario._stack is scenario._stack and rotated._sides is rotated._sides
+        # The spies are live: the first reads of x1 and of the sides build them, and a new state
+        # contracts.
+        assert scenario.x1 is scenario.x1 and rotated._sides is rotated._sides
         q_vector(singlet(), rotated)
-        assert calls == ["_spin_projectors", "_spin_projectors", "_joint_table"]
+        assert calls == ["_spin_observables", "_spin_rows", "_joint_table"]
+
+
+class TestOptimizerAgainstSweep:
+    """The upper optimum of a singlet or Werner state crosses the bound at v = 1/sqrt 2."""
+
+    @pytest.mark.parametrize("planar", [True, False], ids=["planar", "full-bloch"])
+    @pytest.mark.parametrize("visibility", [1.0, 0.8, 0.3], ids=["singlet", "werner-0.8",
+                                                                 "werner-0.3"])
+    def test_crossing_is_one_over_root_two(self, visibility, planar):
+        state = singlet() if visibility == 1.0 else werner_state(visibility)
+        scenario = optimize_violation(state, "maximize_upper", planar=planar).scenario
+        assert abs(werner_sweep(scenario) - 1.0 / sqrt(2.0)) <= 1e-12
 
 
 def _full_bloch_states() -> list[QuantumState]:

@@ -249,7 +249,7 @@ def test_scalar_arguments_of_any_number_type_act_as_floats():
 
 
 def _evaluated(state: QuantumState, scenario: Scenario) -> Scenario:
-    q_vector(state, scenario)  # builds a spin scenario's _stack and _sides, and stores no _kept
+    q_vector(state, scenario)  # builds a spin scenario's _sides, and stores no _kept
     return scenario
 
 

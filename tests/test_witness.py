@@ -10,7 +10,8 @@ import sys
 import threading
 import weakref
 from functools import partial
-from math import cos, pi, sqrt
+from math import cos, pi, sin, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -823,7 +824,7 @@ class TestKeptEvaluation:
             _evaluate(call, state, scenario)
         after = vars(scenario)
         # Only what is derived on first read may appear; nothing that was there changes.
-        assert set(after) - set(before) <= {*_NAMES, "_stack", "_sides"}
+        assert set(after) - set(before) <= {*_NAMES, "_sides"}
         assert all(after[name] is entry for name, entry in before.items())
         del state
         assert ref() is None
@@ -998,9 +999,9 @@ def _spin_scenarios(draw) -> partial:
 
 
 def _eager(scenario: Scenario) -> dict:
-    """The four observables as built eagerly from the (4, 2, 2, 2) projector stack."""
-    return {name: _trusted(Observable, dim=2, outcomes=((1.0, px), (-1.0, mx)))
-            for name, (px, mx) in zip(_NAMES, scenario._stack)}
+    """The four observables as ``spin_observable`` writes them, each from its unit alone."""
+    return {name: qcore._spin_observables((unit,))[0]
+            for name, unit in zip(_NAMES, scenario._units)}
 
 
 def _assert_fields_match_eager(scenario: Scenario, eager: dict) -> None:
@@ -1014,16 +1015,14 @@ def _assert_fields_match_eager(scenario: Scenario, eager: dict) -> None:
 
 
 class TestSpinFieldsOnFirstRead:
-    """A spin scenario keeps one (4, 2, 2, 2) stack and builds x1, y1, x2, y2 when one is first read."""
+    """A spin scenario keeps its four ``_units`` and builds x1..y2 when one is first read."""
 
     @settings(max_examples=60)
     @given(build=_spin_scenarios())
     def test_lazy_fields_equal_an_eager_build(self, build):
         scenario = build()
         assert not set(_NAMES) & set(vars(scenario))
-        stack = scenario._stack
-        assert stack.shape == (4, 2, 2, 2) and not stack.flags.writeable
-        assert scenario._spectra == ((1.0, -1.0),) * 4
+        assert not {"_stack", "_spectra"} & set(vars(scenario))
         eager = _eager(scenario)
         assert scenario.y2 is scenario.y2  # one read builds all four
         assert set(_NAMES) <= set(vars(scenario))
@@ -1088,9 +1087,9 @@ class TestSpinFieldsOnFirstRead:
 
                 def read(index):
                     barrier.wait(timeout=30)
-                    first = _NAMES[index % 4]
+                    first = (*_NAMES, "_sides")[index % 5]
                     fields = {first: getattr(scenario, first)}
-                    fields.update((name, getattr(scenario, name)) for name in _NAMES)
+                    fields.update((name, getattr(scenario, name)) for name in (*_NAMES, "_sides"))
                     seen.append(fields)
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(6)]
@@ -1100,7 +1099,7 @@ class TestSpinFieldsOnFirstRead:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
                 assert len(seen) == 6
-                for name in _NAMES:
+                for name in (*_NAMES, "_sides"):
                     assert all(fields[name] is scenario.__dict__[name] for fields in seen)
         finally:
             sys.setswitchinterval(interval)
@@ -1121,21 +1120,18 @@ class TestSpinFieldsOnFirstRead:
         assert validated.dims == decoded.dims == dims
 
 
-def _eager_stack(scenario: Scenario) -> Scenario:
-    """The scenario as kept when a spin scenario built its stack at once: ``_stack``, ``_sides``."""
-    stack = qcore._spin_projectors(scenario._units)
-    sides = stack.reshape(8, 2, 2).take(witness._SPIN_ROWS, axis=0)
-    for array in (stack, sides):
-        array.setflags(write=False)
-    return _trusted(Scenario, _stack=stack, _spectra=scenario._spectra, _sides=(sides[0], sides[1]))
+def _validated(scenario: Scenario) -> Scenario:
+    """The validated ``Scenario`` of ``_eager``'s observables, whose ``_sides`` ``_side`` cuts."""
+    return Scenario(*_eager(scenario).values())
 
 
-def _assert_stacks_equal(mine: Scenario, theirs: Scenario) -> None:
-    assert mine._stack.tobytes() == theirs._stack.tobytes()
-    assert mine._stack.shape == theirs._stack.shape == (4, 2, 2, 2)
-    for stored, expected in zip(mine._sides, theirs._sides, strict=True):
+def _assert_sides_equal(mine: Scenario, theirs: Scenario) -> None:
+    """``mine._sides`` are two read-only (3, 2, 2) stacks with the bytes of ``theirs._sides``."""
+    sides = mine._sides
+    assert type(sides) is tuple
+    for stored, expected in zip(sides, theirs._sides, strict=True):
         assert stored.tobytes() == expected.tobytes() and stored.shape == expected.shape == (3, 2, 2)
-    assert not any(array.flags.writeable for array in (mine._stack, *mine._sides))
+        assert not stored.flags.writeable
 
 
 @st.composite
@@ -1153,32 +1149,35 @@ def _unread_spin_scenarios(draw) -> partial:
 
 
 class TestSpinStackOnFirstRead:
-    """A spin scenario keeps its four ``_units`` and builds ``_stack`` and ``_sides`` when read."""
+    """A spin scenario keeps its four ``_units`` and builds ``_sides`` when read, and no stack."""
 
     @settings(max_examples=40)
-    @given(build=_unread_spin_scenarios(), first=st.sampled_from(("_stack", "_sides")))
+    @given(build=_unread_spin_scenarios(), first=st.sampled_from(("x1", "_sides")))
     def test_first_read_builds_the_eager_stack(self, build, first):
         scenario = build()
-        assert not {"_stack", "_sides"} & set(vars(scenario))
+        kept = set(vars(scenario))
+        assert kept <= {"_units", "_kept"}  # a Hardy construction keeps its table
         assert len(scenario._units) == 4 and all(len(unit) == 3 for unit in scenario._units)
         assert scenario.dims == (2, 2) and not scenario.trichotomic
-        assert not {"_stack", "_sides"} & set(vars(scenario))  # dims build nothing
+        assert set(vars(scenario)) == kept  # dims build nothing
         getattr(scenario, first)
-        assert {"_stack", "_sides"} <= set(vars(scenario))  # one read builds both
-        stack, sides = scenario._stack, scenario._sides
-        assert scenario._stack is stack and scenario._sides is sides
-        _assert_stacks_equal(scenario, _eager_stack(scenario))
+        # A read builds its own entries only: the sides, or the four fields.
+        assert set(vars(scenario)) - kept == ({"_sides"} if first == "_sides" else set(_NAMES))
+        sides = scenario._sides
+        assert scenario._sides is sides
+        assert sides[0].base is sides[1].base and sides[0].base.size == 24  # halves of one array
+        _assert_sides_equal(scenario, _validated(scenario))
         assert all(type(d) is int for d in scenario.dims) and scenario.dims == (2, 2)
 
     @settings(max_examples=30)
     @given(build=_spin_scenarios())
     def test_equals_an_eager_build(self, build):
         scenario = build()
-        eager = _eager_stack(scenario)
+        eager = _validated(scenario)
         assert scenario == eager and repr(scenario) == repr(eager)
         assert scenario.dims == eager.dims and scenario.trichotomic == eager.trichotomic
         _assert_fields_match_eager(scenario, {name: getattr(eager, name) for name in _NAMES})
-        _assert_stacks_equal(scenario, eager)
+        _assert_sides_equal(scenario, eager)
 
     @settings(max_examples=30)
     @given(build=_unread_spin_scenarios())
@@ -1186,20 +1185,100 @@ class TestSpinStackOnFirstRead:
         scenario = build()
         methods = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
         before = [method(scenario) for method in methods]
-        eager = _eager_stack(scenario)
+        eager = _validated(scenario)
         for twin in before:
-            assert not {"_stack", "_sides"} & set(vars(twin))
+            assert "_sides" not in vars(twin)
             assert twin._units == scenario._units
-            _assert_stacks_equal(twin, eager)
-        assert not {"_stack", "_sides"} & set(vars(scenario))  # a copy's read builds its own
+            _assert_sides_equal(twin, eager)
+        assert "_sides" not in vars(scenario)  # a copy's read builds its own
         scenario._sides
         after = [method(scenario) for method in methods]
         for twin in before + after:
-            _assert_stacks_equal(twin, eager)
+            _assert_sides_equal(twin, eager)
             assert twin == scenario == eager and repr(twin) == repr(scenario)
         # A shallow copy shares the arrays (its tuple of sides is a new one).
-        assert after[0]._stack is scenario._stack
         assert all(map(operator.is_, after[0]._sides, scenario._sides))
+
+
+@st.composite
+def _seeded_units(draw) -> tuple:
+    """Four seeded xy, xz or full-Bloch unit 3-vectors, and the (theta, phi) of full-Bloch ones.
+
+    Every fifth draw puts the angles at multiples of pi/4, where entries are exact zeros.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("xy", "xz", "bloch")))
+    if kind == "bloch":  # angles BlochDirection takes, so spin_observable rebuilds the units
+        angles = [*zip(rng.uniform(0.0, pi, 4).tolist(), rng.uniform(0.0, 2.0 * pi, 4).tolist())]
+        return tuple(qcore._bloch_units(angles)), angles
+    if draw(st.integers(0, 4)) == 0:
+        turns = (rng.integers(-8, 9, 4) * (pi / 4)).tolist()
+    else:
+        turns = rng.uniform(-2.0 * pi, 2.0 * pi, 4).tolist()
+    if kind == "xy":
+        return tuple((cos(a), sin(a), 0.0) for a in turns), None
+    return tuple((sin(a), 0.0, cos(a)) for a in turns), None
+
+
+_COPIES = (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)))
+
+
+def _assert_all_read_only(scenario: Scenario) -> None:
+    assert not any(side.flags.writeable for side in scenario._sides)
+    for name in _NAMES:
+        assert not any(p.flags.writeable for _, p in getattr(scenario, name).outcomes)
+
+
+class TestSpinScenarioKeepsOnlyUnits:
+    """A spin scenario stores its ``_units``, and writes x1..y2 and ``_sides`` from them on first
+    read, each without the other and with no ``_stack`` or ``_spectra``."""
+
+    @settings(max_examples=60)
+    @given(drawn=_seeded_units(), first=st.sampled_from(("x1", "_sides")))
+    def test_entries_come_straight_from_the_units(self, drawn, first):
+        units, angles = drawn
+        scenario = witness._spin_scenario(*units)
+        assert set(vars(scenario)) == {"_units"}
+        # The writer the first read must not call: x1 cuts no sides, and _sides builds no field.
+        other, writer = ("_sides", "_spin_rows") if first == "x1" else ("x1", "_spin_observables")
+        with mock.patch.object(witness, writer, side_effect=AssertionError(writer)):
+            getattr(scenario, first)
+        assert set(vars(scenario)) == {"_units", *(_NAMES if first == "x1" else ("_sides",))}
+        getattr(scenario, other)
+        assert set(vars(scenario)) == {"_units", "_sides", *_NAMES}
+        # Byte for byte: each field is spin_observable's for its unit, and the sides those that
+        # the validated Scenario of those observables cuts.
+        alone = _eager(scenario)
+        _assert_fields_match_eager(scenario, alone)
+        if angles is not None:
+            _assert_fields_match_eager(scenario, {name: spin_observable(BlochDirection(*pair))
+                                                  for name, pair in zip(_NAMES, angles)})
+        _assert_sides_equal(scenario, Scenario(*alone.values()))
+        assert scenario._sides[0].base is scenario._sides[1].base  # halves of one array
+        _assert_all_read_only(scenario)
+
+    @settings(max_examples=30)
+    @given(drawn=_seeded_units(), first=st.sampled_from(("x1", "_sides")))
+    def test_copies_build_their_own_entries(self, drawn, first):
+        scenario = witness._spin_scenario(*drawn[0])
+        oracle = _validated(scenario)
+        before = [method(scenario) for method in _COPIES]
+        getattr(scenario, first)
+        after = [method(scenario) for method in _COPIES]
+        for twin in before:
+            assert set(vars(twin)) == {"_units"}  # the original's read built nothing here
+        # A shallow copy made after the read shares what it built; each copy builds the rest.
+        def built(value: Scenario):
+            return value.x1 if first == "x1" else value._sides[0]
+
+        assert built(after[0]) is built(scenario)
+        for twin in before + after:
+            _assert_fields_match_eager(twin, {name: getattr(oracle, name) for name in _NAMES})
+            _assert_sides_equal(twin, oracle)
+            _assert_all_read_only(twin)
+            assert set(vars(twin)) == {"_units", "_sides", *_NAMES}
+        assert set(vars(scenario)) == {"_units", *(_NAMES if first == "x1" else ("_sides",))}
+        assert all(built(twin) is not built(scenario) for twin in before + after[1:])
 
 
 def _decoded_payload(seed: int, d: int, trichotomic: bool) -> dict:
